@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
@@ -25,13 +26,20 @@ def _poly_payload(poly: LaurentPolyQT, as_json: bool):
     return {"terms": poly.json_terms()} if as_json else str(poly)
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2) if not isinstance(payload, str) else payload
+@contextmanager
+def _output(args):
+    """The --out file when one is given, else stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            yield fh
     else:
-        print(text)
+        yield sys.stdout
+
+
+def _emit(payload, args) -> None:
+    text = json.dumps(payload, indent=2) if not isinstance(payload, str) else payload
+    with _output(args) as fh:
+        fh.write(text + "\n")
 
 
 def _specialized_closed_route(alpha, spec):
@@ -68,8 +76,14 @@ def cmd_enumerate(args) -> int:
     if args.format == "count":
         _emit(str(sum(1 for _ in stream)), args)
         return 0
-    lines = [json.dumps(U.to_json()) for U in stream]
-    _emit("\n".join(lines) if lines else "", args)
+    # one line per matrix as it is produced; an empty stream still ends in "\n"
+    empty = True
+    with _output(args) as fh:
+        for U in stream:
+            fh.write(json.dumps(U.to_json()) + "\n")
+            empty = False
+        if empty:
+            fh.write("\n")
     return 0
 
 

@@ -30,7 +30,17 @@ DEFAULT_N_CAP = 7
 
 def n_cap() -> int:
     """Partition-size cap; override with the TESLAB_NMAX environment variable."""
-    return int(os.environ.get("TESLAB_NMAX", DEFAULT_N_CAP))
+    raw = os.environ.get("TESLAB_NMAX")
+    if raw is None:
+        return DEFAULT_N_CAP
+    message = f"TESLAB_NMAX must be an integer of at least 1, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 1:
+        raise ValueError(message)
+    return cap
 
 
 def _check_cap(n: int) -> None:

@@ -11,13 +11,24 @@ Finiteness and enumeration: the total s_i of row i is forced to
 alpha_i + (column sum above the diagonal), the row's sign is sign(s_i), and
 each entry is bounded by |s_i|; sign-homogeneous nonzero rows cannot sum to
 zero, so s_i = 0 prunes the branch.
+
+tes does not enumerate.  The weight factorizes row by row: a row with nz
+nonzero entries contributes M^(nz-1), the qt_int of each entry, and the sign
+(-1)^(nz-1) when it is positive.  Deleting the first row and column of a
+matrix with hooks alpha and first row r leaves a Tesler matrix with hooks
+alpha[1:] + r[1:], so tes(alpha) = sum over r of w(r) * tes(alpha[1:] + r[1:])
+(the first-row recursion of Haglund, Adv. Math. 227 (2011), and of
+Armstrong-Garsia-Haglund-Rhoades-Sagan, J. Comb. 3 (2012), here with signed
+hooks).  An lru_cache keyed on the hook vector of the remaining rows shares
+sub-vectors within one call and across calls.  enumerate_tesler and
+TeslerMatrix.weight stay as the independent brute-force definition.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .qt_algebra import M, ONE, LaurentPolyQT, qt_int
+from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, qt_int
 
 
 class TeslerMatrix:
@@ -190,101 +201,55 @@ def enumerate_permutational(alpha):
 
 
 @lru_cache(maxsize=None)
-def _row_options(s: int, width: int) -> tuple:
-    """Per-row enumeration data, one triple per composition of |s|:
-    (signed row tail, nonzero count, qt_int product of the entries)."""
+def _first_rows(s: int, width: int) -> tuple:
+    """(entries right of the diagonal, row weight), one pair per composition
+    of |s| into width parts, for a row of total s.
+
+    A row with nz nonzero entries weighs M^(nz-1) times the qt_int of each
+    entry, and carries the sign (-1)^(nz-1) when it is positive.
+    """
     sign = 1 if s > 0 else -1
     out = []
     for comp in compositions(abs(s), width):
-        tail = tuple(sign * v for v in comp)
-        factor = ONE
-        nz = 0
-        for v in tail:
+        row = tuple(sign * v for v in comp)
+        nz = sum(1 for v in row if v)
+        weight = _m_power(nz - 1)
+        if s > 0 and nz % 2 == 0:
+            weight = -weight
+        for v in row:
             if v:
-                nz += 1
-                factor = factor * qt_int(v)
-        out.append((tail, nz, factor))
+                weight = weight * qt_int(v)
+        out.append((row[1:], weight))
     return tuple(out)
-
-
-def _weight_fold(alpha, i0, colsum, prod0, ep0, rp0, nz0) -> LaurentPolyQT:
-    """Sum of weights over all completions of rows i0..n-1.
-
-    colsum[j] holds the column-j contribution of the fixed rows above; prod0,
-    ep0, rp0, nz0 carry their qt_int product and sign/size counters.
-    """
-    n = len(alpha)
-    acc: dict = {}
-
-    def rec(i, prod, ep, rp, nz):
-        s = alpha[i] + colsum[i]
-        if s == 0:
-            return
-        for tail, tnz, factor in _row_options(s, n - i):
-            new_prod = prod * factor
-            nep = ep + (tnz if s > 0 else 0)
-            nrp = rp + (1 if s > 0 else 0)
-            nnz = nz + tnz
-            if i == n - 1:
-                sign = -1 if (nep - nrp) % 2 else 1
-                for mono, c in (new_prod * _m_power(nnz - n)).terms.items():
-                    v = acc.get(mono, 0) + sign * c
-                    if v:
-                        acc[mono] = v
-                    elif mono in acc:
-                        del acc[mono]
-                continue
-            for j in range(i + 1, n):
-                colsum[j] += tail[j - i]
-            rec(i + 1, new_prod, nep, nrp, nnz)
-            for j in range(i + 1, n):
-                colsum[j] -= tail[j - i]
-
-    rec(i0, prod0, ep0, rp0, nz0)
-    return LaurentPolyQT(acc)
 
 
 def tes(alpha) -> LaurentPolyQT:
     """The Tesler function: the weight sum over all matrices with hooks alpha.
 
-    Weights are folded along the enumeration tree so shared row prefixes are
-    multiplied once; the fold is plain polynomial addition.  Results are
-    memoized (they are immutable), since the verification sweeps revisit
-    many hook vectors.
+    Computed by the first-row recursion
+    tes(alpha) = sum over first rows r of w(r) * tes(alpha[1:] + r[1:]),
+    memoized on the hook vector of the rows below, so sub-vectors are shared
+    within one call and across calls.  Values are immutable and safe to share.
     """
     return _tes_cached(tuple(alpha))
 
 
 @lru_cache(maxsize=None)
 def _tes_cached(alpha: tuple) -> LaurentPolyQT:
-    if not alpha:
-        return LaurentPolyQT()
-    return _weight_fold(alpha, 0, [0] * len(alpha), ONE, 0, 0, 0)
-
-
-def tes_first_row_chunks(alpha, chunks: int) -> list:
-    """Partial sums of tes(alpha) split over first-row choices.
-
-    Adding the returned polynomials in any order reproduces tes(alpha); this
-    is the associative fold a parallel driver may distribute.
-    """
-    alpha = tuple(alpha)
-    n = len(alpha)
-    chunks = max(1, chunks)
-    if n == 0 or alpha[0] == 0:
-        return [LaurentPolyQT() for _ in range(chunks)]
-    s = alpha[0]
-    parts = []
-    for c in range(chunks):
-        total = LaurentPolyQT()
-        for tail, nz, factor in _row_options(s, n)[c::chunks]:
-            ep = nz if s > 0 else 0
-            rp = 1 if s > 0 else 0
-            if n == 1:
-                sign = -1 if (ep - rp) % 2 else 1
-                total = total + factor * _m_power(nz - 1) * sign
-                continue
-            colsum = [0] + [tail[j] for j in range(1, n)]
-            total = total + _weight_fold(alpha, 1, colsum, factor, ep, rp, nz)
-        parts.append(total)
-    return parts
+    if not alpha or alpha[0] == 0:
+        return ZERO
+    if len(alpha) == 1:
+        return qt_int(alpha[0])
+    below = alpha[1:]
+    acc: dict = {}
+    for tail, weight in _first_rows(alpha[0], len(alpha)):
+        sub = _tes_cached(tuple(a + r for a, r in zip(below, tail)))
+        if not sub:
+            continue
+        for mono, c in (weight * sub).terms.items():
+            v = acc.get(mono, 0) + c
+            if v:
+                acc[mono] = v
+            elif mono in acc:
+                del acc[mono]
+    return LaurentPolyQT._raw(acc)

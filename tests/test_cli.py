@@ -4,7 +4,7 @@ import pytest
 
 from teslab.cli import main
 from teslab.qt_algebra import parse_poly_json
-from teslab.tesler import tes
+from teslab.tesler import enumerate_tesler, parse_hooks, tes
 from teslab.verify import Bounds, run_suite
 
 
@@ -87,12 +87,30 @@ class TestEnumerateCommand:
         assert rows == [{"n": 2, "rows": [[1, 0], [0, 1]]},
                         {"n": 2, "rows": [[0, 1], [0, 2]]}]
 
+    @pytest.mark.parametrize("hooks", ["1,1,1", "0,1"])
+    def test_stream_bytes_match_joined_output(self, capsys, tmp_path, hooks):
+        # the lines joined by "\n" plus one final "\n"; "\n" alone when empty
+        joined = "\n".join(json.dumps(U.to_json())
+                           for U in enumerate_tesler(parse_hooks(hooks))) + "\n"
+        code, out, _ = run_cli(capsys, "enumerate", "--hooks", hooks)
+        assert code == 0 and out == joined
+        path = tmp_path / "stream.jsonl"
+        assert run_cli(capsys, "enumerate", "--hooks", hooks, "--out", str(path))[0] == 0
+        assert path.read_bytes() == joined.encode()
+
 
 class TestHilbCommand:
     def test_e1(self, capsys):
         code, out, _ = run_cli(capsys, "hilb", "--f", "e:1", "--n", "3")
         assert code == 0
         assert out.strip() == "3 + 3*q + 3*t + q^2 + q*t + t^2"
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_nmax_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("TESLAB_NMAX", raw)
+        code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", "3")
+        assert code == 2 and out == ""
+        assert "TESLAB_NMAX must be an integer of at least 1" in err
 
     def test_m_minus1(self, capsys):
         code, out, _ = run_cli(capsys, "hilb", "--f", "m:-1", "--n", "4")

@@ -8,6 +8,7 @@ from teslab.macdonald import (
     hilb_delta,
     hilb_delta_prime,
     hilb_tilde,
+    n_cap,
     shifted_power_identity_rhs,
     power_identity_rhs,
     nabla_hilb,
@@ -203,6 +204,12 @@ class TestConfig:
             hilb_tilde((0, 0, 0), "e")
         monkeypatch.delenv("TESLAB_NMAX")
         assert hilb_tilde((0, 0, 0), "e").to_laurent() == ONE
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_bad_cap_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("TESLAB_NMAX", raw)
+        with pytest.raises(ValueError, match="TESLAB_NMAX must be an integer of at least 1"):
+            n_cap()
 
     def test_cache_transparency(self):
         clear_caches()

@@ -1,8 +1,12 @@
 import json
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from teslab.macdonald import tes_via_theorem
 from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, qt_int
 from teslab.tesler import (
     TeslerMatrix,
@@ -11,7 +15,6 @@ from teslab.tesler import (
     enumerate_tesler,
     parse_hooks,
     tes,
-    tes_first_row_chunks,
 )
 
 MIXED_SIGN_4X4 = TeslerMatrix([
@@ -190,15 +193,35 @@ class TestTes:
             value = tes(alpha)
             assert value.swap_qt() == value
 
-    def test_chunked_fold_is_associative(self):
-        for alpha in [(1, 1, 1), (2, -1, 1), (1, 2, 0, -1)]:
-            whole = tes(alpha)
-            for chunks in (1, 2, 3, 5):
-                parts = tes_first_row_chunks(alpha, chunks)
-                total = LaurentPolyQT()
-                for p in reversed(parts):
-                    total = total + p
-                assert total == whole
+    # vectors with more matrices than this are skipped to keep the brute-force
+    # sum to about a second; about 1% of uniformly drawn vectors exceed it
+    ORACLE_MATRICES = 2500
+
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration_oracle(self, alpha):
+        matrices = list(islice(enumerate_tesler(alpha), self.ORACLE_MATRICES + 1))
+        assume(len(matrices) <= self.ORACLE_MATRICES)
+        total = LaurentPolyQT()
+        for U in matrices:
+            total = total + U.weight()
+        assert tes(alpha) == total
+
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_macdonald_route(self, alpha):
+        assert tes(alpha) == tes_via_theorem(alpha)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ones_at_q_t_one(self, n):
+        # |parking functions of length n| = (n+1)^(n-1)
+        assert tes((1,) * n).specialize(q=1, t=1) == (n + 1) ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_negated_ones(self, n):
+        # Lemma 4.7: tes(-alpha) = (-1/(qt))^n * bar(tes(alpha))
+        qt_inv = LaurentPolyQT.monomial(-1, -1, -1)
+        assert tes((-1,) * n) == qt_inv ** n * tes((1,) * n).bar()
 
 
 class TestCompositions:
