@@ -4,7 +4,7 @@ Everything is computed exactly over Z[q,t,1/q,1/t]; the verification suites
 check each identity by at least two independent routes.
 """
 
-from .qt_algebra import LaurentPolyQT, RatFuncQT, M, q_int, qt_int, rf_to_laurent
+from .qt_algebra import LaurentPolyQT, RatFuncQT, M, q_int, qt_int
 from .young import Partition, partitions_of
 from .tesler import TeslerMatrix, enumerate_tesler, tes
 
@@ -18,6 +18,5 @@ __all__ = [
     "partitions_of",
     "q_int",
     "qt_int",
-    "rf_to_laurent",
     "tes",
 ]

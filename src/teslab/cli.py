@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
@@ -92,36 +93,25 @@ def cmd_hilb(args) -> int:
     n = args.n
     target = "e" if args.target == "en" else "p"
     if args.prime:
-        value = hilb_delta_prime(f, target, n)
-        if n <= 5 and _delta_prime_tesler(f, n, target) != value:
-            print("route cross-check failed", file=sys.stderr)
-            return VERIFY_FAILURE
+        by_route = partial(hilb_delta_prime, f, target, n)
+    elif target == "p":
+        raise ValueError("the p-target is exposed for the primed operator only")
     else:
-        if target == "p":
-            raise ValueError("the p-target is exposed for the primed operator only")
-        value = hilb_delta(f, n, "eigen")
-        if n <= 5:
-            if hilb_delta(f, n, "tesler") != value:
-                print("route cross-check failed", file=sys.stderr)
-                return VERIFY_FAILURE
+        by_route = partial(hilb_delta, f, n)
+    value = by_route("eigen")
+    if n <= 5 and by_route("tesler") != value:
+        print("route cross-check failed", file=sys.stderr)
+        return VERIFY_FAILURE
     _emit(_poly_payload(value, args.format == "json"), args)
     return 0
 
 
-def _delta_prime_tesler(f: MonomialSymFn, n: int, target: str) -> LaurentPolyQT:
-    from .plethysm import distinct_arrangements
-
-    total = LaurentPolyQT()
-    for rho, coeff in f.coeffs.items():
-        for alpha in distinct_arrangements(rho, n - 1):
-            hooks = ((1,) + alpha) if target == "e" else alpha
-            total = total + coeff * tes(hooks)
-    return total
-
-
 def _parse_entry_range(text: str) -> tuple:
     lo, _, hi = text.partition("..")
-    return (int(lo), int(hi))
+    try:
+        return (int(lo), int(hi))
+    except ValueError:
+        raise ValueError(f"--entry-range must be LO..HI with integer ends, got {text!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -129,7 +119,6 @@ def cmd_verify(args) -> int:
         n_max=args.n_max,
         entry_range=_parse_entry_range(args.entry_range),
         seed=args.seed,
-        jobs=args.jobs,
     )
     result = run_suite(args.suite, bounds)
     reports = result if isinstance(result, list) else [result]
@@ -179,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
     p_verify.add_argument("--entry-range", dest="entry_range", default="-2..2")
     p_verify.add_argument("--seed", type=int, default=20260810)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=cmd_verify)
 

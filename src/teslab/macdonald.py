@@ -14,8 +14,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .plethysm import MonomialSymFn, b_alphabet, b_minus_one, e_plethysm, mb_alphabet, mb_minus_one
+from .plethysm import (
+    MonomialSymFn,
+    b_alphabet,
+    b_minus_one,
+    distinct_arrangements,
+    e_plethysm,
+    mb_alphabet,
+    mb_minus_one,
+)
 from .qt_algebra import ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes
 from .young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
@@ -47,26 +56,6 @@ def _check_cap(n: int) -> None:
     cap = n_cap()
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap} (set TESLAB_NMAX)")
-
-
-_PIERI_CACHE: dict = {}
-_SKEW_CACHE: dict = {}
-_F_CACHE: dict = {}
-_CACHING = True
-
-
-def set_caching(enabled: bool) -> None:
-    """Disable or re-enable the memo tables (results must not change)."""
-    global _CACHING
-    _CACHING = enabled
-    if not enabled:
-        clear_caches()
-
-
-def clear_caches() -> None:
-    _PIERI_CACHE.clear()
-    _SKEW_CACHE.clear()
-    _F_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -121,26 +110,22 @@ def _solve_linear(matrix: list, rhs: list) -> list:
     return [aug[i][m] for i in range(m)]
 
 
+@lru_cache(maxsize=None)
 def pieri_d(nu: Partition) -> PieriTable:
     """Solve for the d coefficients of nu from the k = 0..m-1 power identities."""
     if not nu.parts:
         raise ValueError("nu must be nonempty")
-    if _CACHING and nu in _PIERI_CACHE:
-        return _PIERI_CACHE[nu]
     covers = nu.covers()
     ts = [LaurentPolyQT.monomial(1, cell[0], cell[1]) for _, cell in covers]
     m = len(covers)
     matrix = [[RatFuncQT.from_laurent(t ** k) for t in ts] for k in range(m)]
     rhs = [power_identity_rhs(nu, k) for k in range(m)]
     sol = _solve_linear(matrix, rhs)
-    table = PieriTable(
+    return PieriTable(
         nu,
         {mu: d for (mu, _), d in zip(covers, sol)},
         {mu: t for (mu, _), t in zip(covers, ts)},
     )
-    if _CACHING:
-        _PIERI_CACHE[nu] = table
-    return table
 
 
 def pieri_power_sum(table: PieriTable, k: int) -> RatFuncQT:
@@ -160,10 +145,9 @@ def pieri_power_sum_shifted(table: PieriTable, k: int) -> RatFuncQT:
     return total
 
 
+@lru_cache(maxsize=None)
 def skew_pieri_c(mu: Partition) -> dict:
     """Skew coefficients c for removing a cell of mu, via c/w_mu = d/w_nu."""
-    if _CACHING and mu in _SKEW_CACHE:
-        return _SKEW_CACHE[mu]
     if mu.n < 2:
         raise ValueError("skew coefficients need at least two cells")
     w_mu_poly = partition_stats(mu).w
@@ -171,40 +155,27 @@ def skew_pieri_c(mu: Partition) -> dict:
     for nu, _ in mu.cocovers():
         d = pieri_d(nu).entries[mu]
         out[nu] = d * RatFuncQT.from_factors(w_mu_poly, w_factors(nu))
-    if _CACHING:
-        _SKEW_CACHE[mu] = out
     return out
 
 
-def virtual_F(alpha, mu: Partition) -> RatFuncQT:
+@lru_cache(maxsize=None)
+def virtual_F(alpha: tuple, mu: Partition) -> RatFuncQT:
     """The recursively defined q,t-deformation of the Hilbert series of mu.
 
-    alpha must have length |mu| - 1; entry i exponentiates the cover monomial
-    at depth i of the recursion.
+    alpha is a tuple of length |mu| - 1; entry i exponentiates the cover
+    monomial at depth i of the recursion.
     """
-    alpha = tuple(alpha)
     n = mu.n
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}, got {len(alpha)}")
     _check_cap(n)
-    key = (alpha, mu)
-    if _CACHING and key in _F_CACHE:
-        return _F_CACHE[key]
     if n == 1:
-        result = RatFuncQT.from_laurent(ONE)
-    else:
-        total = RatFuncQT.from_laurent(ZERO)
-        for nu, c in skew_pieri_c(mu).items():
-            power = RatFuncQT.from_laurent(cover_monomial(nu, mu) ** alpha[0])
-            total = total + c * power * virtual_F(alpha[1:], nu)
-        result = total
-    if _CACHING:
-        _F_CACHE[key] = result
-    return result
-
-
-def virtual_F_laurent(alpha, mu: Partition) -> LaurentPolyQT:
-    return virtual_F(alpha, mu).to_laurent()
+        return RatFuncQT.from_laurent(ONE)
+    total = RatFuncQT.from_laurent(ZERO)
+    for nu, c in skew_pieri_c(mu).items():
+        power = RatFuncQT.from_laurent(cover_monomial(nu, mu) ** alpha[0])
+        total = total + c * power * virtual_F(alpha[1:], nu)
+    return total
 
 
 def _eigen_coeff(mu: Partition, target: str) -> RatFuncQT:
@@ -239,19 +210,43 @@ def tes_via_theorem(alpha) -> LaurentPolyQT:
     return hilb_tilde(alpha, "p").to_laurent()
 
 
-def hilb_delta_prime(f: MonomialSymFn, target: str, n: int) -> LaurentPolyQT:
-    """Hilbert series of the primed delta operator applied to e_n or p_n.
-
-    The p_n variant carries the same scale as hilb_tilde(..., 'p').
-    """
-    _check_cap(n)
+def _eigen_sum(f: MonomialSymFn, alphabet, target: str, n: int) -> LaurentPolyQT:
+    """Sum of f[alphabet(mu)] against the weighted zero-hook virtual series."""
     total = RatFuncQT.from_laurent(ZERO)
     for mu in partitions_of(n):
-        bracket = f.eval_bracket(b_minus_one(mu))
+        bracket = f.eval_bracket(alphabet(mu))
         if bracket.is_zero():
             continue
         total = total + _eigen_coeff(mu, target) * bracket * virtual_F((0,) * (n - 1), mu)
     return total.to_laurent()
+
+
+def _check_route(route: str) -> None:
+    if route not in ("eigen", "tesler"):
+        raise ValueError("route must be 'eigen' or 'tesler'")
+
+
+def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
+                     route: str = "eigen") -> LaurentPolyQT:
+    """Hilbert series of the primed delta operator applied to e_n or p_n, two routes.
+
+    The p_n variant carries the same scale as hilb_tilde(..., 'p').  Route
+    'eigen' sums f[B - 1] against the zero-hook virtual series; route
+    'tesler' expands f in n-1 variables and replaces each monomial x^alpha
+    by tes((1, alpha)) for e_n and by tes(alpha) for p_n.  The two must agree.
+    """
+    if target not in ("e", "p"):
+        raise ValueError("target must be 'p' or 'e'")
+    _check_route(route)
+    _check_cap(n)
+    if route == "eigen":
+        return _eigen_sum(f, b_minus_one, target, n)
+    head = (1,) if target == "e" else ()
+    total = ZERO
+    for rho, coeff in f.coeffs.items():
+        for alpha in distinct_arrangements(rho, n - 1):
+            total = total + coeff * tes(head + alpha)
+    return total
 
 
 def hilb_delta(f: MonomialSymFn, n: int, route: str = "eigen") -> LaurentPolyQT:
@@ -261,21 +256,14 @@ def hilb_delta(f: MonomialSymFn, n: int, route: str = "eigen") -> LaurentPolyQT:
     'tesler' expands f at (x_1, ..., x_{n-1}, 1) and replaces each monomial
     x^alpha by tes((1, alpha)).  The two must agree.
     """
+    _check_route(route)
     _check_cap(n)
     if route == "eigen":
-        total = RatFuncQT.from_laurent(ZERO)
-        for mu in partitions_of(n):
-            bracket = f.eval_bracket(b_alphabet(mu))
-            if bracket.is_zero():
-                continue
-            total = total + _eigen_coeff(mu, "e") * bracket * virtual_F((0,) * (n - 1), mu)
-        return total.to_laurent()
-    if route == "tesler":
-        total = ZERO
-        for exponents, coeff in f.expand_last_one(n).items():
-            total = total + coeff * tes((1,) + exponents)
-        return total
-    raise ValueError("route must be 'eigen' or 'tesler'")
+        return _eigen_sum(f, b_alphabet, "e", n)
+    total = ZERO
+    for exponents, coeff in f.expand_last_one(n).items():
+        total = total + coeff * tes((1,) + exponents)
+    return total
 
 
 def nabla_hilb(k: int, n: int) -> LaurentPolyQT:

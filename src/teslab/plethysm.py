@@ -94,19 +94,6 @@ def mb_minus_one(nu: Partition) -> Alphabet:
     return Alphabet.from_poly(M * partition_stats(nu).B - ONE)
 
 
-def alphabet_of(expr: str, shape: Partition | None = None) -> Alphabet:
-    """Dispatch on the alphabet expressions used throughout: one of
-    "M", "B", "B-1", "M*B", "M*B-1" (the last four need a partition)."""
-    if expr == "M":
-        return m_alphabet()
-    if shape is None:
-        raise ValueError("alphabet expression needs a partition")
-    table = {"B": b_alphabet, "B-1": b_minus_one, "M*B": mb_alphabet, "M*B-1": mb_minus_one}
-    if expr not in table:
-        raise ValueError(f"unknown alphabet expression {expr!r}")
-    return table[expr](shape)
-
-
 def p_plethysm(r: int, alphabet: Alphabet) -> LaurentPolyQT:
     """Power-sum bracket p_r[S]: raise each letter to the r-th power, keep signs."""
     if r < 1:

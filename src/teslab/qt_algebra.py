@@ -576,8 +576,3 @@ def _reduce(num: LaurentPolyQT, den_int: int, factors):
             den_int //= g
     kept.sort(key=lambda f: sorted(f.terms.items()))
     return num, den_int, tuple(kept)
-
-
-def rf_to_laurent(r: RatFuncQT) -> LaurentPolyQT:
-    """Convert an exact fraction back to a Laurent polynomial or raise."""
-    return r.to_laurent()

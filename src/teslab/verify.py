@@ -1,21 +1,19 @@
 """Named verification suites: every identity checked by independent routes.
 
 Each suite builds a list of labelled cases (pure closures returning None on
-success or a failure record), runs them, and returns a machine-readable
-Report.  Case lists are deterministic for a given seed and bounds; the fold
-over cases is associative, so a thread pool may fan the work out without
-changing the report.
+success or a failure record), runs them in order, and returns a
+machine-readable Report.  Case lists are deterministic for a given seed and
+bounds, and the notes are computed from the suite's own inputs, so a report
+is a function of (suite, bounds) alone, apart from its timings.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-from . import macdonald
 from .macdonald import (
     closed_forms,
     hilb_delta,
@@ -57,29 +55,20 @@ from .specializations import (
 from .tesler import enumerate_permutational, enumerate_tesler, tes
 from .young import partitions_of
 
-SUITE_NAMES = (
-    "thm-3-1",
-    "cor-3-2",
-    "lemma-3-3",
-    "thm-4-1",
-    "cor-4-4",
-    "cor-4-5",
-    "lemmas-4-6-4-7",
-    "cor-5-1",
-    "lemma-5-2",
-    "prop-6-1",
-    "prop-6-2",
-    "prop-6-3",
-    "prop-6-4",
-)
-
 
 @dataclass
 class Bounds:
     n_max: int | None = None
     entry_range: tuple = (-2, 2)
     seed: int = 20260810
-    jobs: int = 1
+
+    def __post_init__(self):
+        # bounds that leave a suite nothing to check must not report a pass
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        lo, hi = self.entry_range
+        if lo > hi:
+            raise ValueError(f"entry range {lo}..{hi} is empty")
 
     def cap(self, default: int) -> int:
         return default if self.n_max is None else self.n_max
@@ -122,17 +111,12 @@ def _equal_case(inputs, lhs_fn, rhs_fn):
     return inputs, check
 
 
-def _run(name: str, cases: list, bounds: Bounds, notes: dict | None = None) -> Report:
+def _run(name: str, cases: list) -> Report:
     start = time.perf_counter()
-    failures = []
-    if bounds.jobs > 1:
-        with ThreadPoolExecutor(max_workers=bounds.jobs) as pool:
-            results = list(pool.map(lambda c: c[1](), cases))
-    else:
-        results = [check() for _, check in cases]
+    results = [check() for _, check in cases]
     failures = [r for r in results if r is not None]
     elapsed = int((time.perf_counter() - start) * 1000)
-    return Report(name, len(cases), failures, elapsed, notes or {})
+    return Report(name, len(cases), failures, elapsed)
 
 
 def _entry_values(bounds: Bounds):
@@ -153,11 +137,16 @@ def _two_route_sweep(bounds: Bounds):
     return alphas
 
 
-def _f_observations() -> dict:
-    """Scan every virtual series computed so far; report, never assert."""
+def _f_observations(alphas) -> dict:
+    """Scan F^alpha_mu over the requested alphas and every mu of |alpha|+1 cells.
+
+    Reports, never asserts.  Run after the cases, every value is a memo hit.
+    """
     instances = laurent = poly_when_nonneg = 0
     violations = []
-    for (alpha, mu), value in macdonald._F_CACHE.items():
+    pairs = ((a, mu) for a in dict.fromkeys(alphas) for mu in partitions_of(len(a) + 1))
+    for alpha, mu in pairs:
+        value = virtual_F(alpha, mu)
         instances += 1
         if value.is_laurent():
             laurent += 1
@@ -178,14 +167,15 @@ def _f_observations() -> dict:
 
 
 def suite_thm_3_1(bounds: Bounds) -> Report:
+    alphas = _two_route_sweep(bounds)
     cases = [
         _equal_case({"alpha": list(a)},
                     (lambda a=a: tes(a)),
                     (lambda a=a: tes_via_theorem(a)))
-        for a in _two_route_sweep(bounds)
+        for a in alphas
     ]
-    report = _run("thm-3-1", cases, bounds)
-    report.notes.update(_f_observations())
+    report = _run("thm-3-1", cases)
+    report.notes.update(_f_observations(alphas))
     return report
 
 
@@ -196,7 +186,7 @@ def suite_cor_3_2(bounds: Bounds) -> Report:
                     (lambda a=a: tes((1,) + a)))
         for a in _two_route_sweep(bounds)
     ]
-    return _run("cor-3-2", cases, bounds)
+    return _run("cor-3-2", cases)
 
 
 def suite_lemma_3_3(bounds: Bounds) -> Report:
@@ -219,7 +209,7 @@ def suite_lemma_3_3(bounds: Bounds) -> Report:
             {"k": k, "identity": "qt-binomial"},
             (lambda k=k, sign=sign: sign * e_plethysm(k, m_alphabet())),
             (lambda k=k: qt_int(k) * M)))
-    return _run("lemma-3-3", cases, bounds)
+    return _run("lemma-3-3", cases)
 
 
 def _laurent_partitions(bounds: Bounds, max_len: int):
@@ -240,10 +230,14 @@ def _laurent_partitions(bounds: Bounds, max_len: int):
 
 
 def suite_thm_4_1(bounds: Bounds) -> Report:
+    rhos = _laurent_partitions(bounds, 3)
     cases = []
+    alphas = []
     for n in range(1, bounds.cap(4) + 1):
+        alphas.append((0,) * (n - 1))
+        alphas.extend(a for rho in rhos for a in distinct_arrangements(rho, n - 1))
         for mu in partitions_of(n):
-            for rho in _laurent_partitions(bounds, 3):
+            for rho in rhos:
                 def check(mu=mu, rho=rho, n=n):
                     total = RatFuncQT.from_laurent(0)
                     for a in distinct_arrangements(rho, n - 1):
@@ -255,8 +249,8 @@ def suite_thm_4_1(bounds: Bounds) -> Report:
                     return None
 
                 cases.append(({"mu": str(mu), "rho": list(rho)}, check))
-    report = _run("thm-4-1", cases, bounds)
-    report.notes.update(_f_observations())
+    report = _run("thm-4-1", cases)
+    report.notes.update(_f_observations(alphas))
     return report
 
 
@@ -270,30 +264,19 @@ def suite_cor_4_4(bounds: Bounds) -> Report:
         cases.append(_equal_case({"n": n, "route": "tesler-vs-closed"},
                                  (lambda n=n: hilb_delta(e1, n, "tesler")),
                                  (lambda n=n: closed_forms("e1", n))))
-        cases.append(_equal_case(
-            {"n": n, "route": "e2-pn-eigen-vs-closed"},
-            (lambda n=n: _delta_e2_pn_eigen(n)),
-            (lambda n=n: closed_forms("e2_pn", n))))
-        cases.append(_equal_case(
-            {"n": n, "route": "e2-pn-tesler-vs-closed"},
-            (lambda n=n: _delta_e2_pn_tesler(n)),
-            (lambda n=n: closed_forms("e2_pn", n))))
-    return _run("cor-4-4", cases, bounds)
+        for route in ("eigen", "tesler"):
+            cases.append(_equal_case(
+                {"n": n, "route": f"e2-pn-{route}-vs-closed"},
+                (lambda n=n, route=route: _delta_e2_pn(n, route)),
+                (lambda n=n: closed_forms("e2_pn", n))))
+    return _run("cor-4-4", cases)
 
 
-def _delta_e2_pn_eigen(n: int) -> LaurentPolyQT:
+def _delta_e2_pn(n: int, route: str) -> LaurentPolyQT:
     # Delta_{e_2} = Delta'_{e_2} + Delta'_{e_1} on degree-n symmetric functions
     e2 = MonomialSymFn({(1, 1): 1})
     e1 = MonomialSymFn({(1,): 1})
-    return hilb_delta_prime(e2, "p", n) + hilb_delta_prime(e1, "p", n)
-
-
-def _delta_e2_pn_tesler(n: int) -> LaurentPolyQT:
-    total = LaurentPolyQT()
-    for rho in ((1, 1), (1,)):
-        for alpha in distinct_arrangements(rho, n - 1):
-            total = total + tes(alpha)
-    return total
+    return hilb_delta_prime(e2, "p", n, route) + hilb_delta_prime(e1, "p", n, route)
 
 
 def suite_cor_4_5(bounds: Bounds) -> Report:
@@ -306,7 +289,7 @@ def suite_cor_4_5(bounds: Bounds) -> Report:
         cases.append(_equal_case({"n": n, "route": "tesler-vs-closed"},
                                  (lambda n=n: hilb_delta(m1, n, "tesler")),
                                  (lambda n=n: closed_forms("m_minus1", n))))
-    return _run("cor-4-5", cases, bounds)
+    return _run("cor-4-5", cases)
 
 
 def suite_lemmas_4_6_4_7(bounds: Bounds) -> Report:
@@ -337,7 +320,7 @@ def suite_lemmas_4_6_4_7(bounds: Bounds) -> Report:
 
         cases.append(({"alpha": list(alpha), "identity": "remove-1"}, check_remove_one))
         cases.append(({"alpha": list(alpha), "identity": "negative-hooks"}, check_negative))
-    return _run("lemmas-4-6-4-7", cases, bounds)
+    return _run("lemmas-4-6-4-7", cases)
 
 
 def suite_cor_5_1(bounds: Bounds) -> Report:
@@ -374,7 +357,7 @@ def suite_cor_5_1(bounds: Bounds) -> Report:
                 return None
 
             cases.append(({"n": n, "k": k, "identity": "q-stirling"}, check_stirling))
-    return _run("cor-5-1", cases, bounds)
+    return _run("cor-5-1", cases)
 
 
 def suite_lemma_5_2(bounds: Bounds) -> Report:
@@ -398,7 +381,7 @@ def suite_lemma_5_2(bounds: Bounds) -> Report:
                 return None
 
             cases.append(({"alpha": list(alpha)}, check))
-    return _run("lemma-5-2", cases, bounds)
+    return _run("lemma-5-2", cases)
 
 
 def suite_prop_6_1(bounds: Bounds) -> Report:
@@ -430,7 +413,7 @@ def suite_prop_6_1(bounds: Bounds) -> Report:
                 return None
 
             cases.append(({"alpha": list(alpha)}, check))
-    return _run("prop-6-1", cases, bounds)
+    return _run("prop-6-1", cases)
 
 
 def suite_prop_6_2(bounds: Bounds) -> Report:
@@ -442,7 +425,7 @@ def suite_prop_6_2(bounds: Bounds) -> Report:
                 {"alpha": list(alpha)},
                 (lambda a=alpha: tes_t1(a)),
                 (lambda a=alpha: tes(a).specialize(t=1))))
-    return _run("prop-6-2", cases, bounds)
+    return _run("prop-6-2", cases)
 
 
 def suite_prop_6_3(bounds: Bounds) -> Report:
@@ -474,7 +457,7 @@ def suite_prop_6_3(bounds: Bounds) -> Report:
                 return None
 
             cases.append(({"alpha": list(alpha)}, check))
-    return _run("prop-6-3", cases, bounds)
+    return _run("prop-6-3", cases)
 
 
 def suite_prop_6_4(bounds: Bounds) -> Report:
@@ -486,7 +469,7 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
                 {"alpha": list(alpha), "identity": "product-formula"},
                 (lambda a=alpha: tes_11(a)),
                 (lambda a=alpha: tes(a).specialize(q=1, t=1))))
-    for n in range(1, max(bounds.cap(6), 1) + 1):
+    for n in range(1, bounds.cap(6) + 1):
         cases.append(_equal_case(
             {"n": n, "identity": "parking-count"},
             (lambda n=n: tes_11((1,) * n)),
@@ -510,7 +493,7 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
                 return None
 
             cases.append(({"alpha": list(alpha), "identity": "cpf-weight"}, check))
-    return _run("prop-6-4", cases, bounds)
+    return _run("prop-6-4", cases)
 
 
 SUITES = {
@@ -528,13 +511,14 @@ SUITES = {
     "prop-6-3": suite_prop_6_3,
     "prop-6-4": suite_prop_6_4,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, bounds: Bounds | None = None):
     """Run one named suite (or 'all'); returns a Report or a list of Reports."""
     bounds = bounds or Bounds()
     if name == "all":
-        return [SUITES[s](bounds) for s in SUITE_NAMES]
+        return [suite(bounds) for suite in SUITES.values()]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     return SUITES[name](bounds)

@@ -166,24 +166,38 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
 
-    def test_jobs_do_not_change_results(self):
-        seq = run_suite("prop-6-2", Bounds(n_max=2, jobs=1))
-        par = run_suite("prop-6-2", Bounds(n_max=2, jobs=4))
-        assert seq.cases_run == par.cases_run
-        assert seq.failures == par.failures
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "prop-6-2", "--entry-range", "2..-2"],
+        ["--suite", "prop-6-2", "--n-max", "-1"],
+        ["--suite", "prop-6-2", "--n-max", "0"],
+    ])
+    def test_bounds_that_check_nothing_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["abc", "1", "1..x", ""])
+    def test_malformed_entry_range_exits_2(self, capsys, text):
+        code, _, err = run_cli(capsys, "verify", "--suite", "prop-6-2", "--entry-range", text)
+        assert code == 2
+        assert "--entry-range" in err and "invalid literal" not in err
 
     def test_cache_state_does_not_change_results(self):
         from teslab import macdonald
 
-        macdonald.clear_caches()
-        first = run_suite("cor-3-2", Bounds(n_max=2))
-        macdonald.set_caching(False)
-        try:
-            second = run_suite("cor-3-2", Bounds(n_max=2))
-        finally:
-            macdonald.set_caching(True)
-        assert first.failures == second.failures == []
-        assert first.cases_run == second.cases_run
+        warm = run_suite("cor-3-2", Bounds(n_max=2))
+        for memo in (macdonald.pieri_d, macdonald.skew_pieri_c, macdonald.virtual_F):
+            memo.cache_clear()
+        cold = run_suite("cor-3-2", Bounds(n_max=2))
+        assert warm.failures == cold.failures == []
+        assert warm.cases_run == cold.cases_run
+
+    def test_notes_do_not_depend_on_earlier_suites(self):
+        before = run_suite("thm-3-1", Bounds(n_max=2)).notes
+        run_suite("thm-4-1", Bounds(n_max=3))
+        after = run_suite("thm-3-1", Bounds(n_max=2)).notes
+        assert before == after
+        assert before["f_instances"] == 85
 
     def test_seed_controls_random_cases(self):
         a = run_suite("lemmas-4-6-4-7", Bounds(n_max=2, seed=1))

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from teslab.macdonald import (
-    clear_caches,
     closed_forms,
     hilb_delta,
     hilb_delta_prime,
@@ -15,11 +14,9 @@ from teslab.macdonald import (
     pieri_d,
     pieri_power_sum,
     pieri_power_sum_shifted,
-    set_caching,
     skew_pieri_c,
     tes_via_theorem,
     virtual_F,
-    virtual_F_laurent,
 )
 from teslab.plethysm import MonomialSymFn
 from teslab.qt_algebra import M, ONE, Q, T, RatFuncQT, qt_int
@@ -68,12 +65,12 @@ class TestVirtualF:
         assert virtual_F((), P((1,))) == RatFuncQT.from_laurent(ONE)
 
     def test_zero_hooks_are_hilbert_series(self):
-        assert virtual_F_laurent((0,), P((2,))) == ONE + Q
-        assert virtual_F_laurent((0,), P((1, 1))) == ONE + T
+        assert virtual_F((0,), P((2,))).to_laurent() == ONE + Q
+        assert virtual_F((0,), P((1, 1))).to_laurent() == ONE + T
 
     def test_monomial_scaling(self):
-        assert virtual_F_laurent((1,), P((2,))) == Q * (ONE + Q)
-        assert virtual_F_laurent((-1,), P((2,))) == Q ** -1 * (ONE + Q)
+        assert virtual_F((1,), P((2,))).to_laurent() == Q * (ONE + Q)
+        assert virtual_F((-1,), P((2,))).to_laurent() == Q ** -1 * (ONE + Q)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -82,7 +79,7 @@ class TestVirtualF:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_factorial_specialization(self, n):
         for mu in partitions_of(n):
-            f = virtual_F_laurent((0,) * (n - 1), mu)
+            f = virtual_F((0,) * (n - 1), mu).to_laurent()
             assert f.specialize(q=1, t=1) == math.factorial(n)
 
     @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
@@ -91,9 +88,9 @@ class TestVirtualF:
 
         for n in range(1, 5):
             for mu in partitions_of(n):
-                lhs = virtual_F_laurent((k,) * (n - 1), mu)
+                lhs = virtual_F((k,) * (n - 1), mu).to_laurent()
                 T_mu = partition_stats(mu).T
-                rhs = T_mu ** k * virtual_F_laurent((0,) * (n - 1), mu)
+                rhs = T_mu ** k * virtual_F((0,) * (n - 1), mu).to_laurent()
                 assert lhs == rhs
 
 
@@ -139,6 +136,22 @@ class TestDeltaPrime:
         f = MonomialSymFn({(): 1})
         for n in range(1, 5):
             assert hilb_delta_prime(f, "e", n) == ONE
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("target", ["e", "p"])
+    @pytest.mark.parametrize("text", ["e:1", "e:2", "m:-1", "s:2,1"])
+    def test_routes_agree(self, text, target, n):
+        f = MonomialSymFn.parse(text)
+        assert hilb_delta_prime(f, target, n, "tesler") == hilb_delta_prime(f, target, n)
+
+    @pytest.mark.parametrize("route", ["eigen", "tesler"])
+    def test_unknown_target(self, route):
+        with pytest.raises(ValueError, match="target"):
+            hilb_delta_prime(MonomialSymFn.parse("e:1"), "x", 3, route)
+
+    def test_unknown_route(self):
+        with pytest.raises(ValueError, match="route"):
+            hilb_delta_prime(MonomialSymFn.parse("e:1"), "e", 3, "enum")
 
 
 class TestDelta:
@@ -212,11 +225,7 @@ class TestConfig:
             n_cap()
 
     def test_cache_transparency(self):
-        clear_caches()
-        with_cache = tes_via_theorem((1, -1, 2))
-        set_caching(False)
-        try:
-            without_cache = tes_via_theorem((1, -1, 2))
-        finally:
-            set_caching(True)
-        assert with_cache == without_cache
+        warm = tes_via_theorem((1, -1, 2))
+        for memo in (pieri_d, skew_pieri_c, virtual_F):
+            memo.cache_clear()
+        assert tes_via_theorem((1, -1, 2)) == warm

@@ -5,7 +5,6 @@ import pytest
 from teslab.plethysm import (
     Alphabet,
     MonomialSymFn,
-    alphabet_of,
     b_alphabet,
     b_minus_one,
     e_plethysm,
@@ -34,12 +33,6 @@ class TestAlphabets:
 
     def test_b_minus_one(self):
         assert b_minus_one(Partition((2,))).terms == {(1, 0): 1}
-
-    def test_dispatch(self):
-        assert alphabet_of("M") == m_alphabet()
-        assert alphabet_of("B", Partition((2,))) == b_alphabet(Partition((2,)))
-        with pytest.raises(ValueError):
-            alphabet_of("X", Partition((1,)))
 
 
 class TestPowerPlethysm:
