@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 Mono = tuple[int, int]
 
@@ -299,9 +300,15 @@ def q_factorial(k: int) -> LaurentPolyQT:
 def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     """a / b when the quotient is again a Laurent polynomial over Z, else None.
 
-    Greedy leading-term division in graded-lex order; complete as a
-    divisibility test whenever b is primitive (Gauss's lemma covers the
-    integer side).
+    Greedy leading-term division in graded-lex order.  The remainder is a
+    dict, and its leading term comes from a heap of grlex keys
+    (-(e0+e1), -e0) with lazy deletion: a popped key whose term has
+    cancelled is stale and skipped.  A key is pushed only when a new
+    monomial enters the remainder.  Each such monomial is m' + d for a
+    non-leading term m' of b and the popped monomial m = lead(b) + d; grlex
+    is a monomial order, so it lies strictly below m, and the heap top is
+    always the true leading term.  Complete as a divisibility test whenever
+    b is primitive (Gauss's lemma covers the integer side).
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -312,14 +319,19 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     rem = {(e0 - amin[0], e1 - amin[1]): c for (e0, e1), c in a.terms.items()}
     bpoly = {(e0 - bmin[0], e1 - bmin[1]): c for (e0, e1), c in b.terms.items()}
     blead = max(bpoly, key=_grlex)
-    bc = bpoly[blead]
+    bc = bpoly.pop(blead)
+    heap = [(-e0 - e1, -e0) for e0, e1 in rem]
+    heapify(heap)
     quot: dict = {}
     while rem:
-        m = max(rem, key=_grlex)
+        k0, k1 = heappop(heap)
+        m = (-k1, k1 - k0)
+        c = rem.pop(m, None)
+        if c is None:
+            continue
         d0, d1 = m[0] - blead[0], m[1] - blead[1]
         if d0 < 0 or d1 < 0:
             return None
-        c = rem[m]
         qc = c // bc
         if qc * bc != c:
             return None
@@ -329,6 +341,7 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
             n = rem.get(key)
             if n is None:
                 rem[key] = -qc * d
+                heappush(heap, (-key[0] - key[1], -key[0]))
             elif n - qc * d:
                 rem[key] = n - qc * d
             else:

@@ -112,6 +112,8 @@ def _equal_case(inputs, lhs_fn, rhs_fn):
 
 
 def _run(name: str, cases: list) -> Report:
+    if not cases:
+        raise ValueError(f"suite {name} builds no case under these bounds")
     start = time.perf_counter()
     results = [check() for _, check in cases]
     failures = [r for r in results if r is not None]
@@ -515,7 +517,10 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, bounds: Bounds | None = None):
-    """Run one named suite (or 'all'); returns a Report or a list of Reports."""
+    """Run one named suite (or 'all'); returns a Report or a list of Reports.
+
+    Raises ValueError when a suite builds no case under the given bounds.
+    """
     bounds = bounds or Bounds()
     if name == "all":
         return [suite(bounds) for suite in SUITES.values()]

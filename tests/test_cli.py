@@ -170,6 +170,7 @@ class TestVerifyCommand:
         ["--suite", "prop-6-2", "--entry-range", "2..-2"],
         ["--suite", "prop-6-2", "--n-max", "-1"],
         ["--suite", "prop-6-2", "--n-max", "0"],
+        ["--suite", "thm-4-1", "--entry-range", "0..0"],
     ])
     def test_bounds_that_check_nothing_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)

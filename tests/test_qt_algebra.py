@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teslab.qt_algebra import (
@@ -225,3 +225,35 @@ class TestExactDiv:
             if b.is_zero():
                 continue
             assert exact_div(a * b, b) == a
+
+    @given(small_polys, small_polys, st.sampled_from([1, 2, -3]),
+           st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           st.integers(-3, 3), max_size=2).map(LaurentPolyQT))
+    @example(ONE, ONE - Q, 2, ZERO)
+    @example(ONE + T, ONE - Q, 2, Q)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_division(self, a, b, scale, r):
+        # oracle: shift both sides to polynomials, divide over QQ by sympy;
+        # one divisor is a Groebner basis, so remainder 0 <=> B divides A
+        sympy = pytest.importorskip("sympy")
+        b = b * scale
+        assume(not b.is_zero())
+        num = a * b + r
+        got = exact_div(num, b)
+        if num.is_zero():
+            assert got == ZERO
+            return
+        q, t = sympy.symbols("q t")
+
+        def shifted(p):
+            m0, m1 = p.min_exponents()
+            return sum(c * q ** (e0 - m0) * t ** (e1 - m1) for (e0, e1), c in p.terms.items())
+
+        quot, rem = sympy.div(shifted(num), shifted(b), q, t, domain="QQ")
+        coeffs = sympy.Poly(quot, q, t).terms()
+        if rem != 0 or any(not c.is_integer for _, c in coeffs):
+            assert got is None
+            return
+        (n0, n1), (b0, b1) = num.min_exponents(), b.min_exponents()
+        expected = LaurentPolyQT({(e0 + n0 - b0, e1 + n1 - b1): int(c) for (e0, e1), c in coeffs})
+        assert got == expected
