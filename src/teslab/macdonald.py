@@ -16,16 +16,8 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .plethysm import (
-    MonomialSymFn,
-    b_alphabet,
-    b_minus_one,
-    distinct_arrangements,
-    e_plethysm,
-    mb_alphabet,
-    mb_minus_one,
-)
-from .qt_algebra import ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
+from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm
+from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes
 from .young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
 
@@ -53,6 +45,8 @@ def n_cap() -> int:
 
 
 def _check_cap(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     cap = n_cap()
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap} (set TESLAB_NMAX)")
@@ -71,11 +65,12 @@ def power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
     """The bracket side of the power identities built on M*B(nu) - 1."""
     if k == 0:
         return RatFuncQT.from_factors(ONE, M_FACTORS)
+    alphabet = M * partition_stats(nu).B - ONE
     if k > 0:
         sign = 1 if (k - 1) % 2 == 0 else -1
-        return RatFuncQT.from_factors(e_plethysm(k - 1, mb_minus_one(nu)) * sign, M_FACTORS)
+        return RatFuncQT.from_factors(e_plethysm(k - 1, alphabet) * sign, M_FACTORS)
     sign = 1 if k % 2 == 0 else -1
-    inner = RatFuncQT.from_factors(e_plethysm(-k, mb_minus_one(nu)), M_FACTORS)
+    inner = RatFuncQT.from_factors(e_plethysm(-k, alphabet), M_FACTORS)
     return RatFuncQT.from_laurent(LaurentPolyQT.monomial(sign, -1, -1)) * inner.bar()
 
 
@@ -83,11 +78,12 @@ def shifted_power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
     """The bracket side of the shifted identities built on M*B(nu)."""
     if k == 0:
         return RatFuncQT.from_laurent(ZERO)
+    alphabet = M * partition_stats(nu).B
     if k > 0:
         sign = 1 if (k - 1) % 2 == 0 else -1
-        return RatFuncQT.from_factors(e_plethysm(k, mb_alphabet(nu)) * sign, M_FACTORS)
+        return RatFuncQT.from_factors(e_plethysm(k, alphabet) * sign, M_FACTORS)
     sign = 1 if k % 2 == 0 else -1
-    inner = RatFuncQT.from_factors(e_plethysm(-k, mb_alphabet(nu)), M_FACTORS)
+    inner = RatFuncQT.from_factors(e_plethysm(-k, alphabet), M_FACTORS)
     return RatFuncQT.from_laurent(LaurentPolyQT.monomial(sign, -1, -1)) * inner.bar()
 
 
@@ -210,11 +206,11 @@ def tes_via_theorem(alpha) -> LaurentPolyQT:
     return hilb_tilde(alpha, "p").to_laurent()
 
 
-def _eigen_sum(f: MonomialSymFn, alphabet, target: str, n: int) -> LaurentPolyQT:
-    """Sum of f[alphabet(mu)] against the weighted zero-hook virtual series."""
+def _eigen_sum(f: MonomialSymFn, shift: int, target: str, n: int) -> LaurentPolyQT:
+    """Sum of f[B_mu - shift] against the weighted zero-hook virtual series."""
     total = RatFuncQT.from_laurent(ZERO)
     for mu in partitions_of(n):
-        bracket = f.eval_bracket(alphabet(mu))
+        bracket = f.eval_bracket(partition_stats(mu).B - shift)
         if bracket.is_zero():
             continue
         total = total + _eigen_coeff(mu, target) * bracket * virtual_F((0,) * (n - 1), mu)
@@ -240,7 +236,7 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
     _check_route(route)
     _check_cap(n)
     if route == "eigen":
-        return _eigen_sum(f, b_minus_one, target, n)
+        return _eigen_sum(f, 1, target, n)
     head = (1,) if target == "e" else ()
     total = ZERO
     for rho, coeff in f.coeffs.items():
@@ -259,7 +255,7 @@ def hilb_delta(f: MonomialSymFn, n: int, route: str = "eigen") -> LaurentPolyQT:
     _check_route(route)
     _check_cap(n)
     if route == "eigen":
-        return _eigen_sum(f, b_alphabet, "e", n)
+        return _eigen_sum(f, 0, "e", n)
     total = ZERO
     for exponents, coeff in f.expand_last_one(n).items():
         total = total + coeff * tes((1,) + exponents)

@@ -1,131 +1,48 @@
-"""Signed monomial alphabets and plethystic evaluation.
+"""Plethystic evaluation at signed monomial alphabets.
 
-An alphabet is a formal Z-linear combination of monic q,t-monomials; f[S]
+An alphabet S is a Laurent polynomial: a Z-linear combination of monic
+q,t-monomials, each coefficient the multiplicity of its letter.  f[S]
 evaluates a symmetric function at the letters of S with all remaining
-variables set to zero.  Elementary brackets e_k[S] come from Newton's
-identity over exact rationals with an integrality check on exit, the
-smallest trusted core for the signed case.
+variables set to zero.  Elementary brackets e_k[S] are the coefficients of
+the generating product E[S](z) = prod (1 + x z)^c over the terms c*x of S,
+computed in integer arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .qt_algebra import M, ONE, ZERO, LaurentPolyQT
-from .young import Partition, partition_stats
+from .qt_algebra import ONE, ZERO, LaurentPolyQT
+from .young import Partition
 
 
-class Alphabet:
-    """Formal multiset of monic monomials with integer multiplicities."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, mult in items:
-                if not mult:
-                    continue
-                key = (mono[0], mono[1])
-                c = data.get(key, 0) + mult
-                if c:
-                    data[key] = c
-                elif key in data:
-                    del data[key]
-        self.terms = data
-
-    @classmethod
-    def from_poly(cls, p: LaurentPolyQT) -> "Alphabet":
-        return cls(p.terms)
-
-    def as_poly(self) -> LaurentPolyQT:
-        return LaurentPolyQT(self.terms)
-
-    def is_plain(self) -> bool:
-        """True when every multiplicity is positive (a genuine multiset)."""
-        return all(c > 0 for c in self.terms.values())
-
-    def letters(self) -> list:
-        """The letters with multiplicity, as exponent pairs; plain alphabets only."""
-        if not self.is_plain():
-            raise ValueError("monomial evaluation needs a plain alphabet")
-        out = []
-        for mono in sorted(self.terms):
-            out.extend([mono] * self.terms[mono])
-        return out
-
-    def union(self, other: "Alphabet") -> "Alphabet":
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            merged[m] = merged.get(m, 0) + c
-        return Alphabet(merged)
-
-    def negate(self) -> "Alphabet":
-        return Alphabet({m: -c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"Alphabet<{LaurentPolyQT(self.terms)}>"
-
-
-def m_alphabet() -> Alphabet:
-    """The alphabet of M = (1-q)(1-t)."""
-    return Alphabet.from_poly(M)
-
-
-def b_alphabet(mu: Partition) -> Alphabet:
-    return Alphabet.from_poly(partition_stats(mu).B)
-
-
-def b_minus_one(mu: Partition) -> Alphabet:
-    return Alphabet.from_poly(partition_stats(mu).B - ONE)
-
-
-def mb_alphabet(nu: Partition) -> Alphabet:
-    return Alphabet.from_poly(M * partition_stats(nu).B)
-
-
-def mb_minus_one(nu: Partition) -> Alphabet:
-    return Alphabet.from_poly(M * partition_stats(nu).B - ONE)
-
-
-def p_plethysm(r: int, alphabet: Alphabet) -> LaurentPolyQT:
+def p_plethysm(r: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
     """Power-sum bracket p_r[S]: raise each letter to the r-th power, keep signs."""
     if r < 1:
         raise ValueError("power-sum index must be >= 1")
     return LaurentPolyQT({(e0 * r, e1 * r): c for (e0, e1), c in alphabet.terms.items()})
 
 
-def e_plethysm(k: int, alphabet: Alphabet) -> LaurentPolyQT:
-    """Elementary bracket e_k[S] via Newton's identity over exact rationals."""
+def e_plethysm(k: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
+    """Elementary bracket e_k[S], the z^k coefficient of prod (1 + x z)^c over S.
+
+    The truncated series es[0..k] is multiplied by 1 + x z once per unit of a
+    positive multiplicity c and divided by it once per unit of a negative one;
+    both are integer updates, so no rational ever appears.
+    """
     if k < 0:
         raise ValueError("elementary index must be >= 0")
-    es = [ {(0, 0): Fraction(1)} ]
-    ps = {}
-    for j in range(1, k + 1):
-        acc: dict = {}
-        for r in range(1, j + 1):
-            if r not in ps:
-                ps[r] = {m: Fraction(c) for m, c in p_plethysm(r, alphabet).terms.items()}
-            sign = 1 if r % 2 else -1
-            _acc_product(acc, ps[r], es[j - r], Fraction(sign, j))
-        es.append({m: c for m, c in acc.items() if c})
-    result = es[k]
-    if any(c.denominator != 1 for c in result.values()):
-        raise ArithmeticError("non-integral elementary plethysm (internal bug)")
-    return LaurentPolyQT({m: int(c) for m, c in result.items()})
-
-
-def _acc_product(acc: dict, a: dict, b: dict, scale: Fraction) -> None:
-    for (e0, e1), c in a.items():
-        for (f0, f1), d in b.items():
-            key = (e0 + f0, e1 + f1)
-            acc[key] = acc.get(key, 0) + scale * c * d
+    es = [ONE] + [ZERO] * k
+    for (eq, et), c in alphabet.terms.items():
+        for _ in range(abs(c)):
+            if c > 0:
+                for j in range(k, 0, -1):
+                    es[j] = es[j] + es[j - 1].shift(eq, et)
+            else:
+                for j in range(1, k + 1):
+                    es[j] = es[j] - es[j - 1].shift(eq, et)
+    return es[k]
 
 
 def h_single(k: int, mono) -> LaurentPolyQT:
@@ -141,14 +58,18 @@ def distinct_arrangements(rho, slots: int):
     return sorted(set(permutations(padded)))
 
 
-def m_eval(rho, alphabet: Alphabet) -> LaurentPolyQT:
+def m_eval(rho, alphabet: LaurentPolyQT) -> LaurentPolyQT:
     """Monomial symmetric Laurent polynomial m_rho evaluated at a plain alphabet.
 
-    Sums every distinct exponent vector obtained by permuting rho padded with
-    zeros to the alphabet size; zero when rho has more parts than letters.
+    A plain alphabet has only positive multiplicities.  Sums every distinct
+    exponent vector obtained by permuting rho padded with zeros to the
+    alphabet size; zero when rho has more parts than letters.
     """
     rho = laurent_partition(rho)
-    letters = alphabet.letters()
+    terms = alphabet.terms
+    if any(c < 0 for c in terms.values()):
+        raise ValueError("monomial evaluation needs a plain alphabet")
+    letters = [mono for mono in sorted(terms) for _ in range(terms[mono])]
     out: dict = {}
     for vec in distinct_arrangements(rho, len(letters)):
         e0 = sum(v * m[0] for v, m in zip(vec, letters))
@@ -214,7 +135,7 @@ class MonomialSymFn:
     def degree(self) -> int:
         return max((sum(r) for r in self.coeffs), default=0)
 
-    def eval_bracket(self, alphabet: Alphabet) -> LaurentPolyQT:
+    def eval_bracket(self, alphabet: LaurentPolyQT) -> LaurentPolyQT:
         """f[S] for a plain alphabet S, by linearity over the monomial basis."""
         out = ZERO
         for rho, c in self.coeffs.items():

@@ -542,11 +542,6 @@ class RatFuncQT:
             prims.append(prim)
         return RatFuncQT._make(num, self.den_int, tuple(prims))
 
-    def swap_qt(self) -> "RatFuncQT":
-        """Exchange q and t."""
-        return RatFuncQT._make(self.num.swap_qt(), self.den_int,
-                               tuple(_split_canonical(f.swap_qt())[3] for f in self.factors))
-
     def __str__(self) -> str:
         if self.is_laurent():
             return str(self.num)

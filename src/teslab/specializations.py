@@ -378,11 +378,3 @@ def wt_alpha(alpha, prefs) -> int:
         out *= alpha[report.car[f_i - 1] - 1]
     return out
 
-
-def parse_car_set(text: str) -> frozenset:
-    """Parse "{4,7}" or "{}" into a set of car labels."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"cannot parse car set {text!r}")
-    body = text[1:-1].strip()
-    return frozenset(int(v) for v in body.split(",")) if body else frozenset()

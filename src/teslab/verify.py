@@ -27,14 +27,7 @@ from .macdonald import (
     tes_via_theorem,
     virtual_F,
 )
-from .plethysm import (
-    MonomialSymFn,
-    b_minus_one,
-    distinct_arrangements,
-    e_plethysm,
-    m_alphabet,
-    m_eval,
-)
+from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm, m_eval
 from .qt_algebra import M, ONE, Q, LaurentPolyQT, RatFuncQT, q_factorial, q_int, qt_int
 from .specializations import (
     area,
@@ -53,7 +46,7 @@ from .specializations import (
     wt_alpha,
 )
 from .tesler import enumerate_permutational, enumerate_tesler, tes
-from .young import partitions_of
+from .young import partition_stats, partitions_of
 
 
 @dataclass
@@ -209,7 +202,7 @@ def suite_lemma_3_3(bounds: Bounds) -> Report:
         sign = 1 if (k - 1) % 2 == 0 else -1
         cases.append(_equal_case(
             {"k": k, "identity": "qt-binomial"},
-            (lambda k=k, sign=sign: sign * e_plethysm(k, m_alphabet())),
+            (lambda k=k, sign=sign: sign * e_plethysm(k, M)),
             (lambda k=k: qt_int(k) * M)))
     return _run("lemma-3-3", cases)
 
@@ -245,7 +238,7 @@ def suite_thm_4_1(bounds: Bounds) -> Report:
                     for a in distinct_arrangements(rho, n - 1):
                         total = total + virtual_F(a, mu)
                     expect = (virtual_F((0,) * (n - 1), mu)
-                              * m_eval(rho, b_minus_one(mu)))
+                              * m_eval(rho, partition_stats(mu).B - 1))
                     if total != expect:
                         return _mismatch({"mu": str(mu), "rho": list(rho)}, total, expect)
                     return None

@@ -112,6 +112,12 @@ class TestHilbCommand:
         assert code == 2 and out == ""
         assert "TESLAB_NMAX must be an integer of at least 1" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_is_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", n)
+        assert code == 2 and out == ""
+        assert f"n must be at least 1, got {n}" in err
+
     def test_m_minus1(self, capsys):
         code, out, _ = run_cli(capsys, "hilb", "--f", "m:-1", "--n", "4")
         assert code == 0

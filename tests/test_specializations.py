@@ -14,7 +14,6 @@ from teslab.specializations import (
     levande_map,
     osp_enumerate,
     park_analysis,
-    parse_car_set,
     psi,
     q_stirling,
     set_of,
@@ -241,10 +240,6 @@ class TestCPF:
                 continue
             classical = sum(s - f for s, f in zip(report.spot, prefs))
             assert area(prefs, frozenset()) == classical
-
-    def test_parse_car_set(self):
-        assert parse_car_set("{4,7}") == frozenset({4, 7})
-        assert parse_car_set("{}") == frozenset()
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_tail_products_refine_parking(self, n):
