@@ -1,32 +1,35 @@
 """Pieri coefficients, virtual Hilbert series, and delta-operator Hilbert series.
 
-The Pieri coefficients d are recovered by solving the Vandermonde system that
-the elementary brackets impose on the cover monomials (exact Gaussian
-elimination over RatFuncQT, deterministic pivot order).  The skew
-coefficients follow from c/w_mu = d/w_nu, and the virtual Hilbert series
-F^alpha_mu is the cover recursion with the first hook entry exponentiating
-the cover monomial.  Every final answer is converted back to a Laurent
-polynomial, which doubles as a structural self-check.
+The Pieri coefficients d and the skew coefficients c of the modified
+Macdonald basis are closed products of the arm/leg binomials of the cells in
+the row and the column of the added cell (Garsia-Haiman, J. Algebraic
+Combin. 5 (1996); Macdonald, Symmetric Functions and Hall Polynomials,
+VI (6.24)), so every denominator factor is a binomial.  The virtual Hilbert
+series F^alpha_mu is the cover recursion with the first hook entry
+exponentiating the cover monomial.  Every final answer is converted back to
+a Laurent polynomial, which doubles as a structural self-check.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes
-from .young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
+from .young import (Partition, cover_monomial, partition_stats, partitions_of,
+                    w_cell_factors, w_factors)
 
 M_FACTORS = (
     LaurentPolyQT({(0, 0): 1, (1, 0): -1}),  # 1 - q
     LaurentPolyQT({(0, 0): 1, (0, 1): -1}),  # 1 - t
 )
 
-DEFAULT_N_CAP = 7
+DEFAULT_N_CAP = 8
 
 
 def n_cap() -> int:
@@ -87,40 +90,45 @@ def shifted_power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
     return RatFuncQT.from_laurent(LaurentPolyQT.monomial(sign, -1, -1)) * inner.bar()
 
 
-def _solve_linear(matrix: list, rhs: list) -> list:
-    """Exact Gaussian elimination over RatFuncQT, first-nonzero pivoting."""
-    m = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ArithmeticError("singular system (cover monomials must be distinct)")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
+def _line_product(nu: Partition, mu: Partition, cell, other: bool, extra=()) -> RatFuncQT:
+    """The d (other=False) or c (other=True) product of pieri_d / skew_pieri_c.
+
+    Factors equal on both sides cancel first: the product telescopes along
+    runs of equal legs or arms.  extra joins the denominator.
+    """
+    x0, y0 = cell
+    lines = [((x, y0), 0) for x in range(x0)] + [((x0, y), 1) for y in range(y0)]
+    num, den = Counter(), Counter()
+    for c, k in lines:
+        small = w_cell_factors(nu.cell_stats(c))
+        big = w_cell_factors(mu.cell_stats(c))
+        top, bottom, i = (big, small, 1 - k) if other else (small, big, k)
+        num[top[i]] += 1
+        den[bottom[i]] += 1
+    common = num & den
+    top = ONE
+    for f in (num - common).elements():
+        top = top * f
+    return RatFuncQT.from_factors(top, tuple((den - common).elements()) + extra)
 
 
 @lru_cache(maxsize=None)
 def pieri_d(nu: Partition) -> PieriTable:
-    """Solve for the d coefficients of nu from the k = 0..m-1 power identities."""
+    """The d coefficients of nu by their closed product formula.
+
+    d_{mu nu} is 1/M times the product, over the cells of nu in the row and
+    the column of the added cell, of the row factor q^a - t^(l+1) or the
+    column factor t^l - q^(a+1) of nu over that of mu (Garsia-Haiman,
+    J. Algebraic Combin. 5 (1996); Macdonald, Symmetric Functions and Hall
+    Polynomials, VI (6.24)).
+    """
     if not nu.parts:
         raise ValueError("nu must be nonempty")
     covers = nu.covers()
-    ts = [LaurentPolyQT.monomial(1, cell[0], cell[1]) for _, cell in covers]
-    m = len(covers)
-    matrix = [[RatFuncQT.from_laurent(t ** k) for t in ts] for k in range(m)]
-    rhs = [power_identity_rhs(nu, k) for k in range(m)]
-    sol = _solve_linear(matrix, rhs)
     return PieriTable(
         nu,
-        {mu: d for (mu, _), d in zip(covers, sol)},
-        {mu: t for (mu, _), t in zip(covers, ts)},
+        {mu: _line_product(nu, mu, cell, False, M_FACTORS) for mu, cell in covers},
+        {mu: LaurentPolyQT.monomial(1, cell[0], cell[1]) for mu, cell in covers},
     )
 
 
@@ -143,15 +151,14 @@ def pieri_power_sum_shifted(table: PieriTable, k: int) -> RatFuncQT:
 
 @lru_cache(maxsize=None)
 def skew_pieri_c(mu: Partition) -> dict:
-    """Skew coefficients c for removing a cell of mu, via c/w_mu = d/w_nu."""
+    """Skew coefficients c for removing a cell of mu, by their product formula.
+
+    c_{mu nu} is the product of the other w factor of the same cells, of mu
+    over nu; it equals d_{mu nu} w_mu / w_nu (Garsia-Haiman 1996).
+    """
     if mu.n < 2:
         raise ValueError("skew coefficients need at least two cells")
-    w_mu_poly = partition_stats(mu).w
-    out = {}
-    for nu, _ in mu.cocovers():
-        d = pieri_d(nu).entries[mu]
-        out[nu] = d * RatFuncQT.from_factors(w_mu_poly, w_factors(nu))
-    return out
+    return {nu: _line_product(nu, mu, cell, True) for nu, cell in mu.cocovers()}
 
 
 @lru_cache(maxsize=None)

@@ -515,22 +515,6 @@ class RatFuncQT:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RatFuncQT":
-        if self.num.is_zero():
-            raise ZeroDivisionError("division by zero")
-        sign, g, mins, prim = _split_canonical(self.num)
-        num = _expand(self.den_int, self.factors).shift(-mins[0], -mins[1]) * sign
-        return RatFuncQT._make(num, g, () if prim == ONE else (prim,))
-
-    def __truediv__(self, other) -> "RatFuncQT":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "RatFuncQT":
-        return _coerce(other) * self.inverse()
-
     def bar(self) -> "RatFuncQT":
         """Substitute q -> 1/q, t -> 1/t."""
         num = self.num.bar()

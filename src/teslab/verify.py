@@ -185,6 +185,8 @@ def suite_cor_3_2(bounds: Bounds) -> Report:
 
 
 def suite_lemma_3_3(bounds: Bounds) -> Report:
+    # pieri_d is a closed product, not solved from these identities, so every
+    # k (including 0..m-1) is an independent check.
     cases = []
     for n in range(1, bounds.cap(6) + 1):
         for nu in partitions_of(n):

@@ -159,12 +159,13 @@ def partition_stats(mu: Partition) -> PartitionStats:
         B = B + mono
         if cell != (0, 0):
             Pi = Pi * (ONE - mono)
-        for f in _w_cell_factors(st):
+        for f in w_cell_factors(st):
             w = w * f
     return PartitionStats(T, B, Pi, w)
 
 
-def _w_cell_factors(st: CellStats):
+def w_cell_factors(st: CellStats):
+    """The two w factors of one cell: q^a - t^(l+1) and t^l - q^(a+1)."""
     return (
         LaurentPolyQT({(st.a, 0): 1, (0, st.l + 1): -1}),
         LaurentPolyQT({(0, st.l): 1, (st.a + 1, 0): -1}),
@@ -176,7 +177,7 @@ def w_factors(mu: Partition) -> tuple:
     """The binomial factors of w, kept unexpanded for fraction denominators."""
     out = []
     for cell in mu.cells():
-        out.extend(_w_cell_factors(mu.cell_stats(cell)))
+        out.extend(w_cell_factors(mu.cell_stats(cell)))
     return tuple(out)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from teslab.cli import main
+from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import parse_poly_json
 from teslab.tesler import enumerate_tesler, parse_hooks, tes
 from teslab.verify import Bounds, run_suite
@@ -117,6 +118,15 @@ class TestHilbCommand:
         code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", n)
         assert code == 2 and out == ""
         assert f"n must be at least 1, got {n}" in err
+
+    def test_default_cap_is_eight(self, capsys, monkeypatch):
+        monkeypatch.delenv("TESLAB_NMAX", raising=False)
+        _check_cap(8)
+        misses = virtual_F.cache_info().misses
+        code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", "9")
+        assert code == 2 and out == ""
+        assert "n=9 exceeds the configured cap 8" in err
+        assert virtual_F.cache_info().misses == misses
 
     def test_m_minus1(self, capsys):
         code, out, _ = run_cli(capsys, "hilb", "--f", "m:-1", "--n", "4")

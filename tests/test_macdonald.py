@@ -19,11 +19,42 @@ from teslab.macdonald import (
     virtual_F,
 )
 from teslab.plethysm import MonomialSymFn
-from teslab.qt_algebra import M, ONE, Q, T, RatFuncQT, qt_int
+from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, RatFuncQT, qt_int
 from teslab.tesler import tes
-from teslab.young import Partition, partitions_of
+from teslab.young import Partition, partition_stats, partitions_of, w_factors
 
 P = Partition
+
+
+def _solve_linear(matrix: list, rhs: list) -> list:
+    """Exact Gaussian elimination over RatFuncQT, first-nonzero pivoting."""
+    m = len(rhs)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if not aug[r][col].is_zero())
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        inv = RatFuncQT(p.denominator, p.numerator)
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(m):
+            if r != col and not aug[r][col].is_zero():
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][m] for i in range(m)]
+
+
+def solved_pieri_d(nu: Partition) -> dict:
+    """The d coefficients of nu solved from the k = 0..m-1 power identities."""
+    covers = nu.covers()
+    ts = [LaurentPolyQT.monomial(1, cell[0], cell[1]) for _, cell in covers]
+    matrix = [[RatFuncQT.from_laurent(t ** k) for t in ts] for k in range(len(covers))]
+    rhs = [power_identity_rhs(nu, k) for k in range(len(covers))]
+    return {mu: d for (mu, _), d in zip(covers, _solve_linear(matrix, rhs))}
+
+
+def _binomial_denominators(r: RatFuncQT) -> bool:
+    return all(len(f.terms) == 2 and all(abs(c) == 1 for c in f.terms.values())
+               for f in r.factors)
 
 
 class TestPieri:
@@ -50,6 +81,26 @@ class TestPieri:
         for k in range(-2, m + 2):
             assert pieri_power_sum(table, k) == power_identity_rhs(nu, k)
             assert pieri_power_sum_shifted(table, k) == shifted_power_identity_rhs(nu, k)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_product_matches_vandermonde_solve(self, n):
+        for nu in partitions_of(n):
+            solved = solved_pieri_d(nu)
+            assert pieri_d(nu).entries == solved
+            for mu, d in solved.items():
+                c = d * RatFuncQT.from_factors(partition_stats(mu).w, w_factors(nu))
+                assert skew_pieri_c(mu)[nu] == c, (mu, nu)
+
+    def test_denominators_are_unit_binomials(self):
+        for n in range(1, 6):
+            for mu in partitions_of(n):
+                values = list(pieri_d(mu).entries.values())
+                values += [power_identity_rhs(mu, k) for k in range(-2, len(mu.covers()) + 2)]
+                if n > 1:
+                    values += skew_pieri_c(mu).values()
+                for k in (-1, 0, 2):
+                    values.append(virtual_F((k,) * (n - 1), mu))
+                assert all(_binomial_denominators(r) for r in values), mu
 
 
 class TestSkewPieri:
