@@ -16,7 +16,7 @@ from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
 from .qt_algebra import LaurentPolyQT
 from .specializations import tes_11, tes_t0, tes_t1
-from .tesler import enumerate_permutational, enumerate_tesler, parse_hooks, tes
+from .tesler import count_tesler, enumerate_permutational, enumerate_tesler, parse_hooks, tes
 from .verify import SUITE_NAMES, Bounds, run_suite
 
 USAGE_ERROR = 2
@@ -73,10 +73,12 @@ def cmd_tes(args) -> int:
 
 def cmd_enumerate(args) -> int:
     alpha = parse_hooks(args.hooks)
-    stream = enumerate_permutational(alpha) if args.permutational else enumerate_tesler(alpha)
     if args.format == "count":
-        _emit(str(sum(1 for _ in stream)), args)
+        count = (sum(1 for _ in enumerate_permutational(alpha)) if args.permutational
+                 else count_tesler(alpha))
+        _emit(str(count), args)
         return 0
+    stream = enumerate_permutational(alpha) if args.permutational else enumerate_tesler(alpha)
     # one line per matrix as it is produced; an empty stream still ends in "\n"
     empty = True
     with _output(args) as fh:

@@ -438,26 +438,6 @@ class RatFuncQT:
             raise ValueError("not a Laurent polynomial")
         return self.num
 
-    @property
-    def numerator(self) -> LaurentPolyQT:
-        """Numerator with nonnegative exponents (paired with .denominator)."""
-        n, _ = self._cleared()
-        return n
-
-    @property
-    def denominator(self) -> LaurentPolyQT:
-        """Expanded denominator with nonnegative exponents."""
-        _, d = self._cleared()
-        return d
-
-    def _cleared(self):
-        den = _expand(self.den_int, self.factors)
-        if self.num.is_zero():
-            return ZERO, den
-        mins = self.num.min_exponents()
-        s0, s1 = max(0, -mins[0]), max(0, -mins[1])
-        return self.num.shift(s0, s1), den.shift(s0, s1)
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:

@@ -19,9 +19,14 @@ matrix with hooks alpha and first row r leaves a Tesler matrix with hooks
 alpha[1:] + r[1:], so tes(alpha) = sum over r of w(r) * tes(alpha[1:] + r[1:])
 (the first-row recursion of Haglund, Adv. Math. 227 (2011), and of
 Armstrong-Garsia-Haglund-Rhoades-Sagan, J. Comb. 3 (2012), here with signed
-hooks).  An lru_cache keyed on the hook vector of the remaining rows shares
-sub-vectors within one call and across calls.  enumerate_tesler and
-TeslerMatrix.weight stay as the independent brute-force definition.
+hooks).  No factor of w(r) depends on where an entry sits, only on the
+multiset of entries of r, so the first rows are grouped by that multiset (a
+partition of |s_1|): the sub-values of a group are added, then multiplied by
+the group's weight once.  An lru_cache keyed on the hook vector of the
+remaining rows shares sub-vectors within one call and across calls.
+count_tesler runs the same recursion with every weight set to 1.
+enumerate_tesler and TeslerMatrix.weight stay as the independent brute-force
+definition.
 """
 
 from __future__ import annotations
@@ -202,24 +207,28 @@ def enumerate_permutational(alpha):
 
 @lru_cache(maxsize=None)
 def _first_rows(s: int, width: int) -> tuple:
-    """(entries right of the diagonal, row weight), one pair per composition
-    of |s| into width parts, for a row of total s.
+    """(row weight, tails), one pair per multiset of nonzero entries of a row
+    of total s and width entries; tails holds the entries right of the
+    diagonal of every composition of |s| into width parts with that multiset.
 
     A row with nz nonzero entries weighs M^(nz-1) times the qt_int of each
-    entry, and carries the sign (-1)^(nz-1) when it is positive.
+    entry, and carries the sign (-1)^(nz-1) when it is positive.  None of
+    these factors sees where an entry sits, so the weight is one product per
+    partition of |s| into at most width parts.
     """
     sign = 1 if s > 0 else -1
-    out = []
+    groups: dict = {}
     for comp in compositions(abs(s), width):
-        row = tuple(sign * v for v in comp)
-        nz = sum(1 for v in row if v)
-        weight = _m_power(nz - 1)
-        if s > 0 and nz % 2 == 0:
+        parts = tuple(sorted(v for v in comp if v))
+        groups.setdefault(parts, []).append(tuple(sign * v for v in comp[1:]))
+    out = []
+    for parts, tails in groups.items():
+        weight = _m_power(len(parts) - 1)
+        if s > 0 and len(parts) % 2 == 0:
             weight = -weight
-        for v in row:
-            if v:
-                weight = weight * qt_int(v)
-        out.append((row[1:], weight))
+        for v in parts:
+            weight = weight * qt_int(sign * v)
+        out.append((weight, tuple(tails)))
     return tuple(out)
 
 
@@ -229,9 +238,21 @@ def tes(alpha) -> LaurentPolyQT:
     Computed by the first-row recursion
     tes(alpha) = sum over first rows r of w(r) * tes(alpha[1:] + r[1:]),
     memoized on the hook vector of the rows below, so sub-vectors are shared
-    within one call and across calls.  Values are immutable and safe to share.
+    within one call and across calls.  w(r) depends only on the multiset of
+    entries of r, so the sub-values of all rows with one multiset are added
+    first and multiplied by their common weight once.  Values are immutable
+    and safe to share.
     """
     return _tes_cached(tuple(alpha))
+
+
+def _add_terms(acc: dict, terms: dict) -> None:
+    for mono, c in terms.items():
+        v = acc.get(mono, 0) + c
+        if v:
+            acc[mono] = v
+        elif mono in acc:
+            del acc[mono]
 
 
 @lru_cache(maxsize=None)
@@ -242,14 +263,31 @@ def _tes_cached(alpha: tuple) -> LaurentPolyQT:
         return qt_int(alpha[0])
     below = alpha[1:]
     acc: dict = {}
-    for tail, weight in _first_rows(alpha[0], len(alpha)):
-        sub = _tes_cached(tuple(a + r for a, r in zip(below, tail)))
-        if not sub:
-            continue
-        for mono, c in (weight * sub).terms.items():
-            v = acc.get(mono, 0) + c
-            if v:
-                acc[mono] = v
-            elif mono in acc:
-                del acc[mono]
+    for weight, tails in _first_rows(alpha[0], len(alpha)):
+        group: dict = {}
+        for tail in tails:
+            _add_terms(group, _tes_cached(tuple(a + r for a, r in zip(below, tail))).terms)
+        if group:
+            _add_terms(acc, (weight * LaurentPolyQT._raw(group)).terms)
     return LaurentPolyQT._raw(acc)
+
+
+def count_tesler(alpha) -> int:
+    """The number of Tesler matrices with hooks alpha, without enumerating them.
+
+    The first-row recursion of tes with every weight set to 1, memoized on
+    the hook vector of the rows below.
+    """
+    return _count_cached(tuple(alpha))
+
+
+@lru_cache(maxsize=None)
+def _count_cached(alpha: tuple) -> int:
+    if not alpha or alpha[0] == 0:
+        return 0
+    if len(alpha) == 1:
+        return 1
+    below = alpha[1:]
+    sign = 1 if alpha[0] > 0 else -1
+    return sum(_count_cached(tuple(a + sign * r for a, r in zip(below, comp[1:])))
+               for comp in compositions(abs(alpha[0]), len(alpha)))

@@ -34,7 +34,8 @@ def _solve_linear(matrix: list, rhs: list) -> list:
         piv = next(r for r in range(col, m) if not aug[r][col].is_zero())
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
-        inv = RatFuncQT(p.denominator, p.numerator)
+        inv = RatFuncQT.from_factors(math.prod(p.factors, start=LaurentPolyQT.const(p.den_int)),
+                                     (p.num,))
         aug[col] = [x * inv for x in aug[col]]
         for r in range(m):
             if r != col and not aug[r][col].is_zero():

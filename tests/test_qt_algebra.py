@@ -157,12 +157,6 @@ class TestRatFunc:
         # bar(1/(q-t)) = 1/(1/q - 1/t) = qt/(t-q)
         assert r.bar() == RatFuncQT(Q * T, T - Q)
 
-    def test_numerator_denominator_contract(self):
-        r = RatFuncQT(qt_int(-1), ONE - Q)
-        num, den = r.numerator, r.denominator
-        assert min(e for e, _ in num.terms) >= 0 if num.terms else True
-        assert RatFuncQT(num, den) == r
-
 
 class TestRfToLaurent:
     def test_qt_int_quotient(self):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -10,7 +11,9 @@ from teslab.macdonald import tes_via_theorem
 from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, qt_int
 from teslab.tesler import (
     TeslerMatrix,
+    _first_rows,
     compositions,
+    count_tesler,
     enumerate_permutational,
     enumerate_tesler,
     parse_hooks,
@@ -87,9 +90,18 @@ class TestEnumeration:
                 TeslerMatrix(U.rows)  # revalidates all three conditions
 
     def test_known_counts_for_ones(self):
-        # |T(1^n)| = 1, 2, 7, 40, 357 for n = 1..5
-        for n, count in [(1, 1), (2, 2), (3, 7), (4, 40), (5, 357)]:
-            assert sum(1 for _ in enumerate_tesler((1,) * n)) == count
+        # |T(1^n)| = 1, 2, 7, 40, 357, 4820, 96030 for n = 1..7, enumerated up to n = 5
+        for n, count in [(1, 1), (2, 2), (3, 7), (4, 40), (5, 357), (6, 4820), (7, 96030)]:
+            assert count_tesler((1,) * n) == count
+            if n <= 5:
+                assert sum(1 for _ in enumerate_tesler((1,) * n)) == count
+
+    def test_count_matches_enumeration(self):
+        rng = random.Random(41)
+        vectors = [()] + [tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 5)))
+                          for _ in range(60)]
+        for alpha in vectors:
+            assert count_tesler(alpha) == sum(1 for _ in enumerate_tesler(alpha))
 
 
 class TestPermutational:
@@ -212,7 +224,7 @@ class TestTes:
     def test_matches_macdonald_route(self, alpha):
         assert tes(alpha) == tes_via_theorem(alpha)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_ones_at_q_t_one(self, n):
         # |parking functions of length n| = (n+1)^(n-1)
         assert tes((1,) * n).specialize(q=1, t=1) == (n + 1) ** (n - 1)
@@ -222,6 +234,37 @@ class TestTes:
         # Lemma 4.7: tes(-alpha) = (-1/(qt))^n * bar(tes(alpha))
         qt_inv = LaurentPolyQT.monomial(-1, -1, -1)
         assert tes((-1,) * n) == qt_inv ** n * tes((1,) * n).bar()
+
+
+def _row_weight(row):
+    """The weight of one row by the per-composition formula: M^(nz-1), the
+    qt_int of each nonzero entry, and (-1)^(nz-1) when the row is positive."""
+    nz = sum(1 for v in row if v)
+    weight = M ** (nz - 1)
+    if sum(row) > 0 and nz % 2 == 0:
+        weight = -weight
+    for v in row:
+        if v:
+            weight = weight * qt_int(v)
+    return weight
+
+
+class TestFirstRows:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, -1, -2, -3, -4])
+    def test_groups_match_per_composition_rows(self, s):
+        sign = 1 if s > 0 else -1
+        for width in range(1, 6):
+            groups = _first_rows(s, width)
+            assert (Counter(tail for _, tails in groups for tail in tails)
+                    == Counter(tuple(sign * v for v in comp[1:])
+                               for comp in compositions(abs(s), width)))
+            multisets = set()
+            for weight, tails in groups:
+                rows = [(s - sum(tail),) + tail for tail in tails]
+                assert all(_row_weight(row) == weight for row in rows)
+                multisets |= {tuple(sorted(v for v in row if v)) for row in rows}
+            # one group per multiset of entries: a partition of |s| into at most width parts
+            assert len(multisets) == len(groups)
 
 
 class TestCompositions:
