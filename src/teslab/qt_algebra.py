@@ -5,7 +5,10 @@ arbitrary-precision integer coefficients, so every computation is exact.
 Rational functions keep their denominator as a positive integer times a
 multiset of canonical primitive factors; cancellation only ever uses exact
 division (checked term by term), which keeps intermediate results small
-without computing polynomial gcds.
+without computing polynomial gcds.  Every factor the Macdonald route builds
+is a binomial +-x^A +- x^B, which exact_div divides by one pass of running
+sums along the lines {e + k(A - B)}; other divisors take leading-term
+division.
 """
 
 from __future__ import annotations
@@ -300,20 +303,81 @@ def q_factorial(k: int) -> LaurentPolyQT:
 def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     """a / b when the quotient is again a Laurent polynomial over Z, else None.
 
-    Greedy leading-term division in graded-lex order.  The remainder is a
-    dict, and its leading term comes from a heap of grlex keys
-    (-(e0+e1), -e0) with lazy deletion: a popped key whose term has
-    cancelled is stale and skipped.  A key is pushed only when a new
-    monomial enters the remainder.  Each such monomial is m' + d for a
-    non-leading term m' of b and the popped monomial m = lead(b) + d; grlex
-    is a monomial order, so it lies strictly below m, and the heap top is
-    always the true leading term.  Complete as a divisibility test whenever
-    b is primitive (Gauss's lemma covers the integer side).
+    A divisor with two terms and coefficients +-1, say b = c_A x^A + c_B x^B,
+    takes one pass of line sums (``_div_unit_binomial``).  Write
+    b = c_B x^B (1 - s z) with z = x^v, v = A - B and s = -c_A c_B.  The
+    lattice of exponents splits into the lines {e + k v}, and the ring into
+    one copy of Z[z, 1/z] per line, so b divides a iff 1 - s z divides each
+    line of c_B x^(-B) a.  On a line with coefficients a_k, the quotient is
+    the running sum carry_k = a_k + s carry_(k-1), and the line is divisible
+    iff its last carry is 0.  Both ends of 1 - s z are units because s = +-1,
+    so the carries are integers and no coefficient can fail to divide; v need
+    not be primitive (1 - q^2 and q^2 - t^3 take the same pass).  Every
+    denominator factor that teslab builds is such a binomial.
+
+    Any other divisor, which only direct calls and ``from_factors`` with a
+    general factor supply, goes through greedy leading-term division in
+    graded-lex order (``_div_heap``).  That is complete as a divisibility
+    test whenever b is primitive (Gauss's lemma covers the integer side).
+    Both branches return the unique quotient.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return ZERO
+    terms = b.terms
+    if len(terms) == 2 and all(c in (1, -1) for c in terms.values()):
+        return _div_unit_binomial(a, terms)
+    return _div_heap(a, b)
+
+
+def _div_unit_binomial(a: LaurentPolyQT, bterms: dict):
+    (A, ca), ((b0, b1), cb) = bterms.items()
+    v0, v1 = A[0] - b0, A[1] - b1
+    s = -ca * cb
+    # bucket the terms of a by line; a line's key is its point with k = 0
+    i = 0 if v0 else 1
+    vi = v0 or v1
+    lines: dict = {}
+    for e, c in a.terms.items():
+        k = e[i] // vi
+        key = (e[0] - k * v0, e[1] - k * v1)
+        line = lines.get(key)
+        if line is None:
+            lines[key] = [(k, c)]
+        else:
+            line.append((k, c))
+    quot: dict = {}
+    for (p0, p1), points in lines.items():
+        points.sort()
+        p0 -= b0
+        p1 -= b1
+        carry = prev = 0
+        for k, c in points:
+            if carry:
+                # the carry runs on through the gap k = prev+1 .. k-1
+                for j in range(prev + 1, k):
+                    carry *= s
+                    quot[(p0 + j * v0, p1 + j * v1)] = carry * cb
+                carry = c + s * carry
+            else:
+                carry = c
+            if carry:
+                quot[(p0 + k * v0, p1 + k * v1)] = carry * cb
+            prev = k
+        if carry:
+            return None
+    return LaurentPolyQT._raw(quot)
+
+
+def _div_heap(a: LaurentPolyQT, b: LaurentPolyQT):
+    # The remainder is a dict, and its leading term comes from a heap of
+    # grlex keys (-(e0+e1), -e0) with lazy deletion: a popped key whose term
+    # has cancelled is stale and skipped.  A key is pushed only when a new
+    # monomial enters the remainder.  Each such monomial is m' + d for a
+    # non-leading term m' of b and the popped monomial m = lead(b) + d; grlex
+    # is a monomial order, so it lies strictly below m, and the heap top is
+    # always the true leading term.
     amin = a.min_exponents()
     bmin = b.min_exponents()
     rem = {(e0 - amin[0], e1 - amin[1]): c for (e0, e1), c in a.terms.items()}
@@ -376,22 +440,17 @@ class RatFuncQT:
 
     __slots__ = ("num", "den_int", "factors")
 
-    def __init__(self, num, den=1):
+    def __init__(self, num, den: int = 1):
+        """num / den for an integer den; polynomial denominators go through from_factors."""
+        if not isinstance(den, int):
+            raise TypeError("RatFuncQT takes an integer denominator; use from_factors")
         if isinstance(num, int):
             num = LaurentPolyQT.const(num)
-        if isinstance(den, int):
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                num, den = -num, -den
-            self.num, self.den_int, self.factors = _reduce(num, den, ())
-            return
-        if den.is_zero():
+        if den == 0:
             raise ZeroDivisionError("zero denominator")
-        sign, g, mins, prim = _split_canonical(den)
-        num = num.shift(-mins[0], -mins[1]) * sign
-        factors = () if prim == ONE else (prim,)
-        self.num, self.den_int, self.factors = _reduce(num, g, factors)
+        if den < 0:
+            num, den = -num, -den
+        self.num, self.den_int, self.factors = _reduce(num, den, ())
 
     @classmethod
     def _make(cls, num: LaurentPolyQT, den_int: int, factors) -> "RatFuncQT":

@@ -29,6 +29,12 @@ small_polys = st.dictionaries(
     max_size=5,
 ).map(LaurentPolyQT)
 
+_exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# +-x^A +- x^B: the divisors that exact_div takes by line sums
+unit_binomials = st.tuples(
+    _exponents, _exponents, st.sampled_from([1, -1]), st.sampled_from([1, -1])
+).filter(lambda x: x[0] != x[1]).map(lambda x: LaurentPolyQT({x[0]: x[2], x[1]: x[3]}))
+
 
 class TestLaurentArith:
     def test_m_expansion(self):
@@ -125,49 +131,55 @@ class TestSpecialize:
 class TestRatFunc:
     def test_multiply_cancels(self):
         one_minus_q = ONE - Q
-        r = RatFuncQT(ONE, one_minus_q) * RatFuncQT.from_laurent(one_minus_q)
+        r = RatFuncQT.from_factors(ONE, (one_minus_q,)) * RatFuncQT.from_laurent(one_minus_q)
         assert r.is_laurent() and r.to_laurent() == ONE
 
     def test_cross_multiplication_equality(self):
-        lhs = RatFuncQT(Q, (ONE - Q) * (Q - T))
-        rhs = RatFuncQT(Q * (ONE - T), (ONE - Q) * (ONE - T) * (Q - T))
+        lhs = RatFuncQT.from_factors(Q, ((ONE - Q) * (Q - T),))
+        rhs = RatFuncQT.from_factors(Q * (ONE - T), ((ONE - Q) * (ONE - T) * (Q - T),))
         assert lhs == rhs
 
     def test_additive_inverse(self):
-        r = RatFuncQT(ONE, M)
+        r = RatFuncQT.from_factors(ONE, (M,))
         assert (r + (-r)).is_zero()
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            RatFuncQT(ONE, ZERO)
+            RatFuncQT.from_factors(ONE, (ZERO,))
+        with pytest.raises(ZeroDivisionError):
+            RatFuncQT(ONE, 0)
+
+    def test_polynomial_denominator_needs_from_factors(self):
+        with pytest.raises(TypeError, match="from_factors"):
+            RatFuncQT(ONE, ONE - Q)
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=40, deadline=None)
     def test_field_laws(self, a, b, c):
         if a.is_zero():
             a = ONE + Q
-        db = RatFuncQT(a, M)
-        rb = RatFuncQT(b, ONE - Q)
-        rc = RatFuncQT(c, (ONE - T) * (Q - T))
+        db = RatFuncQT.from_factors(a, (M,))
+        rb = RatFuncQT.from_factors(b, (ONE - Q,))
+        rc = RatFuncQT.from_factors(c, ((ONE - T) * (Q - T),))
         assert db * (rb + rc) == db * rb + db * rc
-        assert (db * rb) * RatFuncQT(M, a) == rb
+        assert (db * rb) * RatFuncQT.from_factors(M, (a,)) == rb
 
     def test_bar(self):
-        r = RatFuncQT(ONE, Q - T)
+        r = RatFuncQT.from_factors(ONE, (Q - T,))
         # bar(1/(q-t)) = 1/(1/q - 1/t) = qt/(t-q)
-        assert r.bar() == RatFuncQT(Q * T, T - Q)
+        assert r.bar() == RatFuncQT.from_factors(Q * T, (T - Q,))
 
 
 class TestRfToLaurent:
     def test_qt_int_quotient(self):
-        assert RatFuncQT(Q ** 2 - T ** 2, Q - T).to_laurent() == Q + T
+        assert RatFuncQT.from_factors(Q ** 2 - T ** 2, (Q - T,)).to_laurent() == Q + T
 
     def test_unit_quotient(self):
-        assert RatFuncQT(ONE - Q, ONE - Q).to_laurent() == ONE
+        assert RatFuncQT.from_factors(ONE - Q, (ONE - Q,)).to_laurent() == ONE
 
     def test_failure(self):
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
-            RatFuncQT(ONE, ONE - Q).to_laurent()
+            RatFuncQT.from_factors(ONE, (ONE - Q,)).to_laurent()
 
     @given(small_polys)
     @settings(max_examples=40, deadline=None)
@@ -175,12 +187,12 @@ class TestRfToLaurent:
         assert RatFuncQT.from_laurent(a).to_laurent() == a
 
     def test_monomial_denominator_shifts(self):
-        assert RatFuncQT(Q * T + Q ** 2 * T, Q * T).to_laurent() == ONE + Q
+        assert RatFuncQT.from_factors(Q * T + Q ** 2 * T, (Q * T,)).to_laurent() == ONE + Q
 
     def test_integer_content(self):
-        assert RatFuncQT(2 * Q, LaurentPolyQT.const(2)).to_laurent() == Q
+        assert RatFuncQT.from_factors(2 * Q, (LaurentPolyQT.const(2),)).to_laurent() == Q
         with pytest.raises(ValueError):
-            RatFuncQT(Q, LaurentPolyQT.const(2)).to_laurent()
+            RatFuncQT.from_factors(Q, (LaurentPolyQT.const(2),)).to_laurent()
 
 
 class TestDisplay:
@@ -218,12 +230,17 @@ class TestExactDiv:
                 continue
             assert exact_div(a * b, b) == a
 
-    @given(small_polys, small_polys, st.sampled_from([1, 2, -3]),
+    @given(small_polys, st.one_of(small_polys, unit_binomials), st.sampled_from([1, -1, 2, -3]),
            st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            st.integers(-3, 3), max_size=2).map(LaurentPolyQT))
     @example(ONE, ONE - Q, 2, ZERO)
     @example(ONE + T, ONE - Q, 2, Q)
-    @settings(max_examples=60, deadline=None)
+    @example(ONE + T - Q * T, ONE + Q, 1, ZERO)  # s = -1
+    @example(Q - T ** 2, ONE - Q ** 2, 1, ZERO)  # direction (2, 0), not primitive
+    @example(ONE + Q * T ** -1, Q ** 2 - T ** 3, -1, ZERO)
+    @example(Q ** -2 + T, Q ** -1 - T ** -2, 1, ZERO)  # negative exponents
+    @example(ONE + Q, ONE - Q ** 2, 1, T)  # not divisible
+    @settings(max_examples=100, deadline=None)
     def test_matches_sympy_division(self, a, b, scale, r):
         # oracle: shift both sides to polynomials, divide over QQ by sympy;
         # one divisor is a Groebner basis, so remainder 0 <=> B divides A
@@ -249,3 +266,36 @@ class TestExactDiv:
         (n0, n1), (b0, b1) = num.min_exponents(), b.min_exponents()
         expected = LaurentPolyQT({(e0 + n0 - b0, e1 + n1 - b1): int(c) for (e0, e1), c in coeffs})
         assert got == expected
+
+
+def _sympy_value(r: RatFuncQT, sympy, q, t):
+    def expr(p):
+        return sympy.Add(*(c * q ** e0 * t ** e1 for (e0, e1), c in p.terms.items()))
+
+    return expr(r.num) / sympy.Mul(r.den_int, *map(expr, r.factors))
+
+
+# num / (den_int * prod of 0-2 unit binomials), built as the Macdonald route builds them
+unit_fractions = st.tuples(
+    small_polys, st.lists(unit_binomials, max_size=2), st.sampled_from([1, 2, -3])
+).map(lambda x: RatFuncQT.from_factors(x[0], x[1], x[2]))
+
+
+class TestRatFuncAgainstSympy:
+    @given(unit_fractions, unit_fractions, unit_binomials)
+    @settings(max_examples=40, deadline=None)
+    def test_add_mul_eq_match_cancel(self, x, y, g):
+        sympy = pytest.importorskip("sympy")
+        q, t = sympy.symbols("q t")
+        sx, sy = _sympy_value(x, sympy, q, t), _sympy_value(y, sympy, q, t)
+        for got, want in ((x + y, sx + sy), (x * y, sx * sy)):
+            assert sympy.cancel(_sympy_value(got, sympy, q, t) - want) == 0
+        assert (x == y) == (sympy.cancel(sx - sy) == 0)
+        # the same value with g in numerator and denominator: _reduce divides
+        # by g or by a factor of x, so at most len(x.factors) factors stay
+        same = RatFuncQT.from_factors(x.num * g, x.factors + (g,), x.den_int)
+        assert same == x and x == same
+        assert len(same.factors) <= len(x.factors)
+        for r in (x + y, x * y, same):
+            # _reduce keeps only factors that do not divide the numerator
+            assert all(exact_div(r.num, f) is None for f in r.factors)
