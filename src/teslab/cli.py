@@ -21,6 +21,8 @@ from .verify import SUITE_NAMES, Bounds, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+# the most matrices JSON enumerate writes (--format count has no cap)
+ENUMERATE_JSON_CAP = 1_000_000
 
 
 def _poly_payload(poly: LaurentPolyQT, as_json: bool):
@@ -78,6 +80,11 @@ def cmd_enumerate(args) -> int:
                  else count_tesler(alpha))
         _emit(str(count), args)
         return 0
+    if not args.permutational:
+        count = count_tesler(alpha)
+        if count > ENUMERATE_JSON_CAP:
+            raise ValueError(f"--hooks {args.hooks} has {count:,} Tesler matrices, over the "
+                             f"JSON cap of {ENUMERATE_JSON_CAP:,}; use --format count")
     stream = enumerate_permutational(alpha) if args.permutational else enumerate_tesler(alpha)
     # one line per matrix as it is produced; an empty stream still ends in "\n"
     empty = True

@@ -83,7 +83,13 @@ class LaurentPolyQT:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its int, so it must hash like it (ZERO like 0)
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and (0, 0) in terms:
+            return hash(terms[(0, 0)])
+        return hash(frozenset(terms.items()))
 
     def __neg__(self) -> "LaurentPolyQT":
         return LaurentPolyQT._raw({m: -c for m, c in self.terms.items()})

@@ -5,11 +5,15 @@ from matrices cover t=0; permutational matrices, target/tail vectors and the
 psi map cover t=1; parking functions with considerate cars and a discounted
 area statistic refine the t=1 product, and a rotation-style product formula
 covers q=t=1.
+
+A ParkingFunction carries its parked outcome (who parks where, and which
+cars are considerate), computed once when it is built; car_bars, area and
+wt_alpha only read it.  cpf filters all n^n preference lists, so it refuses
+n above CPF_N_MAX before scanning, and the CLI turns that into exit 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -242,50 +246,47 @@ def tes_11(alpha) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ParkReport:
-    valid: bool
-    car: tuple   # car[i-1] = label parked in spot i
-    spot: tuple  # spot[i-1] = spot taken by car i
-    cons: frozenset  # considerate cars: spots desired by nobody
+# cpf scans n^n preference lists: 7^7 = 823,543 is about a second
+CPF_N_MAX = 7
 
 
-def park_analysis(prefs) -> ParkReport:
-    """Simulate the parking process for a preference list."""
-    prefs = tuple(int(v) for v in prefs)
-    n = len(prefs)
-    if any(not 1 <= v <= n for v in prefs):
-        raise ValueError("preferences must lie in 1..n")
-    taken = [0] * (n + 1)
-    spot = []
-    ok = True
-    for i, p in enumerate(prefs, start=1):
-        j = p
-        while j <= n and taken[j]:
-            j += 1
-        if j > n:
-            ok = False
-            break
-        taken[j] = i
-        spot.append(j)
-    if not ok:
-        return ParkReport(False, (), (), frozenset())
-    car = tuple(taken[1:])
-    desired = set(prefs)
-    cons = frozenset(i for i in range(1, n + 1) if spot[i - 1] not in desired)
-    return ParkReport(True, car, tuple(spot), cons)
+def check_cpf_budget(n: int) -> None:
+    """Refuse an n^n parking filter over the budget before it starts."""
+    if n > CPF_N_MAX:
+        raise ValueError(f"cpf would scan {n}^{n} = {n ** n:,} preference lists; "
+                         f"the budget is n <= {CPF_N_MAX}")
 
 
 class ParkingFunction:
-    """Preference list whose increasing rearrangement parks (f_(i) <= i)."""
+    """A preference list that parks every car, with its parked outcome.
 
-    __slots__ = ("prefs",)
+    Car i prefers spot prefs[i-1] and takes the first free spot from there;
+    car[j-1] is the car in spot j, spot[i-1] the spot of car i, and the
+    considerate cars are those whose spot nobody prefers.
+    """
+
+    __slots__ = ("prefs", "car", "spot", "considerate")
 
     def __init__(self, prefs):
         prefs = tuple(int(v) for v in prefs)
-        if not park_analysis(prefs).valid:
-            raise ValueError(f"{prefs} is not a parking function")
+        n = len(prefs)
+        if any(not 1 <= v <= n for v in prefs):
+            raise ValueError("preferences must lie in 1..n")
+        car = [0] * (n + 1)
+        spot = []
+        for i, j in enumerate(prefs, start=1):
+            while j <= n and car[j]:
+                j += 1
+            if j > n:
+                raise ValueError(f"{prefs} is not a parking function")
+            car[j] = i
+            spot.append(j)
+        desired = set(prefs)
         self.prefs = prefs
+        self.car = tuple(car[1:])
+        self.spot = tuple(spot)
+        self.considerate = frozenset(i for i, j in enumerate(spot, start=1)
+                                     if j not in desired)
 
     @classmethod
     def parse(cls, text: str) -> "ParkingFunction":
@@ -308,40 +309,30 @@ class ParkingFunction:
         return f"ParkingFunction<{self}>"
 
 
-@dataclass(frozen=True)
-class DecoratedParkingFunction:
-    pf: ParkingFunction
-    cars: frozenset
-
-    def __post_init__(self):
-        report = park_analysis(self.pf.prefs)
-        if not self.cars <= report.cons:
-            raise ValueError("every decorated car must be considerate")
-
-
 def cpf(n: int, cars) -> list:
     """All parking functions of order n whose considerate cars include `cars`,
-    by filtering the n^n preference lists."""
+    by parking each of the n^n preference lists once."""
     cars = frozenset(cars)
     if not cars <= set(range(2, n + 1)):
         raise ValueError("decorated cars must lie in 2..n")
+    check_cpf_budget(n)
     out = []
     for prefs in product(range(1, n + 1), repeat=n):
-        report = park_analysis(prefs)
-        if report.valid and cars <= report.cons:
-            out.append(DecoratedParkingFunction(ParkingFunction(prefs), cars))
+        try:
+            pf = ParkingFunction(prefs)
+        except ValueError:
+            continue
+        if cars <= pf.considerate:
+            out.append(pf)
     return out
 
 
-def car_bars(prefs, cars) -> OrderedSetPartition:
+def car_bars(pf: ParkingFunction, cars) -> OrderedSetPartition:
     """Ordered set partition from the parked order, with a bar before every
     car not in `cars` (except the leftmost)."""
-    report = park_analysis(tuple(prefs))
-    if not report.valid:
-        raise ValueError("not a parking function")
     cars = frozenset(cars)
     blocks = []
-    for pos, c in enumerate(report.car):
+    for pos, c in enumerate(pf.car):
         if pos == 0 or c not in cars:
             blocks.append({c})
         else:
@@ -351,30 +342,19 @@ def car_bars(prefs, cars) -> OrderedSetPartition:
     return OrderedSetPartition(blocks)
 
 
-def area(prefs, cars) -> int:
+def area(pf: ParkingFunction, cars) -> int:
     """Spots passed beyond the preference, discounting spots parked in by the
     decorated considerate cars."""
-    report = park_analysis(tuple(prefs))
-    if not report.valid:
-        raise ValueError("not a parking function")
-    cars = frozenset(cars)
-    landmark = {report.spot[j - 1] for j in cars}
+    landmark = {pf.spot[j - 1] for j in cars}
     total = 0
-    for i, f_i in enumerate(tuple(prefs), start=1):
-        s_i = report.spot[i - 1]
-        passed = set(range(f_i, s_i + 1))
-        total += s_i - f_i - len(passed & landmark)
+    for f_i, s_i in zip(pf.prefs, pf.spot):
+        total += s_i - f_i - len(landmark.intersection(range(f_i, s_i + 1)))
     return total
 
 
-def wt_alpha(alpha, prefs) -> int:
+def wt_alpha(alpha, pf: ParkingFunction) -> int:
     """Product of hook entries indexed by the car occupying each desired spot."""
-    alpha = tuple(alpha)
-    report = park_analysis(tuple(prefs))
-    if not report.valid:
-        raise ValueError("not a parking function")
     out = 1
-    for f_i in prefs:
-        out *= alpha[report.car[f_i - 1] - 1]
+    for f_i in pf.prefs:
+        out *= alpha[pf.car[f_i - 1] - 1]
     return out
-

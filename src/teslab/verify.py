@@ -32,6 +32,7 @@ from .qt_algebra import M, ONE, Q, LaurentPolyQT, RatFuncQT, q_factorial, q_int,
 from .specializations import (
     area,
     car_bars,
+    check_cpf_budget,
     cpf,
     inv_stat,
     levande_map,
@@ -426,8 +427,10 @@ def suite_prop_6_2(bounds: Bounds) -> Report:
 
 
 def suite_prop_6_3(bounds: Bounds) -> Report:
+    n_max = bounds.cap(5)
+    check_cpf_budget(n_max)
     cases = []
-    for n in range(1, bounds.cap(5) + 1):
+    for n in range(1, n_max + 1):
         for alpha in product((0, 1), repeat=n):
             def check(alpha=alpha, n=n):
                 pis = osp_enumerate(n, set_of(alpha))
@@ -437,9 +440,9 @@ def suite_prop_6_3(bounds: Bounds) -> Report:
                     return None
                 S = frozenset(range(1, n + 1)) - set_of(alpha)
                 by_pi: dict = {}
-                for d in cpf(n, S):
-                    pi = car_bars(d.pf.prefs, S)
-                    by_pi[pi] = by_pi.get(pi, LaurentPolyQT()) + Q ** area(d.pf.prefs, S)
+                for pf in cpf(n, S):
+                    pi = car_bars(pf, S)
+                    by_pi[pi] = by_pi.get(pi, LaurentPolyQT()) + Q ** area(pf, S)
                 for pi in pis:
                     _, tail = target_tail(alpha, pi)
                     expect = ONE
@@ -482,7 +485,7 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
             S = frozenset(range(1, n + 1)) - set_of(alpha)
 
             def check(alpha=alpha, n=n, S=S):
-                total = sum(wt_alpha(alpha, d.pf.prefs) for d in cpf(n, S))
+                total = sum(wt_alpha(alpha, pf) for pf in cpf(n, S))
                 expect = tes_11(alpha)
                 if total != expect:
                     return _mismatch({"alpha": list(alpha), "identity": "cpf-weight"},

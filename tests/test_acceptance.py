@@ -11,11 +11,11 @@ from teslab.macdonald import virtual_F
 from teslab.plethysm import MonomialSymFn
 from teslab.specializations import (
     OrderedSetPartition,
+    ParkingFunction,
     area,
     car_bars,
     cpf,
     inv_stat,
-    park_analysis,
     psi,
     target_tail,
     wt_alpha,
@@ -107,15 +107,15 @@ def test_criterion_14_golden_examples():
     image = psi((2, 0, 3, 1), pi)
     assert image.rows == ((0, 2, 0, 0), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 0, 6))
 
-    assert {str(d.pf) for d in cpf(3, {2})} == {"111", "113", "221"}
+    assert {str(d) for d in cpf(3, {2})} == {"111", "113", "221"}
 
-    report = park_analysis((5, 1, 2, 1, 1, 4, 2))
+    report = ParkingFunction((5, 1, 2, 1, 1, 4, 2))
     assert report.car == (2, 3, 4, 5, 1, 6, 7)
     assert report.spot == (5, 1, 2, 3, 4, 6, 7)
-    assert str(car_bars((5, 1, 2, 1, 1, 4, 2), {4, 7})) == "2|34|5|1|67"
-    assert area((5, 1, 2, 1, 1, 4, 2), {4, 7}) == 8
+    assert str(car_bars(report, {4, 7})) == "2|34|5|1|67"
+    assert area(report, {4, 7}) == 8
 
-    assert wt_alpha((2, -1, 0, 3), (2, 1, 2, 1)) == 4
+    assert wt_alpha((2, -1, 0, 3), ParkingFunction((2, 1, 2, 1))) == 4
 
     from teslab.macdonald import hilb_delta
 

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from teslab import cli, specializations
 from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import parse_poly_json
-from teslab.tesler import enumerate_tesler, parse_hooks, tes
+from teslab.tesler import count_tesler, enumerate_tesler, parse_hooks, tes
 from teslab.verify import Bounds, run_suite
 
 
@@ -98,6 +99,30 @@ class TestEnumerateCommand:
         path = tmp_path / "stream.jsonl"
         assert run_cli(capsys, "enumerate", "--hooks", hooks, "--out", str(path))[0] == 0
         assert path.read_bytes() == joined.encode()
+
+    def test_json_over_cap_exits_2_before_writing(self, capsys, tmp_path):
+        hooks = "1,1,1,1,1,1,1,1"
+        code, out, err = run_cli(capsys, "enumerate", "--hooks", hooks)
+        assert code == 2 and out == ""
+        assert "2,766,572" in err and "1,000,000" in err and "--format count" in err
+        path = tmp_path / "never.jsonl"
+        assert run_cli(capsys, "enumerate", "--hooks", hooks, "--out", str(path))[0] == 2
+        assert not path.exists()
+        assert run_cli(capsys, "enumerate", "--hooks", hooks, "--format", "count")[1] == "2766572\n"
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        count = count_tesler((1, 1, 1))
+        monkeypatch.setattr(cli, "ENUMERATE_JSON_CAP", count)
+        code, out, _ = run_cli(capsys, "enumerate", "--hooks", "1,1,1")
+        assert code == 0 and len(out.splitlines()) == count
+        monkeypatch.setattr(cli, "ENUMERATE_JSON_CAP", count - 1)
+        code, out, err = run_cli(capsys, "enumerate", "--hooks", "1,1,1")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_permutational_is_not_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ENUMERATE_JSON_CAP", 0)
+        code, out, _ = run_cli(capsys, "enumerate", "--hooks", "1,1,1", "--permutational")
+        assert code == 0 and len(out.splitlines()) == 6
 
 
 class TestHilbCommand:
@@ -192,6 +217,15 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    def test_parking_budget_exits_2_before_any_case(self, capsys, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("prop-6-3 scanned over the cpf budget")
+
+        monkeypatch.setattr(specializations, "product", scan)
+        code, out, err = run_cli(capsys, "verify", "--suite", "prop-6-3", "--n-max", "9")
+        assert code == 2 and out == ""
+        assert "9^9 = 387,420,489" in err and "n <= 7" in err
 
     @pytest.mark.parametrize("text", ["abc", "1", "1..x", ""])
     def test_malformed_entry_range_exits_2(self, capsys, text):

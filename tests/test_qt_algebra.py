@@ -69,6 +69,16 @@ class TestLaurentArith:
     def test_bar_involution(self, a):
         assert a.bar().bar() == a
 
+    @pytest.mark.parametrize("c", [0, 1, -3])
+    def test_constant_hashes_like_its_int(self, c):
+        assert LaurentPolyQT.const(c) == c
+        assert hash(LaurentPolyQT.const(c)) == hash(c)
+
+    def test_ints_find_constants_in_sets(self):
+        assert 1 in {ONE}
+        assert 0 in {ZERO}
+        assert ONE in {1} and Q not in {0, 1}
+
     def test_bar_examples(self):
         assert (Q + Q * T).bar() == lp({(-1, 0): 1, (-1, -1): 1})
         assert M.bar() * (Q * T) == M  # bar(M) = M/(qt)

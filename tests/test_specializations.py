@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+from teslab import specializations
 from teslab.qt_algebra import ONE, Q, LaurentPolyQT, q_int, q_factorial
 from teslab.specializations import (
+    CPF_N_MAX,
     OrderedSetPartition,
     ParkingFunction,
     area,
@@ -13,7 +15,6 @@ from teslab.specializations import (
     inv_stat,
     levande_map,
     osp_enumerate,
-    park_analysis,
     psi,
     q_stirling,
     set_of,
@@ -197,24 +198,26 @@ class TestT1:
 
 class TestParking:
     def test_car_spot_example(self):
-        report = park_analysis((5, 1, 2, 1, 1, 4, 2))
-        assert report.valid
+        report = ParkingFunction((5, 1, 2, 1, 1, 4, 2))
         assert report.car == (2, 3, 4, 5, 1, 6, 7)
         assert report.spot == (5, 1, 2, 3, 4, 6, 7)
-        assert {4, 7} <= report.cons
+        assert {4, 7} <= report.considerate
 
     def test_invalid(self):
-        assert not park_analysis((3, 1, 3)).valid
         with pytest.raises(ValueError):
             ParkingFunction((3, 1, 3))
 
     def test_car_spot_inverse(self):
         for prefs in product((1, 2, 3, 4), repeat=4):
-            report = park_analysis(prefs)
-            if not report.valid:
+            try:
+                report = ParkingFunction(prefs)
+            except ValueError:
                 continue
             for i in range(1, 5):
                 assert report.car[report.spot[i - 1] - 1] == i
+            # considerate: the cars whose spot no car prefers
+            assert report.considerate == {i for i in range(1, 5)
+                                          if report.spot[i - 1] not in prefs}
 
     def test_parse_print(self):
         pf = ParkingFunction.parse("5121142")
@@ -224,22 +227,37 @@ class TestParking:
 
 class TestCPF:
     def test_small_decorated_set(self):
-        got = {str(d.pf) for d in cpf(3, {2})}
+        got = {str(d) for d in cpf(3, {2})}
         assert got == {"111", "113", "221"}
 
     def test_car_bars(self):
-        assert str(car_bars((5, 1, 2, 1, 1, 4, 2), {4, 7})) == "2|34|5|1|67"
+        pf = ParkingFunction((5, 1, 2, 1, 1, 4, 2))
+        assert str(car_bars(pf, {4, 7})) == "2|34|5|1|67"
 
     def test_area(self):
-        assert area((5, 1, 2, 1, 1, 4, 2), {4, 7}) == 8
+        assert area(ParkingFunction((5, 1, 2, 1, 1, 4, 2)), {4, 7}) == 8
 
     def test_area_empty_set_is_classical(self):
         for prefs in product((1, 2, 3), repeat=3):
-            report = park_analysis(prefs)
-            if not report.valid:
+            try:
+                report = ParkingFunction(prefs)
+            except ValueError:
                 continue
             classical = sum(s - f for s, f in zip(report.spot, prefs))
-            assert area(prefs, frozenset()) == classical
+            assert area(report, frozenset()) == classical
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_undecorated_count(self, n):
+        # there are (n+1)^(n-1) parking functions of order n: 1, 3, 16, 125, 1296
+        assert len(cpf(n, ())) == (n + 1) ** (n - 1)
+
+    def test_budget_refuses_before_scanning(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("cpf scanned over its budget")
+
+        monkeypatch.setattr(specializations, "product", scan)
+        with pytest.raises(ValueError, match="8\\^8"):
+            cpf(CPF_N_MAX + 1, ())
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_tail_products_refine_parking(self, n):
@@ -249,9 +267,9 @@ class TestCPF:
             S = frozenset(range(1, n + 1)) - set_of(alpha)
             by_pi = {}
             for d in cpf(n, S):
-                pi = car_bars(d.pf.prefs, S)
+                pi = car_bars(d, S)
                 by_pi.setdefault(pi, LaurentPolyQT())
-                by_pi[pi] = by_pi[pi] + Q ** area(d.pf.prefs, S)
+                by_pi[pi] = by_pi[pi] + Q ** area(d, S)
             for pi in osp_enumerate(n, set_of(alpha)):
                 _, tail = target_tail(alpha, pi)
                 expect = ONE
@@ -267,10 +285,10 @@ class TestQT11:
         assert tes_11((5,)) == 5
 
     def test_wt_alpha_example(self):
-        assert wt_alpha((2, -1, 0, 3), (2, 1, 2, 1)) == 4
+        assert wt_alpha((2, -1, 0, 3), ParkingFunction((2, 1, 2, 1))) == 4
 
     def test_wt_alpha_all_ones(self):
-        assert wt_alpha((1, 1, 1), (1, 2, 1)) == 1
+        assert wt_alpha((1, 1, 1), ParkingFunction((1, 2, 1))) == 1
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_specialization(self, n):
@@ -287,5 +305,5 @@ class TestQT11:
             S = frozenset(range(1, n + 1)) - set_of(alpha)
             if not S <= set(range(2, n + 1)):
                 continue  # car 1 cannot be considerate
-            total = sum(wt_alpha(alpha, d.pf.prefs) for d in cpf(n, S))
+            total = sum(wt_alpha(alpha, d) for d in cpf(n, S))
             assert total == tes_11(alpha)
