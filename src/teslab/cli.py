@@ -16,7 +16,14 @@ from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
 from .qt_algebra import LaurentPolyQT
 from .specializations import tes_11, tes_t0, tes_t1
-from .tesler import count_tesler, enumerate_permutational, enumerate_tesler, parse_hooks, tes
+from .tesler import (
+    count_permutational,
+    count_tesler,
+    enumerate_permutational,
+    enumerate_tesler,
+    parse_hooks,
+    tes,
+)
 from .verify import SUITE_NAMES, Bounds, run_suite
 
 USAGE_ERROR = 2
@@ -75,17 +82,19 @@ def cmd_tes(args) -> int:
 
 def cmd_enumerate(args) -> int:
     alpha = parse_hooks(args.hooks)
+    if args.permutational:
+        kind, count_of, stream_of = ("permutational Tesler", count_permutational,
+                                     enumerate_permutational)
+    else:
+        kind, count_of, stream_of = "Tesler", count_tesler, enumerate_tesler
+    count = count_of(alpha)
     if args.format == "count":
-        count = (sum(1 for _ in enumerate_permutational(alpha)) if args.permutational
-                 else count_tesler(alpha))
         _emit(str(count), args)
         return 0
-    if not args.permutational:
-        count = count_tesler(alpha)
-        if count > ENUMERATE_JSON_CAP:
-            raise ValueError(f"--hooks {args.hooks} has {count:,} Tesler matrices, over the "
-                             f"JSON cap of {ENUMERATE_JSON_CAP:,}; use --format count")
-    stream = enumerate_permutational(alpha) if args.permutational else enumerate_tesler(alpha)
+    if count > ENUMERATE_JSON_CAP:
+        raise ValueError(f"--hooks {args.hooks} has {count:,} {kind} matrices, over the "
+                         f"JSON cap of {ENUMERATE_JSON_CAP:,}; use --format count")
+    stream = stream_of(alpha)
     # one line per matrix as it is produced; an empty stream still ends in "\n"
     empty = True
     with _output(args) as fh:

@@ -22,16 +22,32 @@ Armstrong-Garsia-Haglund-Rhoades-Sagan, J. Comb. 3 (2012), here with signed
 hooks).  No factor of w(r) depends on where an entry sits, only on the
 multiset of entries of r, so the first rows are grouped by that multiset (a
 partition of |s_1|): the sub-values of a group are added, then multiplied by
-the group's weight once.  An lru_cache keyed on the hook vector of the
-remaining rows shares sub-vectors within one call and across calls.
-count_tesler runs the same recursion with every weight set to 1.
-enumerate_tesler and TeslerMatrix.weight stay as the independent brute-force
-definition.
+the group's weight once.
+
+The recursion adds and multiplies Python ints, not dicts (Kronecker
+substitution, as in Harvey, J. Symb. Comput. 44 (2009)).  q^a t^b -> y^(aW+b)
+with y = 2^K is a ring homomorphism from Z[q,t,1/q,1/t] to Z[y,1/y], so a
+value is one int N and a slot offset e (the value is y^e * N), a sum is a
+shift-and-add and a weight product one integer multiply, both in C.  Before
+any packing, _bound runs the same recursion on three integers: a bound L1 on
+the sum of the absolute coefficients and a window [tlo, thi] holding every
+t-exponent, both built from the actual weight polynomials.  With
+2^(K-1) > L1 every coefficient is a balanced base-2^K digit, and with
+W > thi - tlo no two monomials of the value land in one slot, so tes decodes
+the packed value exactly, once, whatever the input.  K and W are rounded up
+to fixed steps so that calls of similar size share the memoized states,
+which an lru_cache keys on (hook vector of the remaining rows, K, W).
+
+count_tesler and count_permutational run the recursion with every weight
+set to 1.  enumerate_tesler and TeslerMatrix.weight stay as the independent
+brute-force definition.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from operator import add
 
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, qt_int
 
@@ -240,36 +256,139 @@ def tes(alpha) -> LaurentPolyQT:
     memoized on the hook vector of the rows below, so sub-vectors are shared
     within one call and across calls.  w(r) depends only on the multiset of
     entries of r, so the sub-values of all rows with one multiset are added
-    first and multiplied by their common weight once.  Values are immutable
-    and safe to share.
+    first and multiplied by their common weight once.
+
+    The recursion runs on Kronecker-packed ints (see the module docstring).
+    _bound(alpha) gives L1, a bound on the sum of the absolute coefficients,
+    and a window [tlo, thi] of t-exponents; with 2^(K-1) > L1 and
+    W > thi - tlo no coefficient spills into the next slot and no two
+    monomials share one, so the balanced base-2^K digits of the packed
+    result are exactly its coefficients.  Values are immutable and safe to
+    share.
     """
-    return _tes_cached(tuple(alpha))
+    alpha = tuple(alpha)
+    l1, tlo, thi = _bound(alpha)
+    if not l1:
+        return ZERO
+    k, w = _slot_sizes(l1, tlo, thi)
+    packed, low = _tes_cached(alpha, k, w)
+    return _unpack(packed, low, k, w, tlo)
 
 
-def _add_terms(acc: dict, terms: dict) -> None:
-    for mono, c in terms.items():
-        v = acc.get(mono, 0) + c
-        if v:
-            acc[mono] = v
-        elif mono in acc:
-            del acc[mono]
+# K and W round up to these steps, so that calls of similar size use the same
+# packing and share memoized states.  Exact sizes spread the states of one
+# verify suite over many (K, W); coarser steps lengthen every int.
+K_STEP = 16
+W_STEP = 8
+
+
+def _slot_sizes(l1: int, tlo: int, thi: int) -> tuple:
+    """(K, W) for a value with coefficient sum at most l1 and t-exponents in
+    [tlo, thi]: 2^(K-1) > l1 and W > thi - tlo, each rounded up to its step."""
+    k = -(-(l1.bit_length() + 1) // K_STEP) * K_STEP
+    w = -(-(thi - tlo + 1) // W_STEP) * W_STEP
+    return k, w
+
+
+def _span(poly: LaurentPolyQT) -> tuple:
+    """(sum of |coefficients|, lowest t-exponent, highest t-exponent)."""
+    ts = [b for _, b in poly.terms]
+    return sum(map(abs, poly.terms.values())), min(ts), max(ts)
 
 
 @lru_cache(maxsize=None)
-def _tes_cached(alpha: tuple) -> LaurentPolyQT:
+def _row_spans(s: int, width: int) -> tuple:
+    return tuple((_span(weight), tails) for weight, tails in _first_rows(s, width))
+
+
+# the bound of the zero value: no coefficient and an empty t-window
+_ZERO_BOUND = (0, math.inf, -math.inf)
+
+
+@lru_cache(maxsize=None)
+def _bound(alpha: tuple) -> tuple:
+    """(l1, tlo, thi): the sum of |coefficients| of tes(alpha) is at most l1,
+    and its t-exponents lie in [tlo, thi] (an empty window when l1 = 0).
+
+    The first-row recursion of tes with every value replaced by these three
+    numbers: a sum adds the l1 and joins the windows, a product multiplies
+    the l1 and adds the windows.
+    """
     if not alpha or alpha[0] == 0:
-        return ZERO
+        return _ZERO_BOUND
     if len(alpha) == 1:
-        return qt_int(alpha[0])
+        return _span(qt_int(alpha[0]))
     below = alpha[1:]
-    acc: dict = {}
-    for weight, tails in _first_rows(alpha[0], len(alpha)):
-        group: dict = {}
-        for tail in tails:
-            _add_terms(group, _tes_cached(tuple(a + r for a, r in zip(below, tail))).terms)
-        if group:
-            _add_terms(acc, (weight * LaurentPolyQT._raw(group)).terms)
-    return LaurentPolyQT._raw(acc)
+    l1, lo, hi = _ZERO_BOUND
+    for (wl1, wlo, whi), tails in _row_spans(alpha[0], len(alpha)):
+        l1s, los, his = zip(*[_bound(tuple(map(add, below, tail))) for tail in tails])
+        total = sum(l1s)
+        if total:
+            l1 += wl1 * total
+            lo = min(lo, wlo + min(los))
+            hi = max(hi, whi + max(his))
+    return l1, lo, hi
+
+
+def _pack(poly: LaurentPolyQT, k: int, w: int) -> tuple:
+    """(N, e) with poly = y^e * N(y) under q^a t^b -> y^(aW+b), y = 2^K."""
+    if not poly:
+        return 0, 0
+    slots = [(a * w + b, c) for (a, b), c in poly.terms.items()]
+    low = min(s for s, _ in slots)
+    return sum(c << k * (s - low) for s, c in slots), low
+
+
+def _unpack(packed: int, low: int, k: int, w: int, tlo: int) -> LaurentPolyQT:
+    """The polynomial of _pack's (N, e), given that every coefficient is less
+    than 2^(K-1) in absolute value and every t-exponent lies in
+    [tlo, tlo + W).  Adding 2^(K-1) to every slot makes each balanced digit
+    a plain base-2^K digit, read from the binary string of the sum."""
+    if not packed:
+        return ZERO
+    count = abs(packed).bit_length() // k + 2
+    half = 1 << (k - 1)
+    digits = format(packed + int(("1" + "0" * (k - 1)) * count, 2), "b").zfill(count * k)
+    terms = {}
+    end = len(digits)
+    for slot in range(low, low + count):
+        c = int(digits[end - k:end], 2) - half
+        end -= k
+        if c:
+            a, b = divmod(slot - tlo, w)
+            terms[(a, b + tlo)] = c
+    return LaurentPolyQT._raw(terms)
+
+
+@lru_cache(maxsize=None)
+def _packed_rows(s: int, width: int, k: int, w: int) -> tuple:
+    return tuple((_pack(weight, k, w), tails) for weight, tails in _first_rows(s, width))
+
+
+def _add_packed(values, k: int) -> tuple:
+    """The sum of packed (N, e) values, aligned to the lowest e of a nonzero N."""
+    values = [v for v in values if v[0]]
+    if len(values) < 2:
+        return values[0] if values else (0, 0)
+    low = min([e for _, e in values])
+    return sum([n << k * (e - low) for n, e in values]), low
+
+
+@lru_cache(maxsize=None)
+def _tes_cached(alpha: tuple, k: int, w: int) -> tuple:
+    """tes(alpha) packed with slot sizes (K, W), as the (N, e) of _pack."""
+    if not alpha or alpha[0] == 0:
+        return 0, 0
+    if len(alpha) == 1:
+        return _pack(qt_int(alpha[0]), k, w)
+    below = alpha[1:]
+    products = []
+    for (wn, we), tails in _packed_rows(alpha[0], len(alpha), k, w):
+        n, e = _add_packed([_tes_cached(tuple(map(add, below, tail)), k, w)
+                            for tail in tails], k)
+        if n:
+            products.append((n * wn, e + we))
+    return _add_packed(products, k)
 
 
 def count_tesler(alpha) -> int:
@@ -291,3 +410,25 @@ def _count_cached(alpha: tuple) -> int:
     sign = 1 if alpha[0] > 0 else -1
     return sum(_count_cached(tuple(a + sign * r for a, r in zip(below, comp[1:])))
                for comp in compositions(abs(alpha[0]), len(alpha)))
+
+
+def count_permutational(alpha) -> int:
+    """The number of permutational Tesler matrices with hooks alpha.
+
+    The first row of such a matrix is its total s = alpha_1 in one place:
+    on the diagonal, which leaves the hooks below as they are, or above row
+    j, which adds s to the hook of row j.  Memoized on the hooks below.
+    """
+    return _count_permutational_cached(tuple(alpha))
+
+
+@lru_cache(maxsize=None)
+def _count_permutational_cached(alpha: tuple) -> int:
+    if not alpha or alpha[0] == 0:
+        return 0
+    if len(alpha) == 1:
+        return 1
+    s, below = alpha[0], alpha[1:]
+    return _count_permutational_cached(below) + sum(
+        _count_permutational_cached(below[:j] + (below[j] + s,) + below[j + 1:])
+        for j in range(len(below)))

@@ -119,10 +119,26 @@ class TestEnumerateCommand:
         code, out, err = run_cli(capsys, "enumerate", "--hooks", "1,1,1")
         assert code == 2 and out == "" and err.startswith("error: ")
 
-    def test_permutational_is_not_capped(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ENUMERATE_JSON_CAP", 0)
+    def test_permutational_json_over_cap_exits_2_before_writing(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        monkeypatch.setattr(cli, "ENUMERATE_JSON_CAP", 6)
         code, out, _ = run_cli(capsys, "enumerate", "--hooks", "1,1,1", "--permutational")
         assert code == 0 and len(out.splitlines()) == 6
+        monkeypatch.setattr(cli, "ENUMERATE_JSON_CAP", 5)
+        path = tmp_path / "never.jsonl"
+        code, out, err = run_cli(capsys, "enumerate", "--hooks", "1,1,1", "--permutational",
+                                 "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert "6 permutational Tesler matrices" in err and "--format count" in err
+
+    def test_permutational_count_does_not_walk(self, capsys):
+        # 12! matrices: counted by the recursion, never streamed
+        code, out, _ = run_cli(capsys, "enumerate", "--hooks", ",".join(["1"] * 12),
+                               "--permutational", "--format", "count")
+        assert code == 0 and out == "479001600\n"
+        code, out, err = run_cli(capsys, "enumerate", "--hooks", ",".join(["1"] * 12),
+                                 "--permutational")
+        assert code == 2 and out == "" and "479,001,600" in err
 
 
 class TestHilbCommand:

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import islice
 
 import pytest
@@ -11,8 +12,13 @@ from teslab.macdonald import tes_via_theorem
 from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, qt_int
 from teslab.tesler import (
     TeslerMatrix,
+    _bound,
     _first_rows,
+    _pack,
+    _slot_sizes,
+    _unpack,
     compositions,
+    count_permutational,
     count_tesler,
     enumerate_permutational,
     enumerate_tesler,
@@ -115,6 +121,18 @@ class TestPermutational:
 
     def test_count_1_1_1(self):
         assert sum(1 for _ in enumerate_permutational((1, 1, 1))) == 6
+
+    def test_count_matches_enumeration(self):
+        rng = random.Random(43)
+        vectors = [()] + [tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 5)))
+                          for _ in range(60)]
+        for alpha in vectors:
+            assert count_permutational(alpha) == sum(1 for _ in enumerate_permutational(alpha))
+
+    def test_count_ones_is_factorial(self):
+        # each row of a permutational matrix with hooks 1^n picks one of the
+        # n - i places left of it: n! matrices, counted without walking them
+        assert count_permutational((1,) * 12) == 479_001_600
 
     def test_subset_of_enumeration(self):
         rng = random.Random(5)
@@ -274,3 +292,70 @@ class TestCompositions:
     def test_empty(self):
         assert compositions(0, 0) == ((),)
         assert compositions(1, 0) == ()
+
+
+def _tes_dict(alpha):
+    """tes by the first-row recursion on dicts of terms: the grouped sum of
+    sub-values, one product per group weight, no packing."""
+    return LaurentPolyQT._raw(_tes_dict_terms(tuple(alpha)))
+
+
+@lru_cache(maxsize=None)
+def _tes_dict_terms(alpha):
+    if not alpha or alpha[0] == 0:
+        return {}
+    if len(alpha) == 1:
+        return qt_int(alpha[0]).terms
+    acc = Counter()
+    for weight, tails in _first_rows(alpha[0], len(alpha)):
+        group = Counter()
+        for tail in tails:
+            group.update(_tes_dict_terms(tuple(a + r for a, r in zip(alpha[1:], tail))))
+        acc.update((weight * LaurentPolyQT(group)).terms)
+    return {mono: c for mono, c in acc.items() if c}
+
+
+class TestPackedKernel:
+    @given(st.integers(2, 70), st.integers(1, 12), st.integers(-30, 30), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pack_unpack_round_trip(self, k, w, tlo, data):
+        top = (1 << (k - 1)) - 1
+        coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top))
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(-20, 20), st.integers(tlo, tlo + w - 1)),
+            coeff.filter(bool), max_size=40))
+        poly = LaurentPolyQT._raw(terms)
+        assert _unpack(*_pack(poly, k, w), k, w, tlo) == poly
+
+    @pytest.mark.parametrize("l1", [1, 2**14, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**47 - 1])
+    @pytest.mark.parametrize("span", [0, 6, 7, 8, 15, 16])
+    def test_slot_sizes_decode_extreme_values(self, l1, span):
+        # coefficients of +-l1 at both ends of the t-window, next to each other
+        k, w = _slot_sizes(l1, -3, span - 3)
+        terms = {}
+        for a in range(-2, 3):
+            terms[(a, -3)] = l1 if a % 2 else -l1
+            terms[(a, span - 3)] = -l1 if a % 2 else l1
+        poly = LaurentPolyQT._raw(terms)
+        assert _unpack(*_pack(poly, k, w), k, w, -3) == poly
+
+    def test_bound_dominates_value(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
+            value = tes(alpha)
+            l1, tlo, thi = _bound(alpha)
+            assert sum(map(abs, value.terms.values())) <= l1
+            if value:
+                ts = [b for _, b in value.terms]
+                assert tlo <= min(ts) and max(ts) <= thi
+
+    @pytest.mark.parametrize("alpha", [(1,) * 9, (-1,) * 9, (2,) * 6, (-2,) * 6])
+    def test_matches_dict_recursion(self, alpha):
+        assert tes(alpha) == _tes_dict(alpha)
+
+    def test_matches_dict_recursion_seeded(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            alpha = tuple(rng.randint(-2, 2) for _ in range(7))
+            assert tes(alpha) == _tes_dict(alpha)
