@@ -8,6 +8,12 @@ VI (6.24)), so every denominator factor is a binomial.  The virtual Hilbert
 series F^alpha_mu is the cover recursion with the first hook entry
 exponentiating the cover monomial.  Every final answer is converted back to
 a Laurent polynomial, which doubles as a structural self-check.
+
+Conjugation exchanges q and t: H~_mu'(X; q, t) = H~_mu(X; t, q) (Macdonald,
+VI; Garsia-Haiman 1996), and with it c, the cover monomials, B, Pi and w.
+So F^alpha_mu' is F^alpha_mu with q and t swapped, and every sum over the
+partitions of n computes one partition of each conjugate pair
+(_conjugate_sum).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
@@ -166,7 +172,11 @@ def virtual_F(alpha: tuple, mu: Partition) -> RatFuncQT:
     """The recursively defined q,t-deformation of the Hilbert series of mu.
 
     alpha is a tuple of length |mu| - 1; entry i exponentiates the cover
-    monomial at depth i of the recursion.
+    monomial at depth i of the recursion.  Conjugation swaps q and t in
+    every c and cover monomial of the recursion, so F^alpha_mu' is
+    F^alpha_mu with q and t swapped; when mu is lexicographically smaller
+    than mu', F^alpha_mu is the swap of F^alpha_mu', and the recursion runs
+    for one partition of each conjugate pair.
     """
     n = mu.n
     if len(alpha) != n - 1:
@@ -174,6 +184,9 @@ def virtual_F(alpha: tuple, mu: Partition) -> RatFuncQT:
     _check_cap(n)
     if n == 1:
         return RatFuncQT.from_laurent(ONE)
+    conj = mu.conjugate()
+    if mu.parts < conj.parts:
+        return virtual_F(alpha, conj).swap_qt()
     total = RatFuncQT.from_laurent(ZERO)
     for nu, c in skew_pieri_c(mu).items():
         power = RatFuncQT.from_laurent(cover_monomial(nu, mu) ** alpha[0])
@@ -193,19 +206,44 @@ def _eigen_coeff(mu: Partition, target: str) -> RatFuncQT:
     return RatFuncQT.from_factors(num, w_factors(mu))
 
 
+@lru_cache(maxsize=None)
+def _zero_hook_term(mu: Partition, target: str) -> RatFuncQT:
+    """_eigen_coeff(mu, target) * F^(0,...,0)_mu: the part of an _eigen_sum term free of f."""
+    return _eigen_coeff(mu, target) * virtual_F((0,) * (mu.n - 1), mu)
+
+
+def _conjugate_sum(n: int, term, term_sigma=None) -> RatFuncQT:
+    """The sum of term(mu) over the partitions mu of n, from half of them.
+
+    term_sigma (term when None) must satisfy term(mu') = swap(term_sigma(mu)),
+    swap exchanging q and t.  With P the sum of term and P' that of
+    term_sigma over the partitions mu > mu' (lexicographically), the sum is
+    P + swap(P') + the terms of the self-conjugate mu.
+    """
+    half = other = fixed = RatFuncQT.from_laurent(ZERO)
+    for mu in partitions_of(n):
+        conj = mu.conjugate()
+        if mu.parts == conj.parts:
+            fixed = fixed + term(mu)
+        elif mu.parts > conj.parts:
+            half = half + term(mu)
+            if term_sigma is not None:
+                other = other + term_sigma(mu)
+    return half + (half if term_sigma is None else other).swap_qt() + fixed
+
+
 def hilb_tilde(alpha, target: str) -> RatFuncQT:
     """Virtual Hilbert series of e_n, or of p_n carrying its sign/[n]q[n]t scale.
 
     target 'e' weights F by M*B*Pi/w; target 'p' weights by M*Pi/w, which
     absorbs the (-1)^(n-1)/([n]_q [n]_t) prefactor of the p_n expansion.
+    Conjugating mu swaps q and t in the weight and in F, so the sum over mu
+    runs on one partition of each conjugate pair.
     """
     alpha = tuple(alpha)
     n = len(alpha) + 1
     _check_cap(n)
-    total = RatFuncQT.from_laurent(ZERO)
-    for mu in partitions_of(n):
-        total = total + _eigen_coeff(mu, target) * virtual_F(alpha, mu)
-    return total
+    return _conjugate_sum(n, lambda mu: _eigen_coeff(mu, target) * virtual_F(alpha, mu))
 
 
 def tes_via_theorem(alpha) -> LaurentPolyQT:
@@ -214,14 +252,23 @@ def tes_via_theorem(alpha) -> LaurentPolyQT:
 
 
 def _eigen_sum(f: MonomialSymFn, shift: int, target: str, n: int) -> LaurentPolyQT:
-    """Sum of f[B_mu - shift] against the weighted zero-hook virtual series."""
-    total = RatFuncQT.from_laurent(ZERO)
-    for mu in partitions_of(n):
-        bracket = f.eval_bracket(partition_stats(mu).B - shift)
+    """Sum of f[B_mu - shift] against the weighted zero-hook virtual series.
+
+    B_mu' is B_mu with q and t swapped, but f's coefficients are Laurent
+    polynomials in q and t themselves, so f[B_mu' - s] is the swap of
+    f^sigma[B_mu - s], where f^sigma swaps q and t in f's coefficients.  The
+    conjugate half of the sum therefore takes f^sigma's brackets; when
+    f^sigma == f (every f with integer coefficients) it is the first half.
+    """
+    def term(g, mu):
+        bracket = g.eval_bracket(partition_stats(mu).B - shift)
         if bracket.is_zero():
-            continue
-        total = total + _eigen_coeff(mu, target) * bracket * virtual_F((0,) * (n - 1), mu)
-    return total.to_laurent()
+            return RatFuncQT.from_laurent(ZERO)
+        return _zero_hook_term(mu, target) * bracket
+
+    f_sigma = f.swap_qt()
+    term_sigma = None if f_sigma == f else partial(term, f_sigma)
+    return _conjugate_sum(n, partial(term, f), term_sigma).to_laurent()
 
 
 def _check_route(route: str) -> None:

@@ -132,6 +132,10 @@ class MonomialSymFn:
         body = " + ".join(f"({c})*m[{','.join(map(str, r))}]" for r, c in sorted(self.coeffs.items()))
         return f"MonomialSymFn<{body or '0'}>"
 
+    def swap_qt(self) -> "MonomialSymFn":
+        """f^sigma: q and t exchanged in every coefficient, the basis untouched."""
+        return MonomialSymFn({rho: c.swap_qt() for rho, c in self.coeffs.items()})
+
     def degree(self) -> int:
         return max((sum(r) for r in self.coeffs), default=0)
 

@@ -562,14 +562,32 @@ class RatFuncQT:
 
     def bar(self) -> "RatFuncQT":
         """Substitute q -> 1/q, t -> 1/t."""
-        num = self.num.bar()
+        return self._substitute(LaurentPolyQT.bar)
+
+    def swap_qt(self) -> "RatFuncQT":
+        """Exchange q and t."""
+        return self._substitute(LaurentPolyQT.swap_qt)
+
+    def _substitute(self, sigma) -> "RatFuncQT":
+        # sigma is a ring automorphism that permutes monomials and keeps
+        # coefficients.  It maps a primitive factor to sign * x^mins times a
+        # primitive one, so only the sign and the shift move into num; and a
+        # factor divides sigma(num) iff its preimage divides num, so a reduced
+        # fraction stays reduced and _reduce is not needed.
+        num = sigma(self.num)
+        sign, shift0, shift1 = 1, 0, 0
         prims = []
         for f in self.factors:
-            # primitive factors stay primitive under bar (coefficients unchanged)
-            sign, _, mins, prim = _split_canonical(f.bar())
-            num = num.shift(-mins[0], -mins[1]) * sign
+            s, _, (m0, m1), prim = _split_canonical(sigma(f))
+            sign *= s
+            shift0 += m0
+            shift1 += m1
             prims.append(prim)
-        return RatFuncQT._make(num, self.den_int, tuple(prims))
+        out = object.__new__(RatFuncQT)
+        out.num = num.shift(-shift0, -shift1) * sign
+        out.den_int = self.den_int
+        out.factors = tuple(sorted(prims, key=_factor_key))
+        return out
 
     def __str__(self) -> str:
         if self.is_laurent():
@@ -611,5 +629,10 @@ def _reduce(num: LaurentPolyQT, den_int: int, factors):
         if g > 1:
             num = LaurentPolyQT._raw({m: c // g for m, c in num.terms.items()})
             den_int //= g
-    kept.sort(key=lambda f: sorted(f.terms.items()))
+    kept.sort(key=_factor_key)
     return num, den_int, tuple(kept)
+
+
+def _factor_key(f: LaurentPolyQT):
+    # the order of a denominator's factors, so equal multisets are equal tuples
+    return sorted(f.terms.items())

@@ -4,12 +4,15 @@ Each suite builds a list of labelled cases (pure closures returning None on
 success or a failure record), runs them in order, and returns a
 machine-readable Report.  Case lists are deterministic for a given seed and
 bounds, and the notes are computed from the suite's own inputs, so a report
-is a function of (suite, bounds) alone, apart from its timings.
+is a function of (suite, bounds) alone, apart from elapsed_ms and stats:
+the slowest cases with their times, and what the suite did to each teslab
+lru_cache.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -75,6 +78,7 @@ class Report:
     failures: list
     elapsed_ms: int
     notes: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -87,6 +91,7 @@ class Report:
             "failures": self.failures,
             "elapsed_ms": self.elapsed_ms,
             "notes": self.notes,
+            "stats": self.stats,
         }
 
 
@@ -105,14 +110,57 @@ def _equal_case(inputs, lhs_fn, rhs_fn):
     return inputs, check
 
 
-def _run(name: str, cases: list) -> Report:
+SLOWEST_CASES = 5
+
+
+def _lru_caches() -> dict:
+    """Every lru_cache of a loaded teslab module, by module and name."""
+    found = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "teslab" or modname.startswith("teslab."):
+            for value in vars(mod).values():
+                if hasattr(value, "cache_info"):
+                    found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+def _cache_counts(caches: dict) -> dict:
+    return {name: fn.cache_info() for name, fn in caches.items()}
+
+
+def _run(name: str, cases: list, observe=None) -> Report:
+    """Run the cases in order, then observe() for the notes, if given.
+
+    stats holds the SLOWEST_CASES slowest cases with their inputs and times,
+    and, per teslab lru_cache, the hits, misses and entries the suite added.
+    """
     if not cases:
         raise ValueError(f"suite {name} builds no case under these bounds")
+    caches = _lru_caches()
+    before = _cache_counts(caches)
+    failures, timed = [], []
     start = time.perf_counter()
-    results = [check() for _, check in cases]
-    failures = [r for r in results if r is not None]
+    for inputs, check in cases:
+        t0 = time.perf_counter()
+        result = check()
+        timed.append((time.perf_counter() - t0, inputs))
+        if result is not None:
+            failures.append(result)
     elapsed = int((time.perf_counter() - start) * 1000)
-    return Report(name, len(cases), failures, elapsed)
+    report = Report(name, len(cases), failures, elapsed)
+    if observe is not None:
+        report.notes.update(observe())
+    after = _cache_counts(caches)
+    timed.sort(key=lambda x: -x[0])
+    report.stats = {
+        "slowest": [{"inputs": inputs, "elapsed_ms": round(dt * 1000, 3)}
+                    for dt, inputs in timed[:SLOWEST_CASES]],
+        "caches": {key: {"hits": after[key].hits - before[key].hits,
+                         "misses": after[key].misses - before[key].misses,
+                         "currsize": after[key].currsize - before[key].currsize}
+                   for key in sorted(caches)},
+    }
+    return report
 
 
 def _entry_values(bounds: Bounds):
@@ -136,7 +184,10 @@ def _two_route_sweep(bounds: Bounds):
 def _f_observations(alphas) -> dict:
     """Scan F^alpha_mu over the requested alphas and every mu of |alpha|+1 cells.
 
-    Reports, never asserts.  Run after the cases, every value is a memo hit.
+    Reports, never asserts.  Run after the cases, a value is a memo hit,
+    or, for a mu lexicographically smaller than mu' that the cases reached
+    only through a sum over partitions (which computes mu' alone), a memo
+    miss that swaps q and t in the memo entry of mu'.
     """
     instances = laurent = poly_when_nonneg = 0
     violations = []
@@ -170,9 +221,7 @@ def suite_thm_3_1(bounds: Bounds) -> Report:
                     (lambda a=a: tes_via_theorem(a)))
         for a in alphas
     ]
-    report = _run("thm-3-1", cases)
-    report.notes.update(_f_observations(alphas))
-    return report
+    return _run("thm-3-1", cases, lambda: _f_observations(alphas))
 
 
 def suite_cor_3_2(bounds: Bounds) -> Report:
@@ -247,9 +296,7 @@ def suite_thm_4_1(bounds: Bounds) -> Report:
                     return None
 
                 cases.append(({"mu": str(mu), "rho": list(rho)}, check))
-    report = _run("thm-4-1", cases)
-    report.notes.update(_f_observations(alphas))
-    return report
+    return _run("thm-4-1", cases, lambda: _f_observations(alphas))
 
 
 def suite_cor_4_4(bounds: Bounds) -> Report:

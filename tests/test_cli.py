@@ -266,6 +266,20 @@ class TestVerifyCommand:
         assert before == after
         assert before["f_instances"] == 85
 
+    def test_report_is_pure_apart_from_stats_and_time(self):
+        first, second = (run_suite("thm-3-1", Bounds(n_max=3)).to_json() for _ in range(2))
+        for report in (first, second):
+            del report["elapsed_ms"]
+        first.pop("stats")
+        stats = second.pop("stats")
+        assert first == second
+        times = [case["elapsed_ms"] for case in stats["slowest"]]
+        assert len(times) == 5 and times == sorted(times, reverse=True)
+        caches = stats["caches"]
+        assert caches["teslab.macdonald.virtual_F"]["hits"] > 0
+        # the first run filled every memo the suite uses
+        assert all(c["misses"] == c["currsize"] == 0 for c in caches.values())
+
     def test_seed_controls_random_cases(self):
         a = run_suite("lemmas-4-6-4-7", Bounds(n_max=2, seed=1))
         b = run_suite("lemmas-4-6-4-7", Bounds(n_max=2, seed=1))

@@ -1,8 +1,11 @@
 import math
+import random
+from functools import lru_cache
 
 import pytest
 
 from teslab.macdonald import (
+    _eigen_coeff,
     closed_forms,
     hilb_delta,
     hilb_delta_prime,
@@ -21,7 +24,7 @@ from teslab.macdonald import (
 from teslab.plethysm import MonomialSymFn
 from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, RatFuncQT, qt_int
 from teslab.tesler import tes
-from teslab.young import Partition, partition_stats, partitions_of, w_factors
+from teslab.young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
 
 P = Partition
 
@@ -144,6 +147,49 @@ class TestVirtualF:
                 T_mu = partition_stats(mu).T
                 rhs = T_mu ** k * virtual_F((0,) * (n - 1), mu).to_laurent()
                 assert lhs == rhs
+
+
+@lru_cache(maxsize=None)
+def plain_F(alpha: tuple, mu: Partition) -> RatFuncQT:
+    """F^alpha_mu by the cover recursion on every mu, with no conjugate shortcut."""
+    if mu.n == 1:
+        return RatFuncQT.from_laurent(ONE)
+    total = RatFuncQT.from_laurent(0)
+    for nu, c in skew_pieri_c(mu).items():
+        power = RatFuncQT.from_laurent(cover_monomial(nu, mu) ** alpha[0])
+        total = total + c * power * plain_F(alpha[1:], nu)
+    return total
+
+
+class TestConjugation:
+    """Conjugating mu swaps q and t; the route computes half the partitions."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_virtual_F_matches_plain_recursion(self, n):
+        rng = random.Random(n)
+        alphas = [(0,) * (n - 1)] + [tuple(rng.randint(-2, 2) for _ in range(n - 1))
+                                     for _ in range(3)]
+        for alpha in alphas:
+            for mu in partitions_of(n):
+                assert virtual_F(alpha, mu) == plain_F(alpha, mu), (alpha, mu)
+                assert virtual_F(alpha, mu.conjugate()) == virtual_F(alpha, mu).swap_qt()
+
+    @pytest.mark.parametrize("target", ["e", "p"])
+    def test_eigen_coeff_conjugates_by_swap(self, target):
+        for n in range(1, 8):
+            for mu in partitions_of(n):
+                assert _eigen_coeff(mu.conjugate(), target) == _eigen_coeff(mu, target).swap_qt()
+
+    # f^sigma != f: the conjugate half of the bracket sum takes f^sigma's brackets
+    QT_F = MonomialSymFn({(1,): Q, (1, 1): T * T + ONE})
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_delta_routes_agree_on_qt_coefficients(self, n):
+        f = self.QT_F
+        assert f.swap_qt() != f
+        assert hilb_delta(f, n, "eigen") == hilb_delta(f, n, "tesler")
+        for target in ("e", "p"):
+            assert hilb_delta_prime(f, target, n) == hilb_delta_prime(f, target, n, "tesler")
 
 
 class TestHilbTilde:

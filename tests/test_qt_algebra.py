@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -309,3 +310,35 @@ class TestRatFuncAgainstSympy:
         for r in (x + y, x * y, same):
             # _reduce keeps only factors that do not divide the numerator
             assert all(exact_div(r.num, f) is None for f in r.factors)
+
+
+# q - t is canonical, and swapping q and t flips it to -(q - t)
+_over_q_minus_t = RatFuncQT.from_factors(ONE + Q * Q, (Q - T, ONE - Q))
+
+
+@pytest.mark.parametrize("name", ["swap_qt", "bar"])
+class TestSubstitution:
+    """swap_qt and bar map the numerator and each factor, without _reduce."""
+
+    @given(unit_fractions, unit_fractions)
+    @example(_over_q_minus_t, _over_q_minus_t)
+    @settings(max_examples=60, deadline=None)
+    def test_automorphism(self, name, x, y):
+        sub = operator.methodcaller(name)
+        assert sub(sub(x)) == x
+        assert sub(x + y) == sub(x) + sub(y)
+        assert sub(x * y) == sub(x) * sub(y)
+
+    @given(unit_fractions)
+    @example(_over_q_minus_t)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reduced_rebuild(self, name, x):
+        got = getattr(x, name)()
+        rebuilt = RatFuncQT.from_factors(getattr(x.num, name)(),
+                                         [getattr(f, name)() for f in x.factors], x.den_int)
+        assert got == rebuilt
+        # x is reduced, so no factor of the rebuild cancels: same parts, still reduced
+        assert len(got.factors) == len(x.factors)
+        assert (got.num, got.den_int, got.factors) == (rebuilt.num, rebuilt.den_int,
+                                                       rebuilt.factors)
+        assert all(exact_div(got.num, f) is None for f in got.factors)
