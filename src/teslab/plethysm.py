@@ -17,13 +17,6 @@ from .qt_algebra import ONE, ZERO, LaurentPolyQT
 from .young import Partition
 
 
-def p_plethysm(r: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
-    """Power-sum bracket p_r[S]: raise each letter to the r-th power, keep signs."""
-    if r < 1:
-        raise ValueError("power-sum index must be >= 1")
-    return LaurentPolyQT({(e0 * r, e1 * r): c for (e0, e1), c in alphabet.terms.items()})
-
-
 def e_plethysm(k: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
     """Elementary bracket e_k[S], the z^k coefficient of prod (1 + x z)^c over S.
 
@@ -43,11 +36,6 @@ def e_plethysm(k: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
                 for j in range(1, k + 1):
                     es[j] = es[j] - es[j - 1].shift(eq, et)
     return es[k]
-
-
-def h_single(k: int, mono) -> LaurentPolyQT:
-    """h_k of a one-letter alphabet: just the k-th power of the letter."""
-    return LaurentPolyQT.monomial(1, mono[0] * k, mono[1] * k)
 
 
 def distinct_arrangements(rho, slots: int):

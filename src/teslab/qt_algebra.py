@@ -3,12 +3,12 @@
 A Laurent polynomial is a dict from exponent pairs (eq, et) to nonzero
 arbitrary-precision integer coefficients, so every computation is exact.
 Rational functions keep their denominator as a positive integer times a
-multiset of canonical primitive factors; cancellation only ever uses exact
-division (checked term by term), which keeps intermediate results small
-without computing polynomial gcds.  Every factor the Macdonald route builds
-is a binomial +-x^A +- x^B, which exact_div divides by one pass of running
-sums along the lines {e + k(A - B)}; other divisors take leading-term
-division.
+multiset of canonical primitive factors, and every factor is a binomial
++-x^A +- x^B: those are all the denominators the Macdonald route builds
+(arm/leg binomials and the two factors of M), and from_factors refuses any
+other.  Cancellation only ever uses exact_div, which divides by such a
+binomial with one pass of running sums along the lines {e + k(A - B)}, so
+intermediate results stay small without computing polynomial gcds.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 
 Mono = tuple[int, int]
 
 
 def _grlex(mono: Mono):
-    # graded lex with q before t; used for division and display order
+    # graded lex with q before t; fixes the sign of a canonical factor
     return (mono[0] + mono[1], mono[0])
 
 
@@ -306,39 +305,34 @@ def q_factorial(k: int) -> LaurentPolyQT:
     return out
 
 
+def _is_unit_binomial(p: LaurentPolyQT) -> bool:
+    """True for +-x^A +- x^B, the one kind of denominator factor."""
+    terms = p.terms
+    return len(terms) == 2 and all(c in (1, -1) for c in terms.values())
+
+
 def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
-    """a / b when the quotient is again a Laurent polynomial over Z, else None.
+    """a / b for a +-1 binomial b, when the quotient is a Laurent polynomial over Z, else None.
 
-    A divisor with two terms and coefficients +-1, say b = c_A x^A + c_B x^B,
-    takes one pass of line sums (``_div_unit_binomial``).  Write
-    b = c_B x^B (1 - s z) with z = x^v, v = A - B and s = -c_A c_B.  The
-    lattice of exponents splits into the lines {e + k v}, and the ring into
-    one copy of Z[z, 1/z] per line, so b divides a iff 1 - s z divides each
-    line of c_B x^(-B) a.  On a line with coefficients a_k, the quotient is
-    the running sum carry_k = a_k + s carry_(k-1), and the line is divisible
-    iff its last carry is 0.  Both ends of 1 - s z are units because s = +-1,
-    so the carries are integers and no coefficient can fail to divide; v need
-    not be primitive (1 - q^2 and q^2 - t^3 take the same pass).  Every
-    denominator factor that teslab builds is such a binomial.
+    Write b = c_A x^A + c_B x^B = c_B x^B (1 - s z) with z = x^v, v = A - B
+    and s = -c_A c_B.  The lattice of exponents splits into the lines
+    {e + k v}, and the ring into one copy of Z[z, 1/z] per line, so b divides
+    a iff 1 - s z divides each line of c_B x^(-B) a.  On a line with
+    coefficients a_k, the quotient is the running sum
+    carry_k = a_k + s carry_(k-1), and the line is divisible iff its last
+    carry is 0.  Both ends of 1 - s z are units because s = +-1, so the
+    carries are integers and no coefficient can fail to divide; v need not be
+    primitive (1 - q^2 and q^2 - t^3 take the same pass).  One pass over the
+    terms of a finds the unique quotient or shows there is none.
 
-    Any other divisor, which only direct calls and ``from_factors`` with a
-    general factor supply, goes through greedy leading-term division in
-    graded-lex order (``_div_heap``).  That is complete as a divisibility
-    test whenever b is primitive (Gauss's lemma covers the integer side).
-    Both branches return the unique quotient.
+    Any other divisor raises ValueError: from_factors admits no other
+    denominator factor, so _reduce never passes one.
     """
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
+    if not _is_unit_binomial(b):
+        raise ValueError(f"exact_div divides only by +-1 binomials, got {b}")
     if a.is_zero():
         return ZERO
-    terms = b.terms
-    if len(terms) == 2 and all(c in (1, -1) for c in terms.values()):
-        return _div_unit_binomial(a, terms)
-    return _div_heap(a, b)
-
-
-def _div_unit_binomial(a: LaurentPolyQT, bterms: dict):
-    (A, ca), ((b0, b1), cb) = bterms.items()
+    (A, ca), ((b0, b1), cb) = b.terms.items()
     v0, v1 = A[0] - b0, A[1] - b1
     s = -ca * cb
     # bucket the terms of a by line; a line's key is its point with k = 0
@@ -376,50 +370,6 @@ def _div_unit_binomial(a: LaurentPolyQT, bterms: dict):
     return LaurentPolyQT._raw(quot)
 
 
-def _div_heap(a: LaurentPolyQT, b: LaurentPolyQT):
-    # The remainder is a dict, and its leading term comes from a heap of
-    # grlex keys (-(e0+e1), -e0) with lazy deletion: a popped key whose term
-    # has cancelled is stale and skipped.  A key is pushed only when a new
-    # monomial enters the remainder.  Each such monomial is m' + d for a
-    # non-leading term m' of b and the popped monomial m = lead(b) + d; grlex
-    # is a monomial order, so it lies strictly below m, and the heap top is
-    # always the true leading term.
-    amin = a.min_exponents()
-    bmin = b.min_exponents()
-    rem = {(e0 - amin[0], e1 - amin[1]): c for (e0, e1), c in a.terms.items()}
-    bpoly = {(e0 - bmin[0], e1 - bmin[1]): c for (e0, e1), c in b.terms.items()}
-    blead = max(bpoly, key=_grlex)
-    bc = bpoly.pop(blead)
-    heap = [(-e0 - e1, -e0) for e0, e1 in rem]
-    heapify(heap)
-    quot: dict = {}
-    while rem:
-        k0, k1 = heappop(heap)
-        m = (-k1, k1 - k0)
-        c = rem.pop(m, None)
-        if c is None:
-            continue
-        d0, d1 = m[0] - blead[0], m[1] - blead[1]
-        if d0 < 0 or d1 < 0:
-            return None
-        qc = c // bc
-        if qc * bc != c:
-            return None
-        quot[(d0, d1)] = qc
-        for (f0, f1), d in bpoly.items():
-            key = (f0 + d0, f1 + d1)
-            n = rem.get(key)
-            if n is None:
-                rem[key] = -qc * d
-                heappush(heap, (-key[0] - key[1], -key[0]))
-            elif n - qc * d:
-                rem[key] = n - qc * d
-            else:
-                del rem[key]
-    s0, s1 = amin[0] - bmin[0], amin[1] - bmin[1]
-    return LaurentPolyQT._raw({(e0 + s0, e1 + s1): c for (e0, e1), c in quot.items()})
-
-
 def _split_canonical(p: LaurentPolyQT):
     """Write nonzero p as sign * content * q^a t^b * primitive.
 
@@ -438,25 +388,14 @@ class RatFuncQT:
     """Exact rational function in q and t.
 
     Stored as num / (den_int * prod(factors)) where den_int is a positive
-    integer and factors is a sorted tuple of canonical primitive polynomials.
-    Monomial content never sits in the denominator (it moves into num as
-    negative exponents).  Equality is decided by cross-multiplication, so a
-    missed cancellation can never change a result.
+    integer and factors is a sorted tuple of canonical primitive +-1
+    binomials.  Monomial content never sits in the denominator (it moves into
+    num as negative exponents).  Equality is decided by cross-multiplication,
+    so a missed cancellation can never change a result.  Build one with
+    from_laurent or from_factors.
     """
 
     __slots__ = ("num", "den_int", "factors")
-
-    def __init__(self, num, den: int = 1):
-        """num / den for an integer den; polynomial denominators go through from_factors."""
-        if not isinstance(den, int):
-            raise TypeError("RatFuncQT takes an integer denominator; use from_factors")
-        if isinstance(num, int):
-            num = LaurentPolyQT.const(num)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        self.num, self.den_int, self.factors = _reduce(num, den, ())
 
     @classmethod
     def _make(cls, num: LaurentPolyQT, den_int: int, factors) -> "RatFuncQT":
@@ -474,7 +413,11 @@ class RatFuncQT:
 
     @classmethod
     def from_factors(cls, num, factors, den_int: int = 1) -> "RatFuncQT":
-        """num / (den_int * prod(factors)) with each factor canonicalized, not expanded."""
+        """num / (den_int * prod(factors)) with each factor canonicalized, not expanded.
+
+        Each factor must be c x^A or c (x^A +- x^B) for a nonzero integer c;
+        any other factor raises ValueError.
+        """
         if isinstance(num, int):
             num = LaurentPolyQT.const(num)
         if den_int < 0:
@@ -489,6 +432,8 @@ class RatFuncQT:
             num = num.shift(-mins[0], -mins[1]) * sign
             den_int *= g
             if prim != ONE:
+                if not _is_unit_binomial(prim):
+                    raise ValueError(f"denominator factor {f} is not c*x^A or c*(x^A +- x^B)")
                 canon.append(prim)
         return cls._make(num, den_int, tuple(canon))
 

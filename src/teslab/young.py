@@ -24,7 +24,6 @@ class PartitionStats(NamedTuple):
     T: LaurentPolyQT   # product of q^coarm t^coleg over all cells (a monomial)
     B: LaurentPolyQT   # sum of q^coarm t^coleg over all cells
     Pi: LaurentPolyQT  # product of (1 - q^coarm t^coleg) over non-corner cells
-    w: LaurentPolyQT   # product of (q^a - t^(l+1))(t^l - q^(a+1)) over all cells
 
 
 class Partition:
@@ -145,13 +144,12 @@ def _partition_tuples(n: int, max_part: int):
 
 @lru_cache(maxsize=None)
 def partition_stats(mu: Partition) -> PartitionStats:
-    """The four standard q,t-statistics of a nonempty partition."""
+    """T, B and Pi of a nonempty partition; its w stays factored in w_factors."""
     if not mu.parts:
         raise ValueError("empty partition has no statistics")
     T = ONE
     B = LaurentPolyQT()
     Pi = ONE
-    w = ONE
     for cell in mu.cells():
         st = mu.cell_stats(cell)
         mono = LaurentPolyQT.monomial(1, st.a_prime, st.l_prime)
@@ -159,9 +157,7 @@ def partition_stats(mu: Partition) -> PartitionStats:
         B = B + mono
         if cell != (0, 0):
             Pi = Pi * (ONE - mono)
-        for f in w_cell_factors(st):
-            w = w * f
-    return PartitionStats(T, B, Pi, w)
+    return PartitionStats(T, B, Pi)
 
 
 def w_cell_factors(st: CellStats):
@@ -174,7 +170,10 @@ def w_cell_factors(st: CellStats):
 
 @lru_cache(maxsize=None)
 def w_factors(mu: Partition) -> tuple:
-    """The binomial factors of w, kept unexpanded for fraction denominators."""
+    """The 2|mu| binomial factors of w, kept unexpanded for fraction denominators.
+
+    w is the product of (q^a - t^(l+1))(t^l - q^(a+1)) over the cells of mu.
+    """
     out = []
     for cell in mu.cells():
         out.extend(w_cell_factors(mu.cell_stats(cell)))

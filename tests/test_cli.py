@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from teslab import cli, specializations
+from teslab import cli, specializations, verify
 from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import parse_poly_json
 from teslab.tesler import count_tesler, enumerate_tesler, parse_hooks, tes
-from teslab.verify import Bounds, run_suite
+from teslab.verify import N_MAX_BUDGETS, Bounds, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +242,28 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--suite", "prop-6-3", "--n-max", "9")
         assert code == 2 and out == ""
         assert "9^9 = 387,420,489" in err and "n <= 7" in err
+
+    @pytest.mark.parametrize("suite", sorted(N_MAX_BUDGETS))
+    def test_n_max_budget_exits_2_before_any_case(self, capsys, monkeypatch, suite):
+        def build(bounds):
+            raise AssertionError(f"{suite} built its cases over the n_max budget")
+
+        budget = N_MAX_BUDGETS[suite]
+        verify._check_budget(suite, Bounds(n_max=budget))
+        monkeypatch.setitem(verify.SUITES, suite, build)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", str(budget + 1))
+        assert code == 2 and out == ""
+        assert f"suite {suite} has an n_max budget of {budget}," in err
+
+    def test_all_checks_every_budget_before_any_suite(self, capsys, monkeypatch):
+        def build(bounds):
+            raise AssertionError("a suite ran before the budgets were checked")
+
+        for suite in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, suite, build)
+        n_max = str(min(N_MAX_BUDGETS.values()) + 1)
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", n_max)
+        assert code == 2 and out == "" and "n_max budget" in err
 
     @pytest.mark.parametrize("text", ["abc", "1", "1..x", ""])
     def test_malformed_entry_range_exits_2(self, capsys, text):

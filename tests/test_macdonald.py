@@ -1,6 +1,7 @@
 import math
 import random
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,38 +23,46 @@ from teslab.macdonald import (
     virtual_F,
 )
 from teslab.plethysm import MonomialSymFn
-from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, RatFuncQT, qt_int
+from teslab.qt_algebra import ONE, Q, T, LaurentPolyQT, RatFuncQT, qt_int
 from teslab.tesler import tes
 from teslab.young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
 
 P = Partition
 
 
-def _solve_linear(matrix: list, rhs: list) -> list:
-    """Exact Gaussian elimination over RatFuncQT, first-nonzero pivoting."""
-    m = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        inv = RatFuncQT.from_factors(math.prod(p.factors, start=LaurentPolyQT.const(p.den_int)),
-                                     (p.num,))
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
+def _leibniz_det(matrix: list) -> RatFuncQT:
+    """det by the Leibniz sum over permutations, with RatFuncQT entries."""
+    total = RatFuncQT.from_laurent(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = RatFuncQT.from_laurent(-1 if inversions % 2 else 1)
+        for row, col in zip(matrix, perm):
+            term = term * row[col]
+        total = total + term
+    return total
 
 
 def solved_pieri_d(nu: Partition) -> dict:
-    """The d coefficients of nu solved from the k = 0..m-1 power identities."""
+    """The d coefficients of nu solved from the k = 0..m-1 power identities.
+
+    The system is V d = rhs with V[k][j] = t_j^k for the distinct cover
+    monomials t_j, a Vandermonde matrix, so Cramer's rule gives
+    d_j = det(V_j) / det(V) with det(V) = prod_{i<j} (t_j - t_i): every
+    factor of the denominator is a +-1 binomial.
+    """
     covers = nu.covers()
+    m = len(covers)
     ts = [LaurentPolyQT.monomial(1, cell[0], cell[1]) for _, cell in covers]
-    matrix = [[RatFuncQT.from_laurent(t ** k) for t in ts] for k in range(len(covers))]
-    rhs = [power_identity_rhs(nu, k) for k in range(len(covers))]
-    return {mu: d for (mu, _), d in zip(covers, _solve_linear(matrix, rhs))}
+    matrix = [[RatFuncQT.from_laurent(t ** k) for t in ts] for k in range(m)]
+    rhs = [power_identity_rhs(nu, k) for k in range(m)]
+    vandermonde = [ts[j] - ts[i] for i, j in combinations(range(m), 2)]
+    assert _leibniz_det(matrix) == RatFuncQT.from_laurent(math.prod(vandermonde, start=ONE))
+    inverse_det = RatFuncQT.from_factors(ONE, vandermonde)
+    solved = {}
+    for j, (mu, _) in enumerate(covers):
+        cramer = [row[:j] + [b] + row[j + 1:] for row, b in zip(matrix, rhs)]
+        solved[mu] = _leibniz_det(cramer) * inverse_det
+    return solved
 
 
 def _binomial_denominators(r: RatFuncQT) -> bool:
@@ -66,12 +75,13 @@ class TestPieri:
         table = pieri_d(P((1,)))
         d2 = table.entries[P((2,))]
         d11 = table.entries[P((1, 1))]
-        assert d2 == RatFuncQT.from_factors(ONE, ((ONE - Q) * (Q - T),))
-        assert d11 == RatFuncQT.from_factors(ONE, ((ONE - T) * (T - Q),))
+        assert d2 == RatFuncQT.from_factors(ONE, (ONE - Q, Q - T))
+        assert d11 == RatFuncQT.from_factors(ONE, (ONE - T, T - Q))
 
     def test_one_cell_k2_overdetermined(self):
         table = pieri_d(P((1,)))
-        assert pieri_power_sum(table, 2) == RatFuncQT.from_factors(Q + T - Q * T, (M,))
+        expect = RatFuncQT.from_factors(Q + T - Q * T, (ONE - Q, ONE - T))
+        assert pieri_power_sum(table, 2) == expect
         assert pieri_power_sum(table, 2) == power_identity_rhs(P((1,)), 2)
 
     def test_one_cell_negative_k(self):
@@ -92,7 +102,7 @@ class TestPieri:
             solved = solved_pieri_d(nu)
             assert pieri_d(nu).entries == solved
             for mu, d in solved.items():
-                c = d * RatFuncQT.from_factors(partition_stats(mu).w, w_factors(nu))
+                c = d * RatFuncQT.from_factors(math.prod(w_factors(mu), start=ONE), w_factors(nu))
                 assert skew_pieri_c(mu)[nu] == c, (mu, nu)
 
     def test_denominators_are_unit_binomials(self):

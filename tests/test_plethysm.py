@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from teslab.plethysm import (
     MonomialSymFn,
     e_plethysm,
-    h_single,
     m_eval,
-    p_plethysm,
     schur_to_monomial,
 )
 from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, qt_int
@@ -23,6 +21,18 @@ def lp(d):
 
 def b_of(parts):
     return partition_stats(Partition(parts)).B
+
+
+def p_plethysm(r: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
+    """Power-sum bracket p_r[S]: raise each letter to the r-th power, keep signs."""
+    if r < 1:
+        raise ValueError("power-sum index must be >= 1")
+    return LaurentPolyQT({(e0 * r, e1 * r): c for (e0, e1), c in alphabet.terms.items()})
+
+
+def h_single(k: int, mono) -> LaurentPolyQT:
+    """h_k of a one-letter alphabet: just the k-th power of the letter."""
+    return LaurentPolyQT.monomial(1, mono[0] * k, mono[1] * k)
 
 
 def e_newton(k, alphabet):
