@@ -8,14 +8,19 @@ covers q=t=1.
 
 A ParkingFunction carries its parked outcome (who parks where, and which
 cars are considerate), computed once when it is built; car_bars, area and
-wt_alpha only read it.  cpf filters all n^n preference lists, so it refuses
-n above CPF_N_MAX before scanning, and the CLI turns that into exit 2.
+wt_alpha only read it.  parking_functions(n) generates and parks the
+(n+1)^(n-1) parking functions of order n once per n, and cpf filters that
+cached tuple; cpf refuses n above CPF_N_MAX before generating anything, and
+the CLI turns that into exit 2.  Which hook entries sum to each tail of an
+ordered set partition depends on the partition alone, so tes_t1 reads the
+tails of every partition with given minima from one cached scan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .qt_algebra import ONE, ZERO, LaurentPolyQT, q_int
 from .tesler import TeslerMatrix
@@ -161,24 +166,14 @@ def levande_map(U: TeslerMatrix):
     return array, OrderedSetPartition(blocks)
 
 
-def target_tail(alpha, pi: OrderedSetPartition):
-    """The scanning vectors attached to an ordered set partition.
-
-    target_i is the first element greater than i reading rightward from i
-    (blocks written in increasing order), or i itself; tail_i sums the hook
-    entries indexed by the block minima from the first block right of the
-    nearest larger element on the left, through i's block.
-    """
-    alpha = tuple(alpha)
-    n = len(alpha)
-    if pi.n != n:
-        raise ValueError("hook vector and partition sizes differ")
-    if set(pi.minima()) != set_of(alpha):
-        raise ValueError("minima mismatch")
+def _scan(pi: OrderedSetPartition):
+    """target_i for each i, and the 0-based hook indices whose entries sum
+    to tail_i: the block minima from the first block right of the nearest
+    larger element on the left, through i's block."""
     blocks = [sorted(b) for b in pi.blocks]
     target = []
-    tail = []
-    for i in range(1, n + 1):
+    tails = []
+    for i in range(1, pi.n + 1):
         bl = pi.block_of(i)
         tgt = i
         own = [x for x in blocks[bl - 1] if x > i]
@@ -196,8 +191,25 @@ def target_tail(alpha, pi: OrderedSetPartition):
             if max(blocks[r - 1]) > i:
                 m_i = r + 1
                 break
-        tail.append(sum(alpha[min(blocks[r - 1]) - 1] for r in range(m_i, bl + 1)))
-    return tuple(target), tuple(tail)
+        tails.append(tuple(blocks[r - 1][0] - 1 for r in range(m_i, bl + 1)))
+    return tuple(target), tuple(tails)
+
+
+def target_tail(alpha, pi: OrderedSetPartition):
+    """The scanning vectors attached to an ordered set partition.
+
+    target_i is the first element greater than i reading rightward from i
+    (blocks written in increasing order), or i itself; tail_i sums the hook
+    entries indexed by the block minima from the first block right of the
+    nearest larger element on the left, through i's block.
+    """
+    alpha = tuple(alpha)
+    if pi.n != len(alpha):
+        raise ValueError("hook vector and partition sizes differ")
+    if set(pi.minima()) != set_of(alpha):
+        raise ValueError("minima mismatch")
+    target, tails = _scan(pi)
+    return target, tuple(sum(alpha[j] for j in idx) for idx in tails)
 
 
 def psi(alpha, pi: OrderedSetPartition):
@@ -217,18 +229,34 @@ def psi(alpha, pi: OrderedSetPartition):
     return TeslerMatrix(rows)
 
 
+@lru_cache(maxsize=None)
+def _osp_tails(n: int, minima: frozenset) -> tuple:
+    """The tail index tuples of every ordered set partition with these minima."""
+    return tuple(_scan(pi)[1] for pi in osp_enumerate(n, minima))
+
+
+@lru_cache(maxsize=None)
+def _tail_product(tail: tuple) -> LaurentPolyQT:
+    out = ONE
+    for v in tail:
+        out = out * q_int(v)
+        if out.is_zero():
+            break
+    return out
+
+
 def tes_t1(alpha) -> LaurentPolyQT:
-    """Tail-product formula over ordered set partitions: the t=1 value."""
+    """Tail-product formula over ordered set partitions: the t=1 value.
+
+    The product depends on the multiset of tails alone, so each distinct
+    multiset is multiplied out once and scaled by its count.
+    """
     alpha = tuple(alpha)
+    counts = Counter(tuple(sorted(sum(alpha[j] for j in idx) for idx in tails))
+                     for tails in _osp_tails(len(alpha), frozenset(set_of(alpha))))
     total = ZERO
-    for pi in osp_enumerate(len(alpha), set_of(alpha)):
-        _, tail = target_tail(alpha, pi)
-        term = ONE
-        for v in tail:
-            term = term * q_int(v)
-            if term.is_zero():
-                break
-        total = total + term
+    for tail, count in counts.items():
+        total = total + count * _tail_product(tail)
     return total
 
 
@@ -246,15 +274,9 @@ def tes_11(alpha) -> int:
     return out
 
 
-# cpf scans n^n preference lists: 7^7 = 823,543 is about a second
+# cpf filters the (n+1)^(n-1) parking functions of order n, generated once
+# per n: at n = 7 the 8^6 = 262,144 records keep about 145 MiB
 CPF_N_MAX = 7
-
-
-def check_cpf_budget(n: int) -> None:
-    """Refuse an n^n parking filter over the budget before it starts."""
-    if n > CPF_N_MAX:
-        raise ValueError(f"cpf would scan {n}^{n} = {n ** n:,} preference lists; "
-                         f"the budget is n <= {CPF_N_MAX}")
 
 
 class ParkingFunction:
@@ -309,22 +331,29 @@ class ParkingFunction:
         return f"ParkingFunction<{self}>"
 
 
+@lru_cache(maxsize=None)
+def parking_functions(n: int) -> tuple:
+    """Every parking function of order n, parked once, in lexicographic
+    order: the distinct rearrangements of each weakly increasing list with
+    a_i <= i.  parking_functions.cache_clear() frees them."""
+    prefs = set()
+    for seq in combinations_with_replacement(range(1, n + 1), n):
+        if all(a <= i for i, a in enumerate(seq, start=1)):
+            prefs.update(permutations(seq))
+    return tuple(ParkingFunction(p) for p in sorted(prefs))
+
+
 def cpf(n: int, cars) -> list:
     """All parking functions of order n whose considerate cars include `cars`,
-    by parking each of the n^n preference lists once."""
+    filtered from parking_functions(n); refuses n above CPF_N_MAX first."""
     cars = frozenset(cars)
     if not cars <= set(range(2, n + 1)):
         raise ValueError("decorated cars must lie in 2..n")
-    check_cpf_budget(n)
-    out = []
-    for prefs in product(range(1, n + 1), repeat=n):
-        try:
-            pf = ParkingFunction(prefs)
-        except ValueError:
-            continue
-        if cars <= pf.considerate:
-            out.append(pf)
-    return out
+    if n > CPF_N_MAX:
+        raise ValueError(f"cpf would generate (n+1)^(n-1) = {n + 1}^{n - 1} = "
+                         f"{(n + 1) ** (n - 1):,} parking functions; "
+                         f"the budget is n <= {CPF_N_MAX}")
+    return [pf for pf in parking_functions(n) if cars <= pf.considerate]
 
 
 def car_bars(pf: ParkingFunction, cars) -> OrderedSetPartition:

@@ -14,10 +14,12 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
 from .macdonald import (
+    _check_cap,
     closed_forms,
     hilb_delta,
     hilb_delta_prime,
@@ -35,7 +37,6 @@ from .qt_algebra import M, ONE, Q, LaurentPolyQT, RatFuncQT, q_factorial, q_int,
 from .specializations import (
     area,
     car_bars,
-    check_cpf_budget,
     cpf,
     inv_stat,
     levande_map,
@@ -376,9 +377,8 @@ def suite_cor_5_1(bounds: Bounds) -> Report:
             def check(alpha=alpha, n=n):
                 formula = tes_t0(alpha)
                 enum = tes(alpha).specialize(t=0)
-                osp_sum = LaurentPolyQT()
-                for pi in osp_enumerate(n, set_of(alpha)):
-                    osp_sum = osp_sum + Q ** inv_stat(pi)
+                invs = Counter(inv_stat(pi) for pi in osp_enumerate(n, set_of(alpha)))
+                osp_sum = LaurentPolyQT({(k, 0): c for k, c in invs.items()})
                 if not (formula == enum == osp_sum):
                     return _mismatch({"alpha": list(alpha)}, enum, formula)
                 return None
@@ -474,10 +474,8 @@ def suite_prop_6_2(bounds: Bounds) -> Report:
 
 
 def suite_prop_6_3(bounds: Bounds) -> Report:
-    n_max = bounds.cap(5)
-    check_cpf_budget(n_max)
     cases = []
-    for n in range(1, n_max + 1):
+    for n in range(1, bounds.cap(5) + 1):
         for alpha in product((0, 1), repeat=n):
             def check(alpha=alpha, n=n):
                 pis = osp_enumerate(n, set_of(alpha))
@@ -525,15 +523,6 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
             {"n": n, "identity": "parking-count-enumeration"},
             (lambda n=n: tes((1,) * n).specialize(q=1, t=1)),
             (lambda n=n: (n + 1) ** (n - 1))))
-    # S depends only on the zero positions of alpha, so the hook vectors share
-    # a few cpf lists; each is built once per run, by its first case
-    cpf_lists: dict = {}
-
-    def cpf_once(n, S):
-        if (n, S) not in cpf_lists:
-            cpf_lists[n, S] = cpf(n, S)
-        return cpf_lists[n, S]
-
     for n in range(1, min(bounds.cap(4), 4) + 1):
         for alpha in product(values, repeat=n):
             if not alpha[0]:
@@ -541,7 +530,7 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
             S = frozenset(range(1, n + 1)) - set_of(alpha)
 
             def check(alpha=alpha, n=n, S=S):
-                total = sum(wt_alpha(alpha, pf) for pf in cpf_once(n, S))
+                total = sum(wt_alpha(alpha, pf) for pf in cpf(n, S))
                 expect = tes_11(alpha)
                 if total != expect:
                     return _mismatch({"alpha": list(alpha), "identity": "cpf-weight"},
@@ -572,9 +561,8 @@ SUITE_NAMES = tuple(SUITES)
 # The largest n_max of each suite whose work grows with n, checked before
 # any case is built.  Each is the largest value timed to finish within a
 # minute on one core of a 2-core host (cor-5-1 at 8 takes 24 s, at 9 over
-# 60 s), and none is below its suite's default.  prop-6-3 has the cpf budget
-# (CPF_N_MAX) instead; thm-3-1 and cor-3-2 do no more work above their
-# defaults.
+# 60 s; prop-6-3 at 6 takes 1.3 s, at 7 39 s), and none is below its
+# suite's default.  thm-3-1 and cor-3-2 do no more work above their defaults.
 N_MAX_BUDGETS = {
     "lemma-3-3": 16,
     "thm-4-1": 7,
@@ -585,14 +573,20 @@ N_MAX_BUDGETS = {
     "lemma-5-2": 6,
     "prop-6-1": 6,
     "prop-6-2": 5,
+    "prop-6-3": 6,
     "prop-6-4": 6,
 }
+# Suites whose cases run the Macdonald route at n = n_max, so n_max is
+# also held to the partition-size cap (TESLAB_NMAX)
+AT_N_CAP = ("thm-4-1", "cor-4-4", "cor-4-5", "cor-5-1")
 
 
 def _check_budget(name: str, bounds: Bounds) -> None:
     budget = N_MAX_BUDGETS.get(name)
     if budget is not None and bounds.n_max is not None and bounds.n_max > budget:
         raise ValueError(f"suite {name} has an n_max budget of {budget}, got {bounds.n_max}")
+    if name in AT_N_CAP and bounds.n_max is not None:
+        _check_cap(bounds.n_max)
 
 
 def run_suite(name: str, bounds: Bounds | None = None):

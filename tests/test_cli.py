@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from teslab import cli, specializations, verify
+from teslab import cli, verify
 from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import parse_poly_json
@@ -234,26 +234,38 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
-    def test_parking_budget_exits_2_before_any_case(self, capsys, monkeypatch):
-        def scan(*args, **kwargs):
-            raise AssertionError("prop-6-3 scanned over the cpf budget")
-
-        monkeypatch.setattr(specializations, "product", scan)
-        code, out, err = run_cli(capsys, "verify", "--suite", "prop-6-3", "--n-max", "9")
-        assert code == 2 and out == ""
-        assert "9^9 = 387,420,489" in err and "n <= 7" in err
-
     @pytest.mark.parametrize("suite", sorted(N_MAX_BUDGETS))
     def test_n_max_budget_exits_2_before_any_case(self, capsys, monkeypatch, suite):
         def build(bounds):
             raise AssertionError(f"{suite} built its cases over the n_max budget")
 
         budget = N_MAX_BUDGETS[suite]
+        # a partition-size cap at the budget leaves the budget to decide
+        monkeypatch.setenv("TESLAB_NMAX", str(budget))
         verify._check_budget(suite, Bounds(n_max=budget))
         monkeypatch.setitem(verify.SUITES, suite, build)
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", str(budget + 1))
         assert code == 2 and out == ""
         assert f"suite {suite} has an n_max budget of {budget}," in err
+
+    @pytest.mark.parametrize("suite, cap, n_max", [
+        ("cor-4-4", None, 9), ("cor-4-5", None, 9),
+        *((suite, "3", 4) for suite in verify.AT_N_CAP),
+    ])
+    def test_n_max_over_the_cap_exits_2_before_any_case(self, capsys, monkeypatch,
+                                                         suite, cap, n_max):
+        def build(bounds):
+            raise AssertionError(f"{suite} built its cases over the partition-size cap")
+
+        if cap is None:
+            monkeypatch.delenv("TESLAB_NMAX", raising=False)
+        else:
+            monkeypatch.setenv("TESLAB_NMAX", cap)
+        verify._check_budget(suite, Bounds(n_max=n_max - 1))
+        monkeypatch.setitem(verify.SUITES, suite, build)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", str(n_max))
+        assert code == 2 and out == ""
+        assert f"n={n_max} exceeds the configured cap {cap or 8}" in err
 
     def test_all_checks_every_budget_before_any_suite(self, capsys, monkeypatch):
         def build(bounds):

@@ -15,6 +15,7 @@ from teslab.specializations import (
     inv_stat,
     levande_map,
     osp_enumerate,
+    parking_functions,
     psi,
     q_stirling,
     set_of,
@@ -27,6 +28,66 @@ from teslab.specializations import (
 from teslab.tesler import TeslerMatrix, enumerate_permutational, enumerate_tesler, tes
 
 OSP = OrderedSetPartition.parse
+
+
+def scan_cpf(n, cars):
+    """The definition: park each of the n^n preference lists, keep those
+    that park with every car of `cars` considerate."""
+    out = []
+    for prefs in product(range(1, n + 1), repeat=n):
+        try:
+            pf = ParkingFunction(prefs)
+        except ValueError:
+            continue
+        if cars <= pf.considerate:
+            out.append(pf)
+    return out
+
+
+def loop_target_tail(alpha, pi):
+    """target_tail as one loop over i, with each tail summed in place."""
+    n = len(alpha)
+    blocks = [sorted(b) for b in pi.blocks]
+    target = []
+    tail = []
+    for i in range(1, n + 1):
+        bl = pi.block_of(i)
+        tgt = i
+        own = [x for x in blocks[bl - 1] if x > i]
+        if own:
+            tgt = own[0]
+        else:
+            for r in range(bl, len(blocks)):
+                bigger = [x for x in blocks[r] if x > i]
+                if bigger:
+                    tgt = bigger[0]
+                    break
+        target.append(tgt)
+        m_i = 1
+        for r in range(bl - 1, 0, -1):
+            if max(blocks[r - 1]) > i:
+                m_i = r + 1
+                break
+        tail.append(sum(alpha[min(blocks[r - 1]) - 1] for r in range(m_i, bl + 1)))
+    return tuple(target), tuple(tail)
+
+
+def loop_tes_t1(alpha):
+    """The t=1 tail-product sum, one product per ordered set partition."""
+    total = LaurentPolyQT()
+    for pi in osp_enumerate(len(alpha), set_of(alpha)):
+        _, tail = loop_target_tail(alpha, pi)
+        term = ONE
+        for v in tail:
+            term = term * q_int(v)
+        total = total + term
+    return total
+
+
+def subsets(items):
+    items = list(items)
+    return [frozenset(x for x, keep in zip(items, mask) if keep)
+            for mask in product((0, 1), repeat=len(items))]
 
 
 class TestOrderedSetPartitions:
@@ -47,6 +108,12 @@ class TestOrderedSetPartitions:
 
     def test_missing_one_gives_empty(self):
         assert osp_enumerate(3, {2}) == []
+
+    def test_result_is_fresh(self):
+        first = osp_enumerate(4, {1, 3})
+        count = len(first)
+        first.clear()
+        assert len(osp_enumerate(4, {1, 3})) == count
 
     def test_inv_examples(self):
         assert inv_stat(OSP("5|24|13")) == 4
@@ -141,6 +208,19 @@ class TestTargetTail:
         with pytest.raises(ValueError, match="minima mismatch"):
             target_tail((1, 1, 0, 0), OSP("3|12|4"))
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_loop_on_every_partition(self, n):
+        # three seeded hook vectors in [-2, 2] per partition, nonzero exactly
+        # at its block minima
+        rng = random.Random(53 + n)
+        for minima in subsets(range(2, n + 1)):
+            minima = minima | {1}
+            for pi in osp_enumerate(n, minima):
+                for _ in range(3):
+                    alpha = tuple(rng.choice((-2, -1, 1, 2)) if i in minima else 0
+                                  for i in range(1, n + 1))
+                    assert target_tail(alpha, pi) == loop_target_tail(alpha, pi)
+
 
 class TestPsi:
     def test_worked_matrix(self):
@@ -179,6 +259,20 @@ class TestPsi:
 class TestT1:
     def test_alpha_11(self):
         assert tes_t1((1, 1)) == 2 * ONE + Q
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_loop_on_every_vector(self, n):
+        for alpha in product(range(-2, 3), repeat=n):
+            assert tes_t1(alpha) == loop_tes_t1(alpha)
+
+    def test_matches_loop_on_every_minima_set_of_five(self):
+        rng = random.Random(59)
+        for minima in subsets(range(2, 6)):
+            minima = minima | {1}
+            for _ in range(3):
+                alpha = tuple(rng.choice((-2, -1, 1, 2)) if i in minima else 0
+                              for i in range(1, 6))
+                assert tes_t1(alpha) == loop_tes_t1(alpha)
 
     def test_matches_specialization(self):
         rng = random.Random(31)
@@ -252,12 +346,29 @@ class TestCPF:
         assert len(cpf(n, ())) == (n + 1) ** (n - 1)
 
     def test_budget_refuses_before_scanning(self, monkeypatch):
-        def scan(*args, **kwargs):
-            raise AssertionError("cpf scanned over its budget")
+        def generate(n):
+            raise AssertionError("cpf generated parking functions over its budget")
 
-        monkeypatch.setattr(specializations, "product", scan)
-        with pytest.raises(ValueError, match="8\\^8"):
+        monkeypatch.setattr(specializations, "parking_functions", generate)
+        with pytest.raises(ValueError, match="\\(n\\+1\\)\\^\\(n-1\\) = 9\\^7 = 4,782,969 "):
             cpf(CPF_N_MAX + 1, ())
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_matches_the_scan(self, n):
+        for cars in subsets(range(2, n + 1)):
+            assert {pf.prefs for pf in cpf(n, cars)} == {pf.prefs for pf in scan_cpf(n, cars)}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generates_each_parking_function_once(self, n):
+        prefs = [pf.prefs for pf in parking_functions(n)]
+        assert len(set(prefs)) == len(prefs) == (n + 1) ** (n - 1)
+        assert prefs == sorted(prefs)
+
+    def test_result_is_fresh(self):
+        first = cpf(4, {2})
+        count = len(first)
+        first.clear()
+        assert len(cpf(4, {2})) == count
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_tail_products_refine_parking(self, n):
