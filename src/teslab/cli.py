@@ -16,14 +16,7 @@ from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
 from .qt_algebra import LaurentPolyQT
 from .specializations import tes_11, tes_t0, tes_t1
-from .tesler import (
-    count_permutational,
-    count_tesler,
-    enumerate_permutational,
-    enumerate_tesler,
-    parse_hooks,
-    tes,
-)
+from .tesler import count_tesler, enumerate_tesler, parse_hooks, tes
 from .verify import SUITE_NAMES, Bounds, run_suite
 
 USAGE_ERROR = 2
@@ -82,19 +75,15 @@ def cmd_tes(args) -> int:
 
 def cmd_enumerate(args) -> int:
     alpha = parse_hooks(args.hooks)
-    if args.permutational:
-        kind, count_of, stream_of = ("permutational Tesler", count_permutational,
-                                     enumerate_permutational)
-    else:
-        kind, count_of, stream_of = "Tesler", count_tesler, enumerate_tesler
-    count = count_of(alpha)
+    count = count_tesler(alpha, permutational=args.permutational)
     if args.format == "count":
         _emit(str(count), args)
         return 0
     if count > ENUMERATE_JSON_CAP:
+        kind = "permutational Tesler" if args.permutational else "Tesler"
         raise ValueError(f"--hooks {args.hooks} has {count:,} {kind} matrices, over the "
                          f"JSON cap of {ENUMERATE_JSON_CAP:,}; use --format count")
-    stream = stream_of(alpha)
+    stream = enumerate_tesler(alpha, permutational=args.permutational)
     # one line per matrix as it is produced; an empty stream still ends in "\n"
     empty = True
     with _output(args) as fh:

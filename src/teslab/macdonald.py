@@ -316,11 +316,6 @@ def hilb_delta(f: MonomialSymFn, n: int, route: str = "eigen") -> LaurentPolyQT:
     return total
 
 
-def nabla_hilb(k: int, n: int) -> LaurentPolyQT:
-    """Hilbert series of the k-th nabla power applied to e_n."""
-    return hilb_tilde((k,) * (n - 1), "e").to_laurent()
-
-
 def closed_forms(which: str, n: int) -> LaurentPolyQT:
     """Direct binomial/product formulas used as a third verification route."""
     if which == "e1":

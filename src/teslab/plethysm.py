@@ -124,9 +124,6 @@ class MonomialSymFn:
         """f^sigma: q and t exchanged in every coefficient, the basis untouched."""
         return MonomialSymFn({rho: c.swap_qt() for rho, c in self.coeffs.items()})
 
-    def degree(self) -> int:
-        return max((sum(r) for r in self.coeffs), default=0)
-
     def eval_bracket(self, alphabet: LaurentPolyQT) -> LaurentPolyQT:
         """f[S] for a plain alphabet S, by linearity over the monomial basis."""
         out = ZERO

@@ -266,10 +266,6 @@ def render_monomial(mono: Mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_poly_json(triples) -> LaurentPolyQT:
-    return LaurentPolyQT({(int(e0), int(e1)): int(c) for e0, e1, c in triples})
-
-
 ZERO = LaurentPolyQT._raw({})
 ONE = LaurentPolyQT.const(1)
 Q = LaurentPolyQT.monomial(1, 1, 0)

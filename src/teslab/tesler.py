@@ -38,9 +38,12 @@ the packed value exactly, once, whatever the input.  K and W are rounded up
 to fixed steps so that calls of similar size share the memoized states,
 which an lru_cache keys on (hook vector of the remaining rows, K, W).
 
-count_tesler and count_permutational run the recursion with every weight
-set to 1.  enumerate_tesler and TeslerMatrix.weight stay as the independent
-brute-force definition.
+count_tesler runs the recursion with every weight set to 1.  A
+permutational matrix (one nonzero entry per row, the matrices that survive
+t = 1) is a Tesler matrix whose rows are compositions with one nonzero
+entry, so enumerate_tesler and count_tesler take permutational=True to try
+only those rows; there is no second recursion for them.  enumerate_tesler
+and TeslerMatrix.weight stay as the independent brute-force definition.
 """
 
 from __future__ import annotations
@@ -120,19 +123,8 @@ class TeslerMatrix:
                     out = out * qt_int(v)
         return out
 
-    def negated(self) -> "TeslerMatrix":
-        return TeslerMatrix._unchecked(
-            self.n, tuple(tuple(-v for v in row) for row in self.rows))
-
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(row) for row in self.rows]}
-
-    @classmethod
-    def from_json(cls, obj) -> "TeslerMatrix":
-        rows = obj["rows"]
-        if len(rows) != obj.get("n", len(rows)):
-            raise ValueError("n does not match rows")
-        return cls(rows)
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +148,14 @@ def compositions(total: int, parts: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _single_rows(total: int, parts: int) -> tuple:
+    """The compositions of total > 0 into parts with one nonzero entry, in
+    the colexicographic order of compositions: the entry in place 0 first,
+    in place parts - 1 last."""
+    return tuple((0,) * j + (total,) + (0,) * (parts - 1 - j) for j in range(parts))
+
+
 def parse_hooks(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -163,12 +163,15 @@ def parse_hooks(text: str) -> tuple:
         raise ValueError(f"cannot parse hook vector {text!r}") from exc
 
 
-def enumerate_tesler(alpha):
+def enumerate_tesler(alpha, permutational: bool = False):
     """Yield every Tesler matrix with hook sums alpha, in a fixed order.
 
     Rows are filled top to bottom; each row's compositions come out in
-    colexicographic order, so the stream is reproducible.
+    colexicographic order, so the stream is reproducible.  With
+    permutational, only the rows with one nonzero entry are tried, which
+    yields the permutational matrices in the same order.
     """
+    rows_of = _single_rows if permutational else compositions
     alpha = tuple(alpha)
     n = len(alpha)
     if n == 0:
@@ -181,7 +184,7 @@ def enumerate_tesler(alpha):
             return
         sign = 1 if s > 0 else -1
         width = n - i
-        for comp in compositions(abs(s), width):
+        for comp in rows_of(abs(s), width):
             row = (0,) * i + tuple(sign * v for v in comp)
             if i == n - 1:
                 yield TeslerMatrix._unchecked(n, rows + (row,))
@@ -191,32 +194,6 @@ def enumerate_tesler(alpha):
             yield from rec(i + 1, rows + (row,))
             for j in range(i + 1, n):
                 colsum[j] -= row[j]
-
-    yield from rec(0, ())
-
-
-def enumerate_permutational(alpha):
-    """Yield the permutational Tesler matrices (one nonzero entry per row)."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    if n == 0:
-        return
-    colsum = [0] * n
-
-    def rec(i: int, rows: tuple):
-        s = alpha[i] + colsum[i]
-        if s == 0:
-            return
-        for j in range(i, n):
-            row = tuple(s if k == j else 0 for k in range(n))
-            if i == n - 1:
-                yield TeslerMatrix._unchecked(n, rows + (row,))
-                continue
-            if j > i:
-                colsum[j] += s
-            yield from rec(i + 1, rows + (row,))
-            if j > i:
-                colsum[j] -= s
 
     yield from rec(0, ())
 
@@ -391,44 +368,24 @@ def _tes_cached(alpha: tuple, k: int, w: int) -> tuple:
     return _add_packed(products, k)
 
 
-def count_tesler(alpha) -> int:
-    """The number of Tesler matrices with hooks alpha, without enumerating them.
+def count_tesler(alpha, permutational: bool = False) -> int:
+    """The number of Tesler matrices with hooks alpha (only the permutational
+    ones, with permutational), without enumerating them.
 
-    The first-row recursion of tes with every weight set to 1, memoized on
-    the hook vector of the rows below.
+    The first-row recursion of tes with every weight set to 1, over the rows
+    enumerate_tesler tries, memoized on the hook vector of the rows below.
     """
-    return _count_cached(tuple(alpha))
+    return _count_cached(tuple(alpha), permutational)
 
 
 @lru_cache(maxsize=None)
-def _count_cached(alpha: tuple) -> int:
+def _count_cached(alpha: tuple, permutational: bool) -> int:
     if not alpha or alpha[0] == 0:
         return 0
     if len(alpha) == 1:
         return 1
     below = alpha[1:]
     sign = 1 if alpha[0] > 0 else -1
-    return sum(_count_cached(tuple(a + sign * r for a, r in zip(below, comp[1:])))
-               for comp in compositions(abs(alpha[0]), len(alpha)))
-
-
-def count_permutational(alpha) -> int:
-    """The number of permutational Tesler matrices with hooks alpha.
-
-    The first row of such a matrix is its total s = alpha_1 in one place:
-    on the diagonal, which leaves the hooks below as they are, or above row
-    j, which adds s to the hook of row j.  Memoized on the hooks below.
-    """
-    return _count_permutational_cached(tuple(alpha))
-
-
-@lru_cache(maxsize=None)
-def _count_permutational_cached(alpha: tuple) -> int:
-    if not alpha or alpha[0] == 0:
-        return 0
-    if len(alpha) == 1:
-        return 1
-    s, below = alpha[0], alpha[1:]
-    return _count_permutational_cached(below) + sum(
-        _count_permutational_cached(below[:j] + (below[j] + s,) + below[j + 1:])
-        for j in range(len(below)))
+    rows_of = _single_rows if permutational else compositions
+    return sum(_count_cached(tuple(a + sign * r for a, r in zip(below, comp[1:])), permutational)
+               for comp in rows_of(abs(alpha[0]), len(alpha)))

@@ -50,7 +50,7 @@ from .specializations import (
     tes_t1,
     wt_alpha,
 )
-from .tesler import enumerate_permutational, enumerate_tesler, tes
+from .tesler import enumerate_tesler, tes
 from .young import partition_stats, partitions_of
 
 
@@ -100,12 +100,14 @@ def _mismatch(inputs, lhs, rhs):
     return {"inputs": inputs, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _equal_case(inputs, lhs_fn, rhs_fn):
+def _equal_case(inputs, first_fn, *other_fns):
+    """A case that computes each value in turn and compares it with the first."""
     def check():
-        lhs = lhs_fn()
-        rhs = rhs_fn()
-        if lhs != rhs:
-            return _mismatch(inputs, lhs, rhs)
+        first = first_fn()
+        for fn in other_fns:
+            value = fn()
+            if value != first:
+                return _mismatch(inputs, first, value)
         return None
 
     return inputs, check
@@ -169,13 +171,32 @@ def _entry_values(bounds: Bounds):
     return range(lo, hi + 1)
 
 
+def _sweep_length(bounds: Bounds) -> int:
+    """The length of the longest vector of _two_route_sweep."""
+    return min(bounds.cap(4), 4)
+
+
+# The cells of the largest partition each suite that runs the Macdonald route
+# builds, from its bounds.  The suites take their n_max from here, so the
+# check against TESLAB_NMAX before any case sees the partitions they build.
+MACDONALD_CELLS = {
+    "thm-3-1": lambda b: _sweep_length(b) + 1,   # a vector of length n: mu of n + 1
+    "cor-3-2": lambda b: _sweep_length(b) + 1,
+    "thm-4-1": lambda b: b.cap(4),
+    "cor-4-4": lambda b: b.cap(6),
+    "cor-4-5": lambda b: b.cap(6),
+    "cor-5-1": lambda b: b.cap(7),
+}
+
+
 def _two_route_sweep(bounds: Bounds):
     """Full sweep of lengths 1..3 plus 20 seeded random length-4 vectors."""
     values = list(_entry_values(bounds))
     alphas = []
-    for n in range(1, min(3, bounds.cap(3)) + 1):
+    longest = _sweep_length(bounds)
+    for n in range(1, min(3, longest) + 1):
         alphas.extend(product(values, repeat=n))
-    if bounds.cap(4) >= 4:
+    if longest == 4:
         rng = random.Random(bounds.seed)
         for _ in range(20):
             alphas.append(tuple(rng.choice(values) for _ in range(4)))
@@ -281,29 +302,25 @@ def suite_thm_4_1(bounds: Bounds) -> Report:
     rhos = _laurent_partitions(bounds, 3)
     cases = []
     alphas = []
-    for n in range(1, bounds.cap(4) + 1):
+    for n in range(1, MACDONALD_CELLS["thm-4-1"](bounds) + 1):
         alphas.append((0,) * (n - 1))
         alphas.extend(a for rho in rhos for a in distinct_arrangements(rho, n - 1))
         for mu in partitions_of(n):
             for rho in rhos:
-                def check(mu=mu, rho=rho, n=n):
-                    total = RatFuncQT.from_laurent(0)
-                    for a in distinct_arrangements(rho, n - 1):
-                        total = total + virtual_F(a, mu)
-                    expect = (virtual_F((0,) * (n - 1), mu)
-                              * m_eval(rho, partition_stats(mu).B - 1))
-                    if total != expect:
-                        return _mismatch({"mu": str(mu), "rho": list(rho)}, total, expect)
-                    return None
-
-                cases.append(({"mu": str(mu), "rho": list(rho)}, check))
+                cases.append(_equal_case(
+                    {"mu": str(mu), "rho": list(rho)},
+                    (lambda mu=mu, rho=rho, n=n: sum(
+                        (virtual_F(a, mu) for a in distinct_arrangements(rho, n - 1)),
+                        RatFuncQT.from_laurent(0))),
+                    (lambda mu=mu, rho=rho, n=n: virtual_F((0,) * (n - 1), mu)
+                     * m_eval(rho, partition_stats(mu).B - 1))))
     return _run("thm-4-1", cases, lambda: _f_observations(alphas))
 
 
 def suite_cor_4_4(bounds: Bounds) -> Report:
     cases = []
     e1 = MonomialSymFn.parse("e:1")
-    for n in range(1, bounds.cap(6) + 1):
+    for n in range(1, MACDONALD_CELLS["cor-4-4"](bounds) + 1):
         cases.append(_equal_case({"n": n, "route": "eigen-vs-closed"},
                                  (lambda n=n: hilb_delta(e1, n, "eigen")),
                                  (lambda n=n: closed_forms("e1", n))))
@@ -328,7 +345,7 @@ def _delta_e2_pn(n: int, route: str) -> LaurentPolyQT:
 def suite_cor_4_5(bounds: Bounds) -> Report:
     cases = []
     m1 = MonomialSymFn.parse("m:-1")
-    for n in range(1, bounds.cap(6) + 1):
+    for n in range(1, MACDONALD_CELLS["cor-4-5"](bounds) + 1):
         cases.append(_equal_case({"n": n, "route": "eigen-vs-closed"},
                                  (lambda n=n: hilb_delta(m1, n, "eigen")),
                                  (lambda n=n: closed_forms("m_minus1", n))))
@@ -347,61 +364,36 @@ def suite_lemmas_4_6_4_7(bounds: Bounds) -> Report:
     for _ in range(200):
         n = rng.randint(1, n_max)
         alpha = tuple(rng.choice(values) for _ in range(n))
-
-        def check_remove_one(alpha=alpha):
-            lhs = tes((1,) + alpha)
-            rhs = tes(alpha)
-            for i in range(len(alpha)):
-                rhs = rhs + tes(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:])
-            if lhs != rhs:
-                return _mismatch({"alpha": list(alpha), "identity": "remove-1"}, lhs, rhs)
-            return None
-
-        def check_negative(alpha=alpha, n=n):
-            lhs = tes(tuple(-a for a in alpha))
-            rhs = qt_inv ** n * tes(alpha).bar()
-            if lhs != rhs:
-                return _mismatch({"alpha": list(alpha), "identity": "negative-hooks"}, lhs, rhs)
-            return None
-
-        cases.append(({"alpha": list(alpha), "identity": "remove-1"}, check_remove_one))
-        cases.append(({"alpha": list(alpha), "identity": "negative-hooks"}, check_negative))
+        cases.append(_equal_case(
+            {"alpha": list(alpha), "identity": "remove-1"},
+            (lambda a=alpha: tes((1,) + a)),
+            (lambda a=alpha: sum((tes(a[:i] + (a[i] + 1,) + a[i + 1:]) for i in range(len(a))),
+                                 tes(a)))))
+        cases.append(_equal_case(
+            {"alpha": list(alpha), "identity": "negative-hooks"},
+            (lambda a=alpha: tes(tuple(-v for v in a))),
+            (lambda a=alpha: qt_inv ** len(a) * tes(a).bar())))
     return _run("lemmas-4-6-4-7", cases)
 
 
 def suite_cor_5_1(bounds: Bounds) -> Report:
     cases = []
-    n_max = bounds.cap(7)
-    for n in range(1, n_max + 1):
+    for n in range(1, MACDONALD_CELLS["cor-5-1"](bounds) + 1):
         for alpha in product((0, 1), repeat=n):
-            def check(alpha=alpha, n=n):
-                formula = tes_t0(alpha)
-                enum = tes(alpha).specialize(t=0)
-                invs = Counter(inv_stat(pi) for pi in osp_enumerate(n, set_of(alpha)))
-                osp_sum = LaurentPolyQT({(k, 0): c for k, c in invs.items()})
-                if not (formula == enum == osp_sum):
-                    return _mismatch({"alpha": list(alpha)}, enum, formula)
-                return None
-
-            cases.append(({"alpha": list(alpha)}, check))
+            cases.append(_equal_case(
+                {"alpha": list(alpha)},
+                (lambda a=alpha: tes_t0(a)),
+                (lambda a=alpha: tes(a).specialize(t=0)),
+                (lambda a=alpha, n=n: LaurentPolyQT(Counter(
+                    (inv_stat(pi), 0) for pi in osp_enumerate(n, set_of(a)))))))
         for k in range(0, n):
-            def check_stirling(n=n, k=k):
-                total = LaurentPolyQT()
-                for alpha in product((0, 1), repeat=n):
-                    if sum(alpha) == k + 1:
-                        total = total + tes_t0(alpha)
-                expect = q_factorial(k + 1) * q_stirling(n, k + 1)
-                if total != expect:
-                    return _mismatch({"n": n, "k": k, "identity": "q-stirling"},
-                                     total, expect)
-                ek = MonomialSymFn({(1,) * k: 1})
-                via_delta = hilb_delta_prime(ek, "e", n).specialize(t=0)
-                if via_delta != expect:
-                    return _mismatch({"n": n, "k": k, "identity": "q-stirling-delta"},
-                                     via_delta, expect)
-                return None
-
-            cases.append(({"n": n, "k": k, "identity": "q-stirling"}, check_stirling))
+            cases.append(_equal_case(
+                {"n": n, "k": k, "identity": "q-stirling"},
+                (lambda n=n, k=k: sum((tes_t0(a) for a in product((0, 1), repeat=n)
+                                       if sum(a) == k + 1), LaurentPolyQT())),
+                (lambda n=n, k=k: q_factorial(k + 1) * q_stirling(n, k + 1)),
+                (lambda n=n, k=k: hilb_delta_prime(MonomialSymFn({(1,) * k: 1}), "e", n)
+                 .specialize(t=0))))
     return _run("cor-5-1", cases)
 
 
@@ -453,7 +445,7 @@ def suite_prop_6_1(bounds: Bounds) -> Report:
                     images.append(U)
                 if len(set(images)) != len(images):
                     return _mismatch({"alpha": list(alpha)}, "psi not injective", "")
-                if set(images) != set(enumerate_permutational(alpha)):
+                if set(images) != set(enumerate_tesler(alpha, permutational=True)):
                     return _mismatch({"alpha": list(alpha)}, "psi not surjective", "")
                 return None
 
@@ -528,16 +520,10 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
             if not alpha[0]:
                 continue
             S = frozenset(range(1, n + 1)) - set_of(alpha)
-
-            def check(alpha=alpha, n=n, S=S):
-                total = sum(wt_alpha(alpha, pf) for pf in cpf(n, S))
-                expect = tes_11(alpha)
-                if total != expect:
-                    return _mismatch({"alpha": list(alpha), "identity": "cpf-weight"},
-                                     total, expect)
-                return None
-
-            cases.append(({"alpha": list(alpha), "identity": "cpf-weight"}, check))
+            cases.append(_equal_case(
+                {"alpha": list(alpha), "identity": "cpf-weight"},
+                (lambda a=alpha, n=n, S=S: sum(wt_alpha(a, pf) for pf in cpf(n, S))),
+                (lambda a=alpha: tes_11(a))))
     return _run("prop-6-4", cases)
 
 
@@ -576,24 +562,22 @@ N_MAX_BUDGETS = {
     "prop-6-3": 6,
     "prop-6-4": 6,
 }
-# Suites whose cases run the Macdonald route at n = n_max, so n_max is
-# also held to the partition-size cap (TESLAB_NMAX)
-AT_N_CAP = ("thm-4-1", "cor-4-4", "cor-4-5", "cor-5-1")
 
 
 def _check_budget(name: str, bounds: Bounds) -> None:
     budget = N_MAX_BUDGETS.get(name)
     if budget is not None and bounds.n_max is not None and bounds.n_max > budget:
         raise ValueError(f"suite {name} has an n_max budget of {budget}, got {bounds.n_max}")
-    if name in AT_N_CAP and bounds.n_max is not None:
-        _check_cap(bounds.n_max)
+    if name in MACDONALD_CELLS:
+        _check_cap(MACDONALD_CELLS[name](bounds))
 
 
 def run_suite(name: str, bounds: Bounds | None = None):
     """Run one named suite (or 'all'); returns a Report or a list of Reports.
 
     Raises ValueError when a suite builds no case under the given bounds, and,
-    before any case is built, when n_max is over a suite's budget.
+    before any case is built, when n_max is over a suite's budget or a
+    partition a suite would build is over the cap TESLAB_NMAX.
     """
     bounds = bounds or Bounds()
     if name != "all" and name not in SUITES:

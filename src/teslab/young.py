@@ -50,15 +50,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

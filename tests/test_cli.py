@@ -5,7 +5,7 @@ import pytest
 from teslab import cli, verify
 from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
-from teslab.qt_algebra import parse_poly_json
+from teslab.qt_algebra import LaurentPolyQT
 from teslab.tesler import count_tesler, enumerate_tesler, parse_hooks, tes
 from teslab.verify import N_MAX_BUDGETS, Bounds, run_suite
 
@@ -59,7 +59,8 @@ class TestTesCommand:
         code, out, _ = run_cli(capsys, "tes", "--hooks", "1,1,1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert parse_poly_json(payload["terms"]) == tes((1, 1, 1))
+        terms = {(int(e0), int(e1)): int(c) for e0, e1, c in payload["terms"]}
+        assert LaurentPolyQT(terms) == tes((1, 1, 1))
 
     def test_pole_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "tes", "--hooks", "-1", "--spec", "t=0")
@@ -250,7 +251,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite, cap, n_max", [
         ("cor-4-4", None, 9), ("cor-4-5", None, 9),
-        *((suite, "3", 4) for suite in verify.AT_N_CAP),
+        *((suite, "3", 4) for suite in ("thm-4-1", "cor-4-4", "cor-4-5", "cor-5-1")),
+        ("thm-3-1", "4", 4), ("cor-3-2", "4", 4),
+        # no --n-max: the suite's own default is over the cap
+        ("cor-4-4", "4", None), ("cor-5-1", "4", None),
     ])
     def test_n_max_over_the_cap_exits_2_before_any_case(self, capsys, monkeypatch,
                                                          suite, cap, n_max):
@@ -261,11 +265,19 @@ class TestVerifyCommand:
             monkeypatch.delenv("TESLAB_NMAX", raising=False)
         else:
             monkeypatch.setenv("TESLAB_NMAX", cap)
-        verify._check_budget(suite, Bounds(n_max=n_max - 1))
+        # the cells of the largest partition the suite builds: thm-3-1 and
+        # cor-3-2 run vectors of length n_max on partitions of n_max + 1 cells,
+        # and cor-4-4 and cor-5-1 default to n_max 6 and 7
+        if n_max is None:
+            argv, cells = (), {"cor-4-4": 6, "cor-5-1": 7}[suite]
+        else:
+            argv = ("--n-max", str(n_max))
+            cells = n_max + 1 if suite in ("thm-3-1", "cor-3-2") else n_max
+            verify._check_budget(suite, Bounds(n_max=n_max - 1))
         monkeypatch.setitem(verify.SUITES, suite, build)
-        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", str(n_max))
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, *argv)
         assert code == 2 and out == ""
-        assert f"n={n_max} exceeds the configured cap {cap or 8}" in err
+        assert f"n={cells} exceeds the configured cap {cap or 8}" in err
 
     def test_all_checks_every_budget_before_any_suite(self, capsys, monkeypatch):
         def build(bounds):
@@ -313,6 +325,24 @@ class TestVerifyCommand:
         assert caches["teslab.macdonald.virtual_F"]["hits"] > 0
         # the first run filled every memo the suite uses
         assert all(c["misses"] == c["currsize"] == 0 for c in caches.values())
+
+    def test_equal_case_compares_every_value_with_the_first(self):
+        inputs = {"n": 1}
+        assert verify._equal_case(inputs, lambda: 1, lambda: 1, lambda: 1)[1]() is None
+        _, check = verify._equal_case(inputs, lambda: 1, lambda: 1, lambda: 2)
+        assert check() == {"inputs": inputs, "lhs": "1", "rhs": "2"}
+
+    @pytest.mark.parametrize("name, broken, identity", [
+        ("inv_stat", lambda pi: 0, None),
+        ("hilb_delta_prime", lambda *args: LaurentPolyQT(), "q-stirling"),
+    ])
+    def test_cor_5_1_checks_its_last_route(self, monkeypatch, name, broken, identity):
+        # the ordered-set-partition sum and the delta-prime value are the
+        # third values of their cases
+        monkeypatch.setattr(verify, name, broken)
+        failures = run_suite("cor-5-1", Bounds(n_max=3)).failures
+        assert failures
+        assert all(f["inputs"].get("identity") == identity for f in failures)
 
     def test_seed_controls_random_cases(self):
         a = run_suite("lemmas-4-6-4-7", Bounds(n_max=2, seed=1))

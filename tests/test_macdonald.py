@@ -14,7 +14,6 @@ from teslab.macdonald import (
     n_cap,
     shifted_power_identity_rhs,
     power_identity_rhs,
-    nabla_hilb,
     pieri_d,
     pieri_power_sum,
     pieri_power_sum_shifted,
@@ -296,15 +295,16 @@ class TestDelta:
 
 class TestNabla:
     def test_diagonal_harmonics_n2(self):
-        assert nabla_hilb(1, 2) == ONE + Q + T
+        # nabla^k e_n has Hilbert series hilb_tilde((k,) * (n - 1), "e")
+        assert hilb_tilde((1,), "e").to_laurent() == ONE + Q + T
 
     def test_zeroth_power(self):
         for n in range(1, 5):
-            assert nabla_hilb(0, n) == ONE
+            assert hilb_tilde((0,) * (n - 1), "e").to_laurent() == ONE
 
     def test_inverse_is_delta_at_minus_ones(self):
         f = MonomialSymFn({(-1, -1): 1})
-        assert nabla_hilb(-1, 2) == hilb_delta(f, 2, "eigen")
+        assert hilb_tilde((-1,), "e").to_laurent() == hilb_delta(f, 2, "eigen")
 
 
 class TestClosedForms:

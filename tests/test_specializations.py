@@ -25,7 +25,7 @@ from teslab.specializations import (
     tes_t1,
     wt_alpha,
 )
-from teslab.tesler import TeslerMatrix, enumerate_permutational, enumerate_tesler, tes
+from teslab.tesler import TeslerMatrix, enumerate_tesler, tes
 
 OSP = OrderedSetPartition.parse
 
@@ -253,7 +253,7 @@ class TestPsi:
                 assert U.weight().specialize(t=1) == expect
                 images.append(U)
             assert len(set(images)) == len(images)
-            assert set(images) == set(enumerate_permutational(alpha))
+            assert set(images) == set(enumerate_tesler(alpha, permutational=True))
 
 
 class TestT1:

@@ -18,9 +18,7 @@ from teslab.tesler import (
     _slot_sizes,
     _unpack,
     compositions,
-    count_permutational,
     count_tesler,
-    enumerate_permutational,
     enumerate_tesler,
     parse_hooks,
     tes,
@@ -52,7 +50,7 @@ class TestValidation:
 
     def test_json_roundtrip(self):
         blob = json.dumps(MIXED_SIGN_4X4.to_json())
-        assert TeslerMatrix.from_json(json.loads(blob)) == MIXED_SIGN_4X4
+        assert TeslerMatrix(json.loads(blob)["rows"]) == MIXED_SIGN_4X4
 
 
 class TestHooks:
@@ -112,27 +110,28 @@ class TestEnumeration:
 
 class TestPermutational:
     def test_alpha_11_all_permutational(self):
-        assert (sorted(m.rows for m in enumerate_permutational((1, 1)))
+        assert (sorted(m.rows for m in enumerate_tesler((1, 1), permutational=True))
                 == sorted(m.rows for m in enumerate_tesler((1, 1))))
 
     def test_known_permutational_member(self):
         target = TeslerMatrix([[0, 2, 0, 0], [0, 0, 0, 2], [0, 0, 0, 3], [0, 0, 0, 6]])
-        assert target in list(enumerate_permutational((2, 0, 3, 1)))
+        assert target in list(enumerate_tesler((2, 0, 3, 1), permutational=True))
 
     def test_count_1_1_1(self):
-        assert sum(1 for _ in enumerate_permutational((1, 1, 1))) == 6
+        assert sum(1 for _ in enumerate_tesler((1, 1, 1), permutational=True)) == 6
 
     def test_count_matches_enumeration(self):
         rng = random.Random(43)
         vectors = [()] + [tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 5)))
                           for _ in range(60)]
         for alpha in vectors:
-            assert count_permutational(alpha) == sum(1 for _ in enumerate_permutational(alpha))
+            assert (count_tesler(alpha, permutational=True)
+                    == sum(1 for _ in enumerate_tesler(alpha, permutational=True)))
 
     def test_count_ones_is_factorial(self):
         # each row of a permutational matrix with hooks 1^n picks one of the
         # n - i places left of it: n! matrices, counted without walking them
-        assert count_permutational((1,) * 12) == 479_001_600
+        assert count_tesler((1,) * 12, permutational=True) == 479_001_600
 
     def test_subset_of_enumeration(self):
         rng = random.Random(5)
@@ -140,9 +139,20 @@ class TestPermutational:
             n = rng.randint(1, 4)
             alpha = tuple(rng.randint(-2, 2) for _ in range(n))
             full = {m.rows for m in enumerate_tesler(alpha)}
-            perm = {m.rows for m in enumerate_permutational(alpha)}
+            perm = {m.rows for m in enumerate_tesler(alpha, permutational=True)}
             assert perm == {r for r in full
                             if all(sum(1 for v in row if v) == 1 for r2 in [r] for row in r2)}
+
+    def test_stream_is_the_filtered_enumeration_in_order(self):
+        # the permutational row set must keep the order of the full stream,
+        # and the count must walk the same rows
+        rng = random.Random(47)
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 5)))
+                   for _ in range(300)]
+        for alpha in vectors + [(1,) * 7, (-1,) * 6, (2, 0, 3, 1)]:
+            perm = list(enumerate_tesler(alpha, permutational=True))
+            assert perm == [m for m in enumerate_tesler(alpha) if m.is_permutational()], alpha
+            assert count_tesler(alpha, permutational=True) == len(perm), alpha
 
 
 class TestWeight:
@@ -164,7 +174,7 @@ class TestWeight:
             n = rng.randint(1, 4)
             alpha = tuple(rng.randint(-2, 2) for _ in range(n))
             for U in enumerate_tesler(alpha):
-                lhs = U.negated().weight()
+                lhs = TeslerMatrix([[-v for v in row] for row in U.rows]).weight()
                 rhs = (-(Q * T) ** -1) ** n * U.weight().bar()
                 assert lhs == rhs
 
@@ -182,7 +192,7 @@ class TestWeight:
             n = rng.randint(1, 4)
             alpha = tuple(rng.randint(-2, 2) for _ in range(n))
             perm_sum = LaurentPolyQT()
-            for U in enumerate_permutational(alpha):
+            for U in enumerate_tesler(alpha, permutational=True):
                 perm_sum = perm_sum + U.weight().specialize(t=1)
             assert tes(alpha).specialize(t=1) == perm_sum
 
