@@ -1,13 +1,15 @@
 """Command-line front end: compute, enumerate, specialize, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-domain errors such as poles or unsupported specializations).
+domain errors such as poles or unsupported specializations), 141 when the
+reader of stdout closes it early (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -21,6 +23,7 @@ from .verify import SUITE_NAMES, Bounds, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+BROKEN_PIPE = 141
 # the most matrices JSON enumerate writes (--format count has no cap)
 ENUMERATE_JSON_CAP = 1_000_000
 
@@ -200,7 +203,16 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fuse_entry_range(list(argv)))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed stdout early shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

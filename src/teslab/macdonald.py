@@ -14,6 +14,10 @@ VI; Garsia-Haiman 1996), and with it c, the cover monomials, B, Pi and w.
 So F^alpha_mu' is F^alpha_mu with q and t swapped, and every sum over the
 partitions of n computes one partition of each conjugate pair
 (_conjugate_sum).
+
+Delta_f has no sum of its own: B_mu - 1 has n - 1 letters, so
+f[B_mu] = g[B_mu - 1] for g = f(x_1, ..., x_{n-1}, 1), and hilb_delta is
+hilb_delta_prime of g on either route.
 """
 
 from __future__ import annotations
@@ -70,30 +74,26 @@ class PieriTable:
     monomials: dict    # cover partition -> LaurentPolyQT (the added-cell monomial)
 
 
+def _bracket_side(alphabet: LaurentPolyQT, k: int, j: int) -> RatFuncQT:
+    """Lemma 3.3's bracket side: (-1)^(k-1) e_j[alphabet] / M for k > 0, and for
+    k < 0 (-1)^k q^-1 t^-1 bar(e_(-k)[alphabet] / M) = (-1)^k bar(e_(-k)[alphabet]) / M."""
+    if k > 0:
+        return RatFuncQT.from_factors(e_plethysm(j, alphabet) * (-1) ** (k - 1), M_FACTORS)
+    return RatFuncQT.from_factors(e_plethysm(-k, alphabet).bar() * (-1) ** -k, M_FACTORS)
+
+
 def power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
     """The bracket side of the power identities built on M*B(nu) - 1."""
     if k == 0:
         return RatFuncQT.from_factors(ONE, M_FACTORS)
-    alphabet = M * partition_stats(nu).B - ONE
-    if k > 0:
-        sign = 1 if (k - 1) % 2 == 0 else -1
-        return RatFuncQT.from_factors(e_plethysm(k - 1, alphabet) * sign, M_FACTORS)
-    sign = 1 if k % 2 == 0 else -1
-    inner = RatFuncQT.from_factors(e_plethysm(-k, alphabet), M_FACTORS)
-    return RatFuncQT.from_laurent(LaurentPolyQT.monomial(sign, -1, -1)) * inner.bar()
+    return _bracket_side(M * partition_stats(nu).B - ONE, k, k - 1)
 
 
 def shifted_power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
     """The bracket side of the shifted identities built on M*B(nu)."""
     if k == 0:
         return RatFuncQT.from_laurent(ZERO)
-    alphabet = M * partition_stats(nu).B
-    if k > 0:
-        sign = 1 if (k - 1) % 2 == 0 else -1
-        return RatFuncQT.from_factors(e_plethysm(k, alphabet) * sign, M_FACTORS)
-    sign = 1 if k % 2 == 0 else -1
-    inner = RatFuncQT.from_factors(e_plethysm(-k, alphabet), M_FACTORS)
-    return RatFuncQT.from_laurent(LaurentPolyQT.monomial(sign, -1, -1)) * inner.bar()
+    return _bracket_side(M * partition_stats(nu).B, k, k)
 
 
 def _line_product(nu: Partition, mu: Partition, cell, other: bool, extra=()) -> RatFuncQT:
@@ -251,17 +251,17 @@ def tes_via_theorem(alpha) -> LaurentPolyQT:
     return hilb_tilde(alpha, "p").to_laurent()
 
 
-def _eigen_sum(f: MonomialSymFn, shift: int, target: str, n: int) -> LaurentPolyQT:
-    """Sum of f[B_mu - shift] against the weighted zero-hook virtual series.
+def _eigen_sum(f: MonomialSymFn, target: str, n: int) -> LaurentPolyQT:
+    """Sum of f[B_mu - 1] against the weighted zero-hook virtual series.
 
     B_mu' is B_mu with q and t swapped, but f's coefficients are Laurent
-    polynomials in q and t themselves, so f[B_mu' - s] is the swap of
-    f^sigma[B_mu - s], where f^sigma swaps q and t in f's coefficients.  The
+    polynomials in q and t themselves, so f[B_mu' - 1] is the swap of
+    f^sigma[B_mu - 1], where f^sigma swaps q and t in f's coefficients.  The
     conjugate half of the sum therefore takes f^sigma's brackets; when
     f^sigma == f (every f with integer coefficients) it is the first half.
     """
     def term(g, mu):
-        bracket = g.eval_bracket(partition_stats(mu).B - shift)
+        bracket = g.eval_bracket(partition_stats(mu).B - ONE)
         if bracket.is_zero():
             return RatFuncQT.from_laurent(ZERO)
         return _zero_hook_term(mu, target) * bracket
@@ -269,11 +269,6 @@ def _eigen_sum(f: MonomialSymFn, shift: int, target: str, n: int) -> LaurentPoly
     f_sigma = f.swap_qt()
     term_sigma = None if f_sigma == f else partial(term, f_sigma)
     return _conjugate_sum(n, partial(term, f), term_sigma).to_laurent()
-
-
-def _check_route(route: str) -> None:
-    if route not in ("eigen", "tesler"):
-        raise ValueError("route must be 'eigen' or 'tesler'")
 
 
 def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
@@ -287,10 +282,11 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
     """
     if target not in ("e", "p"):
         raise ValueError("target must be 'p' or 'e'")
-    _check_route(route)
+    if route not in ("eigen", "tesler"):
+        raise ValueError("route must be 'eigen' or 'tesler'")
     _check_cap(n)
     if route == "eigen":
-        return _eigen_sum(f, 1, target, n)
+        return _eigen_sum(f, target, n)
     head = (1,) if target == "e" else ()
     total = ZERO
     for rho, coeff in f.coeffs.items():
@@ -302,18 +298,12 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
 def hilb_delta(f: MonomialSymFn, n: int, route: str = "eigen") -> LaurentPolyQT:
     """Hilbert series of the delta operator applied to e_n, two routes.
 
-    Route 'eigen' sums f[B] against the zero-hook virtual series; route
-    'tesler' expands f at (x_1, ..., x_{n-1}, 1) and replaces each monomial
-    x^alpha by tes((1, alpha)).  The two must agree.
+    Delta_f e_n = Delta'_g e_n for g = f(x_1, ..., x_{n-1}, 1): the alphabet
+    B_mu has the letter 1 and n - 1 others, so f[B_mu] = g[B_mu - 1] for
+    every partition mu of n.  Both routes are hilb_delta_prime's for g.
     """
-    _check_route(route)
     _check_cap(n)
-    if route == "eigen":
-        return _eigen_sum(f, 0, "e", n)
-    total = ZERO
-    for exponents, coeff in f.expand_last_one(n).items():
-        total = total + coeff * tes((1,) + exponents)
-    return total
+    return hilb_delta_prime(f.at_last_one(n), "e", n, route)
 
 
 def closed_forms(which: str, n: int) -> LaurentPolyQT:

@@ -131,18 +131,19 @@ class MonomialSymFn:
             out = out + c * m_eval(rho, alphabet)
         return out
 
-    def expand_last_one(self, n: int) -> dict:
-        """Expansion of f(x_1, ..., x_{n-1}, 1) as {exponent vector: coefficient}.
-
-        Keys are length n-1 integer vectors; the n-th variable is set to 1.
-        """
+    def at_last_one(self, n: int) -> "MonomialSymFn":
+        """g = f(x_1, ..., x_{n-1}, 1) in the monomial basis: m_rho(x, 1) sums
+        m_(rho minus one v) over the distinct values v of the last variable,
+        the parts of rho and 0 when rho has fewer than n parts."""
         out: dict = {}
         for rho, c in self.coeffs.items():
-            for vec in distinct_arrangements(rho, n):
-                key = vec[: n - 1]
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            if len(rho) > n:
+                continue
+            for v in set(rho) | ({0} if len(rho) < n else set()):
+                i = rho.index(v) if v else len(rho)
+                rest = rho[:i] + rho[i + 1:]
+                out[rest] = out[rest] + c if rest in out else c
+        return MonomialSymFn(out)
 
 
 @lru_cache(maxsize=None)

@@ -2,18 +2,18 @@
 
 A Laurent polynomial is a dict from exponent pairs (eq, et) to nonzero
 arbitrary-precision integer coefficients, so every computation is exact.
-Rational functions keep their denominator as a positive integer times a
-multiset of canonical primitive factors, and every factor is a binomial
-+-x^A +- x^B: those are all the denominators the Macdonald route builds
-(arm/leg binomials and the two factors of M), and from_factors refuses any
-other.  Cancellation only ever uses exact_div, which divides by such a
-binomial with one pass of running sums along the lines {e + k(A - B)}, so
-intermediate results stay small without computing polynomial gcds.
+Rational functions keep their denominator as a multiset of canonical
+factors, and every factor is a binomial +-x^A +- x^B: those are all the
+denominators the Macdonald route builds (arm/leg binomials and the two
+factors of M), and from_factors refuses any other, integer content and
+monomials included.  Cancellation only ever uses exact_div, which divides
+by such a binomial with one pass of running sums along the lines
+{e + k(A - B)}, so intermediate results stay small without computing
+polynomial gcds.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -219,10 +219,6 @@ class LaurentPolyQT:
             raise ValueError("zero polynomial has no exponents")
         return (min(e for e, _ in self.terms), min(e for _, e in self.terms))
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*(abs(c) for c in self.terms.values())) if self.terms else 0
-
     def shift(self, eq: int, et: int) -> "LaurentPolyQT":
         if not (eq or et):
             return self
@@ -367,80 +363,69 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
 
 
 def _split_canonical(p: LaurentPolyQT):
-    """Write nonzero p as sign * content * q^a t^b * primitive.
-
-    The primitive part has min exponents (0,0), coefficient gcd 1 and a
-    positive graded-lex leading coefficient; it is ONE iff p is a monomial.
-    """
+    """Write a +-1 binomial p as sign * x^mins * canonical, where canonical has
+    min exponents (0,0) and a positive graded-lex leading coefficient."""
     mins = p.min_exponents()
     shifted = {(e0 - mins[0], e1 - mins[1]): c for (e0, e1), c in p.terms.items()}
-    g = math.gcd(*(abs(c) for c in shifted.values()))
     sign = 1 if shifted[max(shifted, key=_grlex)] > 0 else -1
-    prim = LaurentPolyQT._raw({m: c // (sign * g) for m, c in shifted.items()})
-    return sign, g, mins, prim
+    canon = LaurentPolyQT._raw({m: c * sign for m, c in shifted.items()})
+    return sign, mins, canon
 
 
 class RatFuncQT:
     """Exact rational function in q and t.
 
-    Stored as num / (den_int * prod(factors)) where den_int is a positive
-    integer and factors is a sorted tuple of canonical primitive +-1
-    binomials.  Monomial content never sits in the denominator (it moves into
-    num as negative exponents).  Equality is decided by cross-multiplication,
-    so a missed cancellation can never change a result.  Build one with
-    from_laurent or from_factors.
+    Stored as num / prod(factors) where factors is a sorted tuple of canonical
+    +-1 binomials.  Equality is decided by cross-multiplication, so a missed
+    cancellation can never change a result.  Build one with from_laurent or
+    from_factors.
     """
 
-    __slots__ = ("num", "den_int", "factors")
+    __slots__ = ("num", "factors")
 
     @classmethod
-    def _make(cls, num: LaurentPolyQT, den_int: int, factors) -> "RatFuncQT":
+    def _raw(cls, num: LaurentPolyQT, factors: tuple) -> "RatFuncQT":
+        # internal fast path: factors must already be canonical and sorted
         out = object.__new__(cls)
-        out.num, out.den_int, out.factors = _reduce(num, den_int, factors)
+        out.num, out.factors = num, factors
         return out
+
+    @classmethod
+    def _make(cls, num: LaurentPolyQT, factors) -> "RatFuncQT":
+        return cls._raw(*_reduce(num, factors))
 
     @classmethod
     def from_laurent(cls, p) -> "RatFuncQT":
-        if isinstance(p, int):
-            p = LaurentPolyQT.const(p)
-        out = object.__new__(cls)
-        out.num, out.den_int, out.factors = p, 1, ()
-        return out
+        return cls._raw(LaurentPolyQT.const(p) if isinstance(p, int) else p, ())
 
     @classmethod
-    def from_factors(cls, num, factors, den_int: int = 1) -> "RatFuncQT":
-        """num / (den_int * prod(factors)) with each factor canonicalized, not expanded.
+    def from_factors(cls, num, factors) -> "RatFuncQT":
+        """num / prod(factors) with each factor canonicalized, not expanded.
 
-        Each factor must be c x^A or c (x^A +- x^B) for a nonzero integer c;
-        any other factor raises ValueError.
+        Each factor must be +-x^A +- x^B; any other nonzero factor, integer
+        content and monomials included, raises ValueError.
         """
         if isinstance(num, int):
             num = LaurentPolyQT.const(num)
-        if den_int < 0:
-            num, den_int = -num, -den_int
-        if den_int == 0:
-            raise ZeroDivisionError("zero denominator")
         canon = []
         for f in factors:
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator")
-            sign, g, mins, prim = _split_canonical(f)
+            if not _is_unit_binomial(f):
+                raise ValueError(f"denominator factor {f} is not +-x^A +- x^B")
+            sign, mins, prim = _split_canonical(f)
             num = num.shift(-mins[0], -mins[1]) * sign
-            den_int *= g
-            if prim != ONE:
-                if not _is_unit_binomial(prim):
-                    raise ValueError(f"denominator factor {f} is not c*x^A or c*(x^A +- x^B)")
-                canon.append(prim)
-        return cls._make(num, den_int, tuple(canon))
+            canon.append(prim)
+        return cls._make(num, tuple(canon))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_laurent(self) -> bool:
-        return not self.factors and self.den_int == 1
+        return not self.factors
 
     def to_laurent(self) -> LaurentPolyQT:
-        if self.factors or self.den_int != 1:
+        if self.factors:
             raise ValueError("not a Laurent polynomial")
         return self.num
 
@@ -450,18 +435,15 @@ class RatFuncQT:
             return NotImplemented
         ca, cb = Counter(self.factors), Counter(other.factors)
         common = ca & cb
-        ra = _expand(1, (ca - common).elements())
-        rb = _expand(1, (cb - common).elements())
-        g = math.gcd(self.den_int, other.den_int)
-        return self.num * rb * (other.den_int // g) == other.num * ra * (self.den_int // g)
+        ra = _expand((ca - common).elements())
+        rb = _expand((cb - common).elements())
+        return self.num * rb == other.num * ra
 
     def __hash__(self):
         raise TypeError("RatFuncQT is not hashable (equality is cross-multiplicative)")
 
     def __neg__(self) -> "RatFuncQT":
-        out = object.__new__(RatFuncQT)
-        out.num, out.den_int, out.factors = -self.num, self.den_int, self.factors
-        return out
+        return RatFuncQT._raw(-self.num, self.factors)
 
     def __add__(self, other) -> "RatFuncQT":
         other = _coerce(other)
@@ -473,12 +455,9 @@ class RatFuncQT:
             return self
         ca, cb = Counter(self.factors), Counter(other.factors)
         common = ca | cb
-        extra_a = _expand(1, (common - ca).elements())
-        extra_b = _expand(1, (common - cb).elements())
-        lcm = self.den_int * other.den_int // math.gcd(self.den_int, other.den_int)
-        num = (self.num * extra_a * (lcm // self.den_int)
-               + other.num * extra_b * (lcm // other.den_int))
-        return RatFuncQT._make(num, lcm, tuple(common.elements()))
+        num = (self.num * _expand((common - ca).elements())
+               + other.num * _expand((common - cb).elements()))
+        return RatFuncQT._make(num, tuple(common.elements()))
 
     __radd__ = __add__
 
@@ -495,53 +474,36 @@ class RatFuncQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFuncQT._make(self.num * other.num,
-                               self.den_int * other.den_int,
-                               self.factors + other.factors)
+        return RatFuncQT._make(self.num * other.num, self.factors + other.factors)
 
     __rmul__ = __mul__
 
-    def bar(self) -> "RatFuncQT":
-        """Substitute q -> 1/q, t -> 1/t."""
-        return self._substitute(LaurentPolyQT.bar)
-
     def swap_qt(self) -> "RatFuncQT":
-        """Exchange q and t."""
-        return self._substitute(LaurentPolyQT.swap_qt)
+        """Exchange q and t.
 
-    def _substitute(self, sigma) -> "RatFuncQT":
-        # sigma is a ring automorphism that permutes monomials and keeps
-        # coefficients.  It maps a primitive factor to sign * x^mins times a
-        # primitive one, so only the sign and the shift move into num; and a
-        # factor divides sigma(num) iff its preimage divides num, so a reduced
-        # fraction stays reduced and _reduce is not needed.
-        num = sigma(self.num)
-        sign, shift0, shift1 = 1, 0, 0
+        The swap of a canonical factor keeps min exponents (0,0), so only its
+        sign moves into num; and a factor divides swap(num) iff its swap
+        divides num, so a reduced fraction stays reduced without _reduce.
+        """
+        num = self.num.swap_qt()
         prims = []
         for f in self.factors:
-            s, _, (m0, m1), prim = _split_canonical(sigma(f))
-            sign *= s
-            shift0 += m0
-            shift1 += m1
+            sign, _, prim = _split_canonical(f.swap_qt())
+            num = num * sign
             prims.append(prim)
-        out = object.__new__(RatFuncQT)
-        out.num = num.shift(-shift0, -shift1) * sign
-        out.den_int = self.den_int
-        out.factors = tuple(sorted(prims, key=_factor_key))
-        return out
+        return RatFuncQT._raw(num, tuple(sorted(prims, key=_factor_key)))
 
     def __str__(self) -> str:
         if self.is_laurent():
             return str(self.num)
-        den = _expand(self.den_int, self.factors)
-        return f"({self.num}) / ({den})"
+        return f"({self.num}) / ({_expand(self.factors)})"
 
     def __repr__(self) -> str:
         return f"RatFuncQT<{self}>"
 
 
-def _expand(den_int: int, factors) -> LaurentPolyQT:
-    out = LaurentPolyQT.const(den_int)
+def _expand(factors) -> LaurentPolyQT:
+    out = ONE
     for f in factors:
         out = out * f
     return out
@@ -555,9 +517,9 @@ def _coerce(x):
     return NotImplemented
 
 
-def _reduce(num: LaurentPolyQT, den_int: int, factors):
+def _reduce(num: LaurentPolyQT, factors):
     if num.is_zero():
-        return ZERO, 1, ()
+        return ZERO, ()
     kept = []
     for f in factors:
         quotient = exact_div(num, f)
@@ -565,13 +527,8 @@ def _reduce(num: LaurentPolyQT, den_int: int, factors):
             kept.append(f)
         else:
             num = quotient
-    if den_int != 1:
-        g = math.gcd(den_int, num.content())
-        if g > 1:
-            num = LaurentPolyQT._raw({m: c // g for m, c in num.terms.items()})
-            den_int //= g
     kept.sort(key=_factor_key)
-    return num, den_int, tuple(kept)
+    return num, tuple(kept)
 
 
 def _factor_key(f: LaurentPolyQT):

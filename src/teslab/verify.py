@@ -563,11 +563,20 @@ N_MAX_BUDGETS = {
     "prop-6-4": 6,
 }
 
+# The largest max(|lo|, |hi|) of the entry range, timed the same way at each
+# suite's default n_max: at 5 the suites that read the range take 1.2 s
+# (thm-4-1) to 42 s (prop-6-4), and at 6 prop-6-2 does not finish in 60 s.
+ENTRY_RANGE_BUDGET = 5
+
 
 def _check_budget(name: str, bounds: Bounds) -> None:
     budget = N_MAX_BUDGETS.get(name)
     if budget is not None and bounds.n_max is not None and bounds.n_max > budget:
         raise ValueError(f"suite {name} has an n_max budget of {budget}, got {bounds.n_max}")
+    lo, hi = bounds.entry_range
+    if max(abs(lo), abs(hi)) > ENTRY_RANGE_BUDGET:
+        raise ValueError(f"entry range {lo}..{hi} is over the budget: each end must lie in "
+                         f"-{ENTRY_RANGE_BUDGET}..{ENTRY_RANGE_BUDGET}")
     if name in MACDONALD_CELLS:
         _check_cap(MACDONALD_CELLS[name](bounds))
 
@@ -576,8 +585,9 @@ def run_suite(name: str, bounds: Bounds | None = None):
     """Run one named suite (or 'all'); returns a Report or a list of Reports.
 
     Raises ValueError when a suite builds no case under the given bounds, and,
-    before any case is built, when n_max is over a suite's budget or a
-    partition a suite would build is over the cap TESLAB_NMAX.
+    before any case is built, when n_max is over a suite's budget, the entry
+    range is over ENTRY_RANGE_BUDGET or a partition a suite would build is
+    over the cap TESLAB_NMAX.
     """
     bounds = bounds or Bounds()
     if name != "all" and name not in SUITES:

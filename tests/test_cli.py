@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,13 +11,21 @@ from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
 from teslab.tesler import count_tesler, enumerate_tesler, parse_hooks, tes
-from teslab.verify import N_MAX_BUDGETS, Bounds, run_suite
+from teslab.verify import ENTRY_RANGE_BUDGET, N_MAX_BUDGETS, Bounds, run_suite
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def spawn_cli(*argv, **kwargs):
+    """The CLI in a child process, with this checkout's src first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "teslab.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 class TestTesCommand:
@@ -140,6 +152,29 @@ class TestEnumerateCommand:
         code, out, err = run_cli(capsys, "enumerate", "--hooks", ",".join(["1"] * 12),
                                  "--permutational")
         assert code == 2 and out == "" and "479,001,600" in err
+
+
+class TestBrokenPipe:
+    def test_reader_closing_after_one_line_exits_141(self):
+        proc = spawn_cli("enumerate", "--hooks", "1,1,1,1,1,1",
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert json.loads(first)["n"] == 6
+        assert err == b""
+
+    def test_stdout_closed_before_the_first_write_exits_141(self):
+        # the output fits in the buffer, so the pipe breaks at main's flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = spawn_cli("tes", "--hooks", "1,1", stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestHilbCommand:
@@ -288,6 +323,23 @@ class TestVerifyCommand:
         n_max = str(min(N_MAX_BUDGETS.values()) + 1)
         code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", n_max)
         assert code == 2 and out == "" and "n_max budget" in err
+
+    # the suites that read the entry range; the budget binds every suite
+    @pytest.mark.parametrize("suite", ["thm-3-1", "cor-3-2", "thm-4-1", "lemmas-4-6-4-7",
+                                       "prop-6-2", "prop-6-4", "all"])
+    def test_entry_range_budget_exits_2_before_any_case(self, capsys, monkeypatch, suite):
+        def build(bounds):
+            raise AssertionError(f"{suite} built its cases over the entry-range budget")
+
+        b = ENTRY_RANGE_BUDGET
+        for name in verify.SUITES:
+            verify._check_budget(name, Bounds(entry_range=(-b, b)))
+            monkeypatch.setitem(verify.SUITES, name, build)
+        for lo, hi in ((-b - 1, 0), (0, b + 1), (-9, 9)):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                     "--entry-range", f"{lo}..{hi}")
+            assert code == 2 and out == ""
+            assert f"entry range {lo}..{hi} is over the budget" in err
 
     @pytest.mark.parametrize("text", ["abc", "1", "1..x", ""])
     def test_malformed_entry_range_exits_2(self, capsys, text):

@@ -293,6 +293,42 @@ class TestDelta:
             assert hilb_delta(f, n, "eigen") == hilb_delta(f, n, "tesler"), (text, n)
 
 
+def direct_delta_sum(f: MonomialSymFn, n: int) -> LaurentPolyQT:
+    """Sum over every partition mu of n of f[B_mu] times the zero-hook term, no halving."""
+    total = RatFuncQT.from_laurent(0)
+    for mu in partitions_of(n):
+        bracket = f.eval_bracket(partition_stats(mu).B)
+        total = total + _eigen_coeff(mu, "e") * virtual_F((0,) * (n - 1), mu) * bracket
+    return total.to_laurent()
+
+
+class TestDeltaThroughPrime:
+    """hilb_delta is hilb_delta_prime of f(x_1, ..., x_{n-1}, 1), checked on f[B_mu]."""
+
+    CASES = {
+        **{text: MonomialSymFn.parse(text)
+           for text in ("e:1", "m:-1", "e:2", "e:3", "s:2,1", "m:2,-1", "m:1,1,-1")},
+        "qt-coefficients": TestConjugation.QT_F,
+    }
+
+    @pytest.mark.parametrize("f", CASES.values(), ids=CASES.keys())
+    def test_equals_direct_eigen_sum(self, f):
+        for n in range(1, 7):
+            expected = direct_delta_sum(f, n)
+            assert hilb_delta(f, n, "eigen") == expected, n
+            assert hilb_delta(f, n, "tesler") == expected, n
+
+    def test_cap_is_checked_before_the_expansion(self, monkeypatch):
+        monkeypatch.setenv("TESLAB_NMAX", "3")
+
+        def refuse(self, n):
+            raise AssertionError("at_last_one ran before the cap check")
+
+        monkeypatch.setattr(MonomialSymFn, "at_last_one", refuse)
+        with pytest.raises(ValueError, match="exceeds the configured cap 3"):
+            hilb_delta(MonomialSymFn.parse("e:1"), 12)
+
+
 class TestNabla:
     def test_diagonal_harmonics_n2(self):
         # nabla^k e_n has Hilbert series hilb_tilde((k,) * (n - 1), "e")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from teslab.plethysm import (
     MonomialSymFn,
+    distinct_arrangements,
     e_plethysm,
     m_eval,
     schur_to_monomial,
@@ -28,6 +29,38 @@ def p_plethysm(r: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
     if r < 1:
         raise ValueError("power-sum index must be >= 1")
     return LaurentPolyQT({(e0 * r, e1 * r): c for (e0, e1), c in alphabet.terms.items()})
+
+
+def expand_last_one(f: MonomialSymFn, n: int) -> dict:
+    """Brute-force f(x_1, ..., x_{n-1}, 1) as {exponent vector: coefficient}.
+
+    Walks every arrangement of every rho in n slots and drops the last slot.
+    """
+    out: dict = {}
+    for rho, c in f.coeffs.items():
+        for vec in distinct_arrangements(rho, n):
+            key = vec[: n - 1]
+            out[key] = out[key] + c if key in out else c
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def expand_monomials(g: MonomialSymFn, slots: int) -> dict:
+    """g in `slots` variables as {exponent vector: coefficient}."""
+    out: dict = {}
+    for rho, c in g.coeffs.items():
+        for vec in distinct_arrangements(rho, slots):
+            out[vec] = out[vec] + c if vec in out else c
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def at_last_one_every_arrangement(f: MonomialSymFn, n: int) -> MonomialSymFn:
+    """A wrong at_last_one: it adds c once per arrangement, not once per m_rho."""
+    out: dict = {}
+    for rho, c in f.coeffs.items():
+        for vec in distinct_arrangements(rho, n):
+            key = tuple(sorted((v for v in vec[: n - 1] if v), reverse=True))
+            out[key] = out[key] + c if key in out else c
+    return MonomialSymFn(out)
 
 
 def h_single(k: int, mono) -> LaurentPolyQT:
@@ -192,12 +225,36 @@ class TestMonomialSymFn:
         f = MonomialSymFn({(): 1})
         assert f.eval_bracket(b_of((2, 1))) == ONE
 
+    # the brute-force oracle of at_last_one, pinned on two small cases
     def test_expand_last_one_e1(self):
         f = MonomialSymFn.parse("e:1")
-        expansion = f.expand_last_one(3)
+        expansion = expand_last_one(f, 3)
         assert expansion == {(1, 0): ONE, (0, 1): ONE, (0, 0): ONE}
 
     def test_expand_last_one_m_minus1(self):
         f = MonomialSymFn.parse("m:-1")
-        expansion = f.expand_last_one(3)
+        expansion = expand_last_one(f, 3)
         assert expansion == {(-1, 0): ONE, (0, -1): ONE, (0, 0): ONE}
+
+    def test_at_last_one_e1(self):
+        # e_1(x_1, x_2, 1) = m_1(x_1, x_2) + 1
+        assert MonomialSymFn.parse("e:1").at_last_one(3) == MonomialSymFn({(1,): 1, (): 1})
+
+    AT_LAST_ONE_CASES = {
+        **{text: MonomialSymFn.parse(text)
+           for text in ("e:1", "m:-1", "e:2", "e:3", "s:2,1", "m:2,-1", "m:1,1,-1",
+                        "m:2,2,1", "s:3,1", "m:1,-1,-1,-1")},
+        "qt-coefficients": MonomialSymFn({(2, 1): Q - T, (1,): ONE + Q, (): T}),
+    }
+
+    @pytest.mark.parametrize("f", AT_LAST_ONE_CASES.values(), ids=AT_LAST_ONE_CASES.keys())
+    def test_at_last_one_matches_brute_force(self, f):
+        for n in range(1, 7):
+            assert expand_monomials(f.at_last_one(n), n - 1) == expand_last_one(f, n), n
+
+    def test_oracle_rejects_counting_every_arrangement(self):
+        f = MonomialSymFn.parse("e:1")
+        for n in range(3, 7):
+            wrong = at_last_one_every_arrangement(f, n)
+            assert wrong.coeffs[(1,)] == n - 1
+            assert expand_monomials(wrong, n - 1) != expand_last_one(f, n)
