@@ -11,7 +11,9 @@ cars are considerate), computed once when it is built; car_bars, area and
 wt_alpha only read it.  parking_functions(n) generates and parks the
 (n+1)^(n-1) parking functions of order n once per n, and cpf filters that
 cached tuple; cpf refuses n above CPF_N_MAX before generating anything, and
-the CLI turns that into exit 2.  Which hook entries sum to each tail of an
+the CLI turns that into exit 2.  Generated records, here and in
+osp_enumerate, are valid by construction and skip the validation that
+__init__ and parse give user input.  Which hook entries sum to each tail of an
 ordered set partition depends on the partition alone, so tes_t1 reads the
 tails of every partition with given minima from one cached scan.
 """
@@ -43,6 +45,14 @@ class OrderedSetPartition:
             raise ValueError("blocks must partition {1..n}")
         self.blocks = blocks
         self.n = n
+
+    @classmethod
+    def _unchecked(cls, blocks: tuple, n: int) -> "OrderedSetPartition":
+        """The record of blocks, a tuple of frozensets known to partition {1..n}."""
+        out = object.__new__(cls)
+        out.blocks = blocks
+        out.n = n
+        return out
 
     @classmethod
     def parse(cls, text: str) -> "OrderedSetPartition":
@@ -87,7 +97,7 @@ def osp_enumerate(n: int, minima: set) -> list:
             blocks = [{m} for m in order]
             for x, i in zip(rest, choice):
                 blocks[i].add(x)
-            out.append(OrderedSetPartition(blocks))
+            out.append(OrderedSetPartition._unchecked(tuple(map(frozenset, blocks)), n))
     return out
 
 
@@ -294,6 +304,17 @@ class ParkingFunction:
         n = len(prefs)
         if any(not 1 <= v <= n for v in prefs):
             raise ValueError("preferences must lie in 1..n")
+        self._park(prefs)
+
+    @classmethod
+    def _unchecked(cls, prefs: tuple) -> "ParkingFunction":
+        """The record of prefs, a tuple of ints known to be a parking function."""
+        out = object.__new__(cls)
+        out._park(prefs)
+        return out
+
+    def _park(self, prefs: tuple) -> None:
+        n = len(prefs)
         car = [0] * (n + 1)
         spot = []
         for i, j in enumerate(prefs, start=1):
@@ -340,7 +361,7 @@ def parking_functions(n: int) -> tuple:
     for seq in combinations_with_replacement(range(1, n + 1), n):
         if all(a <= i for i, a in enumerate(seq, start=1)):
             prefs.update(permutations(seq))
-    return tuple(ParkingFunction(p) for p in sorted(prefs))
+    return tuple(ParkingFunction._unchecked(p) for p in sorted(prefs))
 
 
 def cpf(n: int, cars) -> list:

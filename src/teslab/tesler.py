@@ -35,8 +35,14 @@ t-exponent, both built from the actual weight polynomials.  With
 2^(K-1) > L1 every coefficient is a balanced base-2^K digit, and with
 W > thi - tlo no two monomials of the value land in one slot, so tes decodes
 the packed value exactly, once, whatever the input.  K and W are rounded up
-to fixed steps so that calls of similar size share the memoized states,
-which an lru_cache keys on (hook vector of the remaining rows, K, W).
+to steps of 8 bits and 4 slots so that calls of similar size share the
+memoized states, which an lru_cache keys on (hook vector of the remaining
+rows, K, W).
+
+_bound is the one walk that builds child hook vectors.  For each state it
+records the live groups: the first-row groups with a child whose bound is
+nonzero, and those children.  The packed pass follows these groups and never
+rebuilds a child tuple or visits a child whose value is zero.
 
 count_tesler runs the recursion with every weight set to 1.  A
 permutational matrix (one nonzero entry per row, the matrices that survive
@@ -236,15 +242,17 @@ def tes(alpha) -> LaurentPolyQT:
     first and multiplied by their common weight once.
 
     The recursion runs on Kronecker-packed ints (see the module docstring).
-    _bound(alpha) gives L1, a bound on the sum of the absolute coefficients,
-    and a window [tlo, thi] of t-exponents; with 2^(K-1) > L1 and
-    W > thi - tlo no coefficient spills into the next slot and no two
-    monomials share one, so the balanced base-2^K digits of the packed
-    result are exactly its coefficients.  Values are immutable and safe to
-    share.
+    _bound(alpha) walks the states once and gives L1, a bound on the sum of
+    the absolute coefficients, a window [tlo, thi] of t-exponents and the
+    live groups of each state; with 2^(K-1) > L1 and W > thi - tlo (K and W
+    rounded up to 8 bits and 4 slots) no coefficient spills into the next
+    slot and no two monomials share one, so the balanced base-2^K digits of
+    the packed result are exactly its coefficients.  The packed pass
+    multiplies along the recorded live groups only.  Values are immutable
+    and safe to share.
     """
     alpha = tuple(alpha)
-    l1, tlo, thi = _bound(alpha)
+    l1, tlo, thi, _ = _bound(alpha)
     if not l1:
         return ZERO
     k, w = _slot_sizes(l1, tlo, thi)
@@ -254,9 +262,11 @@ def tes(alpha) -> LaurentPolyQT:
 
 # K and W round up to these steps, so that calls of similar size use the same
 # packing and share memoized states.  Exact sizes spread the states of one
-# verify suite over many (K, W); coarser steps lengthen every int.
-K_STEP = 16
-W_STEP = 8
+# verify suite over many (K, W): with steps of 1, prop-6-2's 780 small calls
+# ran about 25% slower.  Coarser steps lengthen every int: steps of 16 and 8
+# cost the cold tes-large inputs about 15%.
+K_STEP = 8
+W_STEP = 4
 
 
 def _slot_sizes(l1: int, tlo: int, thi: int) -> tuple:
@@ -278,33 +288,49 @@ def _row_spans(s: int, width: int) -> tuple:
     return tuple((_span(weight), tails) for weight, tails in _first_rows(s, width))
 
 
-# the bound of the zero value: no coefficient and an empty t-window
-_ZERO_BOUND = (0, math.inf, -math.inf)
+# the bound of the zero value: no coefficient, an empty t-window, no group
+_ZERO_BOUND = (0, math.inf, -math.inf, ())
 
 
 @lru_cache(maxsize=None)
 def _bound(alpha: tuple) -> tuple:
-    """(l1, tlo, thi): the sum of |coefficients| of tes(alpha) is at most l1,
-    and its t-exponents lie in [tlo, thi] (an empty window when l1 = 0).
+    """(l1, tlo, thi, groups): the sum of |coefficients| of tes(alpha) is at
+    most l1, and its t-exponents lie in [tlo, thi] (an empty window when
+    l1 = 0).  groups holds one (row index, kids) pair per first-row group of
+    _first_rows with a live child: kids are the hook vectors of the rows
+    below whose bound is nonzero, so a child whose value is zero is left out.
 
     The first-row recursion of tes with every value replaced by these three
     numbers: a sum adds the l1 and joins the windows, a product multiplies
-    the l1 and adds the windows.
+    the l1 and adds the windows.  It is the one walk that builds the child
+    tuples; _tes_cached follows the recorded groups.
     """
     if not alpha or alpha[0] == 0:
         return _ZERO_BOUND
     if len(alpha) == 1:
-        return _span(qt_int(alpha[0]))
+        return _span(qt_int(alpha[0])) + ((),)
     below = alpha[1:]
-    l1, lo, hi = _ZERO_BOUND
-    for (wl1, wlo, whi), tails in _row_spans(alpha[0], len(alpha)):
-        l1s, los, his = zip(*[_bound(tuple(map(add, below, tail))) for tail in tails])
-        total = sum(l1s)
-        if total:
+    l1, lo, hi = 0, math.inf, -math.inf
+    groups = []
+    for index, ((wl1, wlo, whi), tails) in enumerate(_row_spans(alpha[0], len(alpha))):
+        kids = []
+        total, klo, khi = 0, math.inf, -math.inf
+        for tail in tails:
+            kid = tuple(map(add, below, tail))
+            cl1, clo, chi, _ = _bound(kid)
+            if cl1:
+                kids.append(kid)
+                total += cl1
+                if clo < klo:
+                    klo = clo
+                if chi > khi:
+                    khi = chi
+        if kids:
+            groups.append((index, tuple(kids)))
             l1 += wl1 * total
-            lo = min(lo, wlo + min(los))
-            hi = max(hi, whi + max(his))
-    return l1, lo, hi
+            lo = min(lo, wlo + klo)
+            hi = max(hi, whi + khi)
+    return l1, lo, hi, tuple(groups)
 
 
 def _pack(poly: LaurentPolyQT, k: int, w: int) -> tuple:
@@ -339,7 +365,8 @@ def _unpack(packed: int, low: int, k: int, w: int, tlo: int) -> LaurentPolyQT:
 
 @lru_cache(maxsize=None)
 def _packed_rows(s: int, width: int, k: int, w: int) -> tuple:
-    return tuple((_pack(weight, k, w), tails) for weight, tails in _first_rows(s, width))
+    """The packed (N, e) of each group weight of _first_rows(s, width)."""
+    return tuple(_pack(weight, k, w) for weight, _ in _first_rows(s, width))
 
 
 def _add_packed(values, k: int) -> tuple:
@@ -353,18 +380,21 @@ def _add_packed(values, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _tes_cached(alpha: tuple, k: int, w: int) -> tuple:
-    """tes(alpha) packed with slot sizes (K, W), as the (N, e) of _pack."""
-    if not alpha or alpha[0] == 0:
-        return 0, 0
+    """tes(alpha) packed with slot sizes (K, W), as the (N, e) of _pack, for
+    an alpha whose bound is nonzero.  It follows the live groups _bound
+    recorded: the children of a group are shift-added (one child is taken
+    as it is), then multiplied by the group's packed weight."""
     if len(alpha) == 1:
         return _pack(qt_int(alpha[0]), k, w)
-    below = alpha[1:]
+    weights = _packed_rows(alpha[0], len(alpha), k, w)
     products = []
-    for (wn, we), tails in _packed_rows(alpha[0], len(alpha), k, w):
-        n, e = _add_packed([_tes_cached(tuple(map(add, below, tail)), k, w)
-                            for tail in tails], k)
-        if n:
-            products.append((n * wn, e + we))
+    for index, kids in _bound(alpha)[3]:
+        if len(kids) == 1:
+            n, e = _tes_cached(kids[0], k, w)
+        else:
+            n, e = _add_packed([_tes_cached(kid, k, w) for kid in kids], k)
+        wn, we = weights[index]
+        products.append((n * wn, e + we))
     return _add_packed(products, k)
 
 

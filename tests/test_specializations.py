@@ -115,6 +115,16 @@ class TestOrderedSetPartitions:
         first.clear()
         assert len(osp_enumerate(4, {1, 3})) == count
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generated_records_match_the_validating_constructor(self, n):
+        for rest in subsets(range(2, n + 1)):
+            for pi in osp_enumerate(n, {1, *rest}):
+                checked = OrderedSetPartition(pi.blocks)
+                for field in OrderedSetPartition.__slots__:
+                    assert getattr(pi, field) == getattr(checked, field)
+                    assert type(getattr(pi, field)) is type(getattr(checked, field))
+                assert all(type(b) is frozenset for b in pi.blocks)
+
     def test_inv_examples(self):
         assert inv_stat(OSP("5|24|13")) == 4
         assert inv_stat(OSP("1|23")) == 0
@@ -312,6 +322,14 @@ class TestParking:
             # considerate: the cars whose spot no car prefers
             assert report.considerate == {i for i in range(1, 5)
                                           if report.spot[i - 1] not in prefs}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generated_records_match_the_validating_constructor(self, n):
+        for pf in parking_functions(n):
+            checked = ParkingFunction(pf.prefs)
+            for field in ParkingFunction.__slots__:
+                assert getattr(pf, field) == getattr(checked, field)
+                assert type(getattr(pf, field)) is type(getattr(checked, field))
 
     def test_parse_print(self):
         pf = ParkingFunction.parse("5121142")

@@ -337,8 +337,9 @@ class TestPackedKernel:
         poly = LaurentPolyQT._raw(terms)
         assert _unpack(*_pack(poly, k, w), k, w, tlo) == poly
 
-    @pytest.mark.parametrize("l1", [1, 2**14, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**47 - 1])
-    @pytest.mark.parametrize("span", [0, 6, 7, 8, 15, 16])
+    @pytest.mark.parametrize("l1", [1, 2**7 - 1, 2**7, 2**14, 2**15 - 1, 2**15, 2**23 - 1,
+                                    2**23, 2**31 - 1, 2**31, 2**47 - 1])
+    @pytest.mark.parametrize("span", [0, 3, 4, 6, 7, 8, 15, 16])
     def test_slot_sizes_decode_extreme_values(self, l1, span):
         # coefficients of +-l1 at both ends of the t-window, next to each other
         k, w = _slot_sizes(l1, -3, span - 3)
@@ -354,11 +355,30 @@ class TestPackedKernel:
         for _ in range(60):
             alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
             value = tes(alpha)
-            l1, tlo, thi = _bound(alpha)
+            l1, tlo, thi, _ = _bound(alpha)
             assert sum(map(abs, value.terms.values())) <= l1
             if value:
                 ts = [b for _, b in value.terms]
                 assert tlo <= min(ts) and max(ts) <= thi
+
+    def test_bound_groups_hold_the_nonzero_children(self):
+        # each recorded group lists, in tail order, exactly the children of
+        # its first rows whose tes is nonzero; every other group is left out
+        rng = random.Random(59)
+        for _ in range(60):
+            alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
+            groups = _bound(alpha)[3]
+            if len(alpha) == 1 or not alpha[0]:
+                assert groups == ()
+                continue
+            expected = []
+            for index, (_, tails) in enumerate(_first_rows(alpha[0], len(alpha))):
+                kids = tuple(kid for kid in (tuple(a + r for a, r in zip(alpha[1:], tail))
+                                             for tail in tails)
+                             if _tes_dict(kid))
+                if kids:
+                    expected.append((index, kids))
+            assert groups == tuple(expected)
 
     @pytest.mark.parametrize("alpha", [(1,) * 9, (-1,) * 9, (2,) * 6, (-2,) * 6])
     def test_matches_dict_recursion(self, alpha):
