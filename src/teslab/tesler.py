@@ -263,8 +263,8 @@ def tes(alpha) -> LaurentPolyQT:
 # K and W round up to these steps, so that calls of similar size use the same
 # packing and share memoized states.  Exact sizes spread the states of one
 # verify suite over many (K, W): with steps of 1, prop-6-2's 780 small calls
-# ran about 25% slower.  Coarser steps lengthen every int: steps of 16 and 8
-# cost the cold tes-large inputs about 15%.
+# ran about 25% slower.  Coarser steps lengthen every int: with steps of 16
+# and 8, the cold tes-large inputs took 15-30% longer.
 K_STEP = 8
 W_STEP = 4
 
