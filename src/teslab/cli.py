@@ -48,12 +48,12 @@ def _emit(payload, args) -> None:
         fh.write(text + "\n")
 
 
-def _specialized_closed_route(alpha, spec):
-    if spec == "t=0":
-        return tes_t0(alpha)
-    if spec == "t=1":
-        return tes_t1(alpha)
-    return LaurentPolyQT.const(tes_11(alpha))
+# each --spec: its closed form, and the bindings that specialize the full value
+TES_SPECS = {
+    "t=0": (tes_t0, {"t": 0}),
+    "t=1": (tes_t1, {"t": 1}),
+    "q=t=1": (tes_11, {"q": 1, "t": 1}),
+}
 
 
 def cmd_tes(args) -> int:
@@ -61,17 +61,14 @@ def cmd_tes(args) -> int:
     if args.route == "closed":
         if args.spec is None:
             raise ValueError("route 'closed' needs --spec (it is a specialization formula)")
-        value = _specialized_closed_route(alpha, args.spec)
+        value = TES_SPECS[args.spec][0](alpha)
     else:
-        full = tes(alpha) if args.route == "enum" else tes_via_theorem(alpha)
-        if args.spec is None:
-            value = full
-        elif args.spec == "t=0":
-            value = full.specialize(t=0)
-        elif args.spec == "t=1":
-            value = full.specialize(t=1)
-        else:
-            value = LaurentPolyQT.const(int(full.specialize(q=1, t=1)))
+        value = tes(alpha) if args.route == "enum" else tes_via_theorem(alpha)
+        if args.spec is not None:
+            value = value.specialize(**TES_SPECS[args.spec][1])
+    if not isinstance(value, LaurentPolyQT):
+        # q=t=1 gives a number
+        value = LaurentPolyQT.const(int(value))
     _emit(_poly_payload(value, args.format == "json"), args)
     return 0
 
@@ -151,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tes = sub.add_parser("tes", help="compute a Tesler function")
     p_tes.add_argument("--hooks", required=True, help="comma-separated hook sums, e.g. 1,1")
-    p_tes.add_argument("--spec", choices=["t=0", "t=1", "q=t=1"])
+    p_tes.add_argument("--spec", choices=list(TES_SPECS))
     p_tes.add_argument("--route", choices=["enum", "macdonald", "closed"], default="enum")
     p_tes.add_argument("--format", choices=["text", "json"], default="text")
     p_tes.add_argument("--out")

@@ -290,11 +290,16 @@ def q_int(k: int) -> LaurentPolyQT:
 
 
 @lru_cache(maxsize=None)
-def q_factorial(k: int) -> LaurentPolyQT:
+def q_int_product(values: tuple) -> LaurentPolyQT:
+    """The product of [v]_q over the values."""
     out = ONE
-    for i in range(1, k + 1):
-        out = out * q_int(i)
+    for v in values:
+        out = out * q_int(v)
     return out
+
+
+def q_factorial(k: int) -> LaurentPolyQT:
+    return q_int_product(tuple(range(1, k + 1)))
 
 
 def _is_unit_binomial(p: LaurentPolyQT) -> bool:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
-from .qt_algebra import ONE, ZERO, LaurentPolyQT, q_int
+from .qt_algebra import ONE, ZERO, LaurentPolyQT, q_int, q_int_product
 from .tesler import TeslerMatrix
 
 
@@ -131,12 +131,7 @@ def tes_t0(alpha) -> LaurentPolyQT:
     alpha = tuple(alpha)
     if any(a not in (0, 1) for a in alpha):
         raise ValueError("t=0 product formula needs a 0/1 hook vector")
-    out = ONE
-    partial = 0
-    for a in alpha:
-        partial += a
-        out = out * q_int(partial)
-    return out
+    return q_int_product(tuple(accumulate(alpha)))
 
 
 def levande_map(U: TeslerMatrix):
@@ -245,16 +240,6 @@ def _osp_tails(n: int, minima: frozenset) -> tuple:
     return tuple(_scan(pi)[1] for pi in osp_enumerate(n, minima))
 
 
-@lru_cache(maxsize=None)
-def _tail_product(tail: tuple) -> LaurentPolyQT:
-    out = ONE
-    for v in tail:
-        out = out * q_int(v)
-        if out.is_zero():
-            break
-    return out
-
-
 def tes_t1(alpha) -> LaurentPolyQT:
     """Tail-product formula over ordered set partitions: the t=1 value.
 
@@ -266,7 +251,7 @@ def tes_t1(alpha) -> LaurentPolyQT:
                      for tails in _osp_tails(len(alpha), frozenset(set_of(alpha))))
     total = ZERO
     for tail, count in counts.items():
-        total = total + count * _tail_product(tail)
+        total = total + count * q_int_product(tail)
     return total
 
 

@@ -107,9 +107,6 @@ class TeslerMatrix:
             for i in range(n)
         )
 
-    def is_permutational(self) -> bool:
-        return all(sum(1 for v in row if v) == 1 for row in self.rows)
-
     def entries_plus(self) -> int:
         return sum(1 for row in self.rows for v in row if v > 0)
 

@@ -1,12 +1,14 @@
 """Named verification suites: every identity checked by independent routes.
 
-Each suite builds a list of labelled cases (pure closures returning None on
-success or a failure record), runs them in order, and returns a
-machine-readable Report.  Case lists are deterministic for a given seed and
-bounds, and the notes are computed from the suite's own inputs, so a report
-is a function of (suite, bounds) alone, apart from elapsed_ms and stats:
-the slowest cases with their times, and what the suite did to each teslab
-lru_cache.
+Each suite builds a list of labelled cases, runs them in order, and returns
+a machine-readable Report.  _equal_case builds every case: it computes two
+or more routes to one value (a polynomial, a number, or a dict or multiset
+keyed by ordered set partitions or matrices) and compares each with the
+first, so every failure record is {inputs, lhs, rhs}.  Case lists are
+deterministic for a given seed and bounds, and the notes are computed from
+the suite's own inputs, so a report is a function of (suite, bounds) alone,
+apart from elapsed_ms and stats: the slowest cases with their times, and
+what the suite did to each teslab lru_cache.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .macdonald import (
@@ -33,7 +35,7 @@ from .macdonald import (
     virtual_F,
 )
 from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm, m_eval
-from .qt_algebra import M, ONE, Q, LaurentPolyQT, RatFuncQT, q_factorial, q_int, qt_int
+from .qt_algebra import M, Q, ZERO, LaurentPolyQT, RatFuncQT, q_factorial, q_int_product, qt_int
 from .specializations import (
     area,
     car_bars,
@@ -86,31 +88,24 @@ class Report:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases_run": self.cases_run,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-            "notes": self.notes,
-            "stats": self.stats,
-        }
-
-
-def _mismatch(inputs, lhs, rhs):
-    return {"inputs": inputs, "lhs": str(lhs), "rhs": str(rhs)}
+        return asdict(self)
 
 
 def _equal_case(inputs, first_fn, *other_fns):
-    """A case that computes each value in turn and compares it with the first."""
-    def check():
+    """A case that computes each value in turn and compares it with the first.
+
+    Its failure record is {inputs, lhs: the first value, rhs: the first value
+    that differs from it}, the values as strings.
+    """
+    def compare():
         first = first_fn()
         for fn in other_fns:
             value = fn()
             if value != first:
-                return _mismatch(inputs, first, value)
+                return {"inputs": inputs, "lhs": str(first), "rhs": str(value)}
         return None
 
-    return inputs, check
+    return inputs, compare
 
 
 SLOWEST_CASES = 5
@@ -397,59 +392,53 @@ def suite_cor_5_1(bounds: Bounds) -> Report:
     return _run("cor-5-1", cases)
 
 
-def suite_lemma_5_2(bounds: Bounds) -> Report:
-    cases = []
-    for n in range(1, bounds.cap(5) + 1):
-        for alpha in product((0, 1), repeat=n):
-            def check(alpha=alpha, n=n):
-                fibers: dict = {}
-                for U in enumerate_tesler(alpha):
-                    _, pi = levande_map(U)
-                    fibers[pi] = fibers.get(pi, LaurentPolyQT()) + U.weight().specialize(t=0)
-                expected_pis = osp_enumerate(n, set_of(alpha))
-                if set(fibers) - set(expected_pis):
-                    return _mismatch({"alpha": list(alpha)}, sorted(map(str, fibers)),
-                                     "image within the ordered set partitions")
-                for pi in expected_pis:
-                    got = fibers.get(pi, LaurentPolyQT())
-                    expect = Q ** inv_stat(pi)
-                    if got != expect:
-                        return _mismatch({"alpha": list(alpha), "pi": str(pi)}, got, expect)
-                return None
+def _sums_by_partition(pairs) -> dict:
+    """{pi: the sum of the values paired with pi}."""
+    sums: dict = {}
+    for pi, value in pairs:
+        sums[pi] = sums.get(pi, ZERO) + value
+    return sums
 
-            cases.append(({"alpha": list(alpha)}, check))
+
+def _tail_products(alpha) -> dict:
+    """{pi: the product of [tail_i]_q} over the ordered set partitions of alpha."""
+    return {pi: q_int_product(target_tail(alpha, pi)[1])
+            for pi in osp_enumerate(len(alpha), set_of(alpha))}
+
+
+def suite_lemma_5_2(bounds: Bounds) -> Report:
+    cases = [
+        _equal_case({"alpha": list(alpha)},
+                    # the fiber sums of levande_map at t = 0
+                    (lambda a=alpha: _sums_by_partition(
+                        (levande_map(U)[1], U.weight().specialize(t=0))
+                        for U in enumerate_tesler(a))),
+                    (lambda a=alpha: {pi: Q ** inv_stat(pi)
+                                      for pi in osp_enumerate(len(a), set_of(a))}))
+        for n in range(1, bounds.cap(5) + 1)
+        for alpha in product((0, 1), repeat=n)
+    ]
     return _run("lemma-5-2", cases)
 
 
+def _psi_images(alpha) -> tuple:
+    """The multiset of psi's images, and {pi: the weight of psi(pi) at t = 1}."""
+    images = {pi: psi(alpha, pi) for pi in osp_enumerate(len(alpha), set_of(alpha))}
+    # a None image already makes the multisets differ
+    return (Counter(images.values()),
+            {pi: U.weight().specialize(t=1) for pi, U in images.items() if U is not None})
+
+
 def suite_prop_6_1(bounds: Bounds) -> Report:
-    cases = []
-    for n in range(1, bounds.cap(4) + 1):
-        for alpha in product((0, 1, 2), repeat=n):
-            if not alpha[0]:
-                continue
-
-            def check(alpha=alpha, n=n):
-                images = []
-                for pi in osp_enumerate(n, set_of(alpha)):
-                    _, tail = target_tail(alpha, pi)
-                    U = psi(alpha, pi)
-                    if U is None or U.hooks() != alpha or not U.is_permutational():
-                        return _mismatch({"alpha": list(alpha), "pi": str(pi)},
-                                         U, "a permutational matrix with these hooks")
-                    expect = ONE
-                    for v in tail:
-                        expect = expect * q_int(v)
-                    if U.weight().specialize(t=1) != expect:
-                        return _mismatch({"alpha": list(alpha), "pi": str(pi)},
-                                         U.weight().specialize(t=1), expect)
-                    images.append(U)
-                if len(set(images)) != len(images):
-                    return _mismatch({"alpha": list(alpha)}, "psi not injective", "")
-                if set(images) != set(enumerate_tesler(alpha, permutational=True)):
-                    return _mismatch({"alpha": list(alpha)}, "psi not surjective", "")
-                return None
-
-            cases.append(({"alpha": list(alpha)}, check))
+    cases = [
+        _equal_case({"alpha": list(alpha)},
+                    (lambda a=alpha: _psi_images(a)),
+                    (lambda a=alpha: (Counter(enumerate_tesler(a, permutational=True)),
+                                      _tail_products(a))))
+        for n in range(1, bounds.cap(4) + 1)
+        for alpha in product((0, 1, 2), repeat=n)
+        if alpha[0]
+    ]
     return _run("prop-6-1", cases)
 
 
@@ -465,35 +454,25 @@ def suite_prop_6_2(bounds: Bounds) -> Report:
     return _run("prop-6-2", cases)
 
 
-def suite_prop_6_3(bounds: Bounds) -> Report:
-    cases = []
-    for n in range(1, bounds.cap(5) + 1):
-        for alpha in product((0, 1), repeat=n):
-            def check(alpha=alpha, n=n):
-                pis = osp_enumerate(n, set_of(alpha))
-                if not alpha[0]:
-                    if pis:
-                        return _mismatch({"alpha": list(alpha)}, pis, "no partitions")
-                    return None
-                S = frozenset(range(1, n + 1)) - set_of(alpha)
-                by_pi: dict = {}
-                for pf in cpf(n, S):
-                    pi = car_bars(pf, S)
-                    by_pi[pi] = by_pi.get(pi, LaurentPolyQT()) + Q ** area(pf, S)
-                for pi in pis:
-                    _, tail = target_tail(alpha, pi)
-                    expect = ONE
-                    for v in tail:
-                        expect = expect * q_int(v)
-                    if by_pi.get(pi, LaurentPolyQT()) != expect:
-                        return _mismatch({"alpha": list(alpha), "pi": str(pi)},
-                                         by_pi.get(pi, LaurentPolyQT()), expect)
-                if set(by_pi) - set(pis):
-                    return _mismatch({"alpha": list(alpha)},
-                                     sorted(map(str, by_pi)), "bars land on the partitions")
-                return None
+def _parking_sums(alpha) -> dict:
+    """{pi: the sum of q^area} over the parking functions whose considerate
+    cars include the zero positions S of alpha, by the partition car_bars
+    makes.  Car 1 is never considerate, so there are none when 1 is in S."""
+    n = len(alpha)
+    S = frozenset(range(1, n + 1)) - set_of(alpha)
+    if 1 in S:
+        return {}
+    return _sums_by_partition((car_bars(pf, S), Q ** area(pf, S)) for pf in cpf(n, S))
 
-            cases.append(({"alpha": list(alpha)}, check))
+
+def suite_prop_6_3(bounds: Bounds) -> Report:
+    cases = [
+        _equal_case({"alpha": list(alpha)},
+                    (lambda a=alpha: _parking_sums(a)),
+                    (lambda a=alpha: _tail_products(a)))
+        for n in range(1, bounds.cap(5) + 1)
+        for alpha in product((0, 1), repeat=n)
+    ]
     return _run("prop-6-3", cases)
 
 
@@ -567,6 +546,11 @@ N_MAX_BUDGETS = {
 # suite's default n_max: at 5 the suites that read the range take 1.2 s
 # (thm-4-1) to 42 s (prop-6-4), and at 6 prop-6-2 does not finish in 60 s.
 ENTRY_RANGE_BUDGET = 5
+# The same for --suite all, whose suites that read the range run one after
+# another in one process: at 4 they take 27 s together (prop-6-4 10.1 s,
+# lemmas-4-6-4-7 5.8 s, prop-6-2 5.1 s, thm-3-1 3.1 s, cor-3-2 2.7 s,
+# thm-4-1 0.2 s), at 5 about 94 s.
+ALL_ENTRY_RANGE_BUDGET = 4
 
 
 def _check_budget(name: str, bounds: Bounds) -> None:
@@ -586,13 +570,17 @@ def run_suite(name: str, bounds: Bounds | None = None):
 
     Raises ValueError when a suite builds no case under the given bounds, and,
     before any case is built, when n_max is over a suite's budget, the entry
-    range is over ENTRY_RANGE_BUDGET or a partition a suite would build is
-    over the cap TESLAB_NMAX.
+    range is over ENTRY_RANGE_BUDGET (ALL_ENTRY_RANGE_BUDGET for 'all') or a
+    partition a suite would build is over the cap TESLAB_NMAX.
     """
     bounds = bounds or Bounds()
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = SUITE_NAMES if name == "all" else (name,)
+    lo, hi = bounds.entry_range
+    if name == "all" and max(abs(lo), abs(hi)) > ALL_ENTRY_RANGE_BUDGET:
+        raise ValueError(f"entry range {lo}..{hi} is over the budget of --suite all: each end "
+                         f"must lie in -{ALL_ENTRY_RANGE_BUDGET}..{ALL_ENTRY_RANGE_BUDGET}")
     for suite in names:
         _check_budget(suite, bounds)
     reports = [SUITES[suite](bounds) for suite in names]

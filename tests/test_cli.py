@@ -6,12 +6,22 @@ from pathlib import Path
 
 import pytest
 
-from teslab import cli, verify
+from teslab import cli, specializations, verify
 from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
+from teslab.specializations import OrderedSetPartition
 from teslab.tesler import count_tesler, enumerate_tesler, parse_hooks, tes
 from teslab.verify import ENTRY_RANGE_BUDGET, N_MAX_BUDGETS, Bounds, run_suite
+
+
+def _blocks_reversed(U):
+    array, pi = specializations.levande_map(U)
+    return array, OrderedSetPartition(pi.blocks[::-1])
+
+
+def _no_image_for_two_blocks(alpha, pi):
+    return None if len(pi.blocks) == 2 else specializations.psi(alpha, pi)
 
 
 def run_cli(capsys, *argv):
@@ -341,6 +351,20 @@ class TestVerifyCommand:
             assert code == 2 and out == ""
             assert f"entry range {lo}..{hi} is over the budget" in err
 
+    def test_all_has_its_own_entry_range_budget(self, capsys, monkeypatch):
+        ran = []
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda bounds, name=name: ran.append(name)
+                                or verify.Report(name, 1, [], 0))
+        b = verify.ALL_ENTRY_RANGE_BUDGET
+        assert b < ENTRY_RANGE_BUDGET
+        code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                                 "--entry-range", f"-{b + 1}..{b + 1}")
+        assert code == 2 and out == "" and ran == []
+        assert f"entry range -{b + 1}..{b + 1} is over the budget of --suite all" in err
+        code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--entry-range", f"-{b}..{b}")
+        assert code == 0 and ran == list(verify.SUITES)
+
     @pytest.mark.parametrize("text", ["abc", "1", "1..x", ""])
     def test_malformed_entry_range_exits_2(self, capsys, text):
         code, _, err = run_cli(capsys, "verify", "--suite", "prop-6-2", "--entry-range", text)
@@ -395,6 +419,18 @@ class TestVerifyCommand:
         failures = run_suite("cor-5-1", Bounds(n_max=3)).failures
         assert failures
         assert all(f["inputs"].get("identity") == identity for f in failures)
+
+    @pytest.mark.parametrize("suite, name, mutant", [
+        ("lemma-5-2", "levande_map", _blocks_reversed),
+        ("prop-6-1", "psi", _no_image_for_two_blocks),
+        ("prop-6-3", "area", lambda pf, cars: specializations.area(pf, cars) + 1),
+    ], ids=["lemma-5-2", "prop-6-1", "prop-6-3"])
+    def test_partition_sum_suites_fail_on_a_mutant(self, monkeypatch, suite, name, mutant):
+        # a psi with no image is a failure record, not an exception
+        monkeypatch.setattr(verify, name, mutant)
+        failures = run_suite(suite, Bounds(n_max=3)).failures
+        assert failures
+        assert all(set(f) == {"inputs", "lhs", "rhs"} for f in failures)
 
     def test_seed_controls_random_cases(self):
         a = run_suite("lemmas-4-6-4-7", Bounds(n_max=2, seed=1))

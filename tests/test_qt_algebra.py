@@ -15,6 +15,7 @@ from teslab.qt_algebra import (
     RatFuncQT,
     exact_div,
     q_int,
+    q_int_product,
     qt_int,
 )
 
@@ -95,6 +96,15 @@ class TestQTAnalogues:
         assert q_int(3) == lp({(0, 0): 1, (1, 0): 1, (2, 0): 1})
         assert q_int(1) == ONE
         assert q_int(-2) == lp({(-1, 0): -1, (-2, 0): -1})
+
+    @pytest.mark.parametrize("values", [(), (3,), (0,), (2, 0, 1), (-1,), (-2, 3),
+                                        (1, -1, 2, -3), (0, -2), (4, 4, -1, 2, 1)])
+    def test_q_int_product_is_the_plain_loop(self, values):
+        expect = ONE
+        for v in values:
+            expect = expect * q_int(v)
+        assert q_int_product(values) == expect
+        assert q_int_product(values).is_zero() == (0 in values)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_negation_law(self, k):
