@@ -1,8 +1,9 @@
 """Command-line front end: compute, enumerate, specialize, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-domain errors such as poles or unsupported specializations), 141 when the
-reader of stdout closes it early (128 + SIGPIPE, as a shell reports it).
+domain errors such as poles or unsupported specializations, and an --out
+file that cannot be written), 141 when the reader of stdout closes it early
+(128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def cmd_tes(args) -> int:
         if args.spec is not None:
             value = value.specialize(**TES_SPECS[args.spec][1])
     if not isinstance(value, LaurentPolyQT):
-        # q=t=1 gives a number
+        # the closed q=t=1 form is a number
         value = LaurentPolyQT.const(int(value))
     _emit(_poly_payload(value, args.format == "json"), args)
     return 0
@@ -210,7 +211,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+        # OSError: an --out file that cannot be opened (BrokenPipeError is caught above)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -15,7 +15,6 @@ polynomial gcds.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 Mono = tuple[int, int]
@@ -172,47 +171,40 @@ class LaurentPolyQT:
         """Exchange q and t."""
         return LaurentPolyQT._raw({(e1, e0): c for (e0, e1), c in self.terms.items()})
 
-    def specialize(self, q=None, t=None):
-        """Exact substitution.
+    def specialize(self, q=None, t=None) -> "LaurentPolyQT":
+        """Exact substitution of 0 or +-1 for q, for t, or for q and then t.
 
-        Binding one variable to 0 or +-1 returns a LaurentPolyQT; binding both
-        (any rationals) returns a Fraction.  Substituting 0 into a negative
-        exponent raises.
+        Binding both returns a constant LaurentPolyQT, which compares equal
+        to its int.  Substituting 0 into a negative exponent raises.
         """
-        if q is not None and t is not None:
-            total = Fraction(0)
-            qv, tv = Fraction(q), Fraction(t)
-            for (e0, e1), c in self.terms.items():
-                if (qv == 0 and e0 < 0) or (tv == 0 and e1 < 0):
-                    raise ValueError("pole at specialization")
-                if (qv == 0 and e0 > 0) or (tv == 0 and e1 > 0):
-                    continue
-                total += c * qv ** e0 * tv ** e1
-            return total
-        if (q is None) == (t is None):
+        if q is None and t is None:
             raise ValueError("specialize needs at least one binding")
-        var, value = (0, q) if q is not None else (1, t)
-        if value not in (0, 1, -1):
-            raise ValueError("partial specialization supports only 0 and +-1")
-        data: dict = {}
-        for mono, c in self.terms.items():
-            e = mono[var]
-            if value == 0:
-                if e < 0:
-                    raise ValueError("pole at specialization")
-                if e > 0:
-                    continue
-            elif value == -1 and e % 2:
-                c = -c
-            key = (0, mono[1]) if var == 0 else (mono[0], 0)
-            n = data.get(key)
-            if n is None:
-                data[key] = c
-            elif n + c:
-                data[key] = n + c
-            else:
-                del data[key]
-        return LaurentPolyQT._raw(data)
+        poly = self
+        for var, value in ((0, q), (1, t)):
+            if value is None:
+                continue
+            if value not in (0, 1, -1):
+                raise ValueError("specialization supports only 0 and +-1")
+            data: dict = {}
+            for mono, c in poly.terms.items():
+                e = mono[var]
+                if value == 0:
+                    if e < 0:
+                        raise ValueError("pole at specialization")
+                    if e > 0:
+                        continue
+                elif value == -1 and e % 2:
+                    c = -c
+                key = (0, mono[1]) if var == 0 else (mono[0], 0)
+                n = data.get(key)
+                if n is None:
+                    data[key] = c
+                elif n + c:
+                    data[key] = n + c
+                else:
+                    del data[key]
+            poly = LaurentPolyQT._raw(data)
+        return poly
 
     def min_exponents(self) -> Mono:
         if not self.terms:

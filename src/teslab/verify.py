@@ -4,7 +4,11 @@ Each suite builds a list of labelled cases, runs them in order, and returns
 a machine-readable Report.  _equal_case builds every case: it computes two
 or more routes to one value (a polynomial, a number, or a dict or multiset
 keyed by ordered set partitions or matrices) and compares each with the
-first, so every failure record is {inputs, lhs, rhs}.  Case lists are
+first, so every failure record is {inputs, lhs, rhs}.  A suite over hook
+vectors is its vectors plus its routes: _vectors lists every vector of
+lengths 1..n_max over a set of entries, and _alpha_cases builds one equal
+case per vector from routes that are one-argument functions of it, with
+inputs {alpha, **labels}.  Case lists are
 deterministic for a given seed and bounds, and the notes are computed from
 the suite's own inputs, so a report is a function of (suite, bounds) alone,
 apart from elapsed_ms and stats: the slowest cases with their times, and
@@ -18,7 +22,8 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from functools import partial
+from itertools import groupby, product
 
 from .macdonald import (
     _check_cap,
@@ -108,6 +113,18 @@ def _equal_case(inputs, first_fn, *other_fns):
     return inputs, compare
 
 
+def _vectors(values, n_max: int) -> list:
+    """Every vector of length 1..n_max with entries in values, shortest first."""
+    return [alpha for n in range(1, n_max + 1) for alpha in product(values, repeat=n)]
+
+
+def _alpha_cases(alphas, *routes, **labels) -> list:
+    """One _equal_case per hook vector, its inputs {alpha, **labels}, its
+    values the routes (one-argument functions) applied to the vector."""
+    return [_equal_case({"alpha": list(a), **labels}, *(partial(route, a) for route in routes))
+            for a in alphas]
+
+
 SLOWEST_CASES = 5
 
 
@@ -187,14 +204,11 @@ MACDONALD_CELLS = {
 def _two_route_sweep(bounds: Bounds):
     """Full sweep of lengths 1..3 plus 20 seeded random length-4 vectors."""
     values = list(_entry_values(bounds))
-    alphas = []
     longest = _sweep_length(bounds)
-    for n in range(1, min(3, longest) + 1):
-        alphas.extend(product(values, repeat=n))
+    alphas = _vectors(values, min(3, longest))
     if longest == 4:
         rng = random.Random(bounds.seed)
-        for _ in range(20):
-            alphas.append(tuple(rng.choice(values) for _ in range(4)))
+        alphas += [tuple(rng.choice(values) for _ in range(4)) for _ in range(20)]
     return alphas
 
 
@@ -232,22 +246,13 @@ def _f_observations(alphas) -> dict:
 
 def suite_thm_3_1(bounds: Bounds) -> Report:
     alphas = _two_route_sweep(bounds)
-    cases = [
-        _equal_case({"alpha": list(a)},
-                    (lambda a=a: tes(a)),
-                    (lambda a=a: tes_via_theorem(a)))
-        for a in alphas
-    ]
-    return _run("thm-3-1", cases, lambda: _f_observations(alphas))
+    return _run("thm-3-1", _alpha_cases(alphas, tes, tes_via_theorem),
+                lambda: _f_observations(alphas))
 
 
 def suite_cor_3_2(bounds: Bounds) -> Report:
-    cases = [
-        _equal_case({"alpha": list(a)},
-                    (lambda a=a: hilb_tilde(a, "e").to_laurent()),
-                    (lambda a=a: tes((1,) + a)))
-        for a in _two_route_sweep(bounds)
-    ]
+    cases = _alpha_cases(_two_route_sweep(bounds),
+                         lambda a: hilb_tilde(a, "e").to_laurent(), lambda a: tes((1,) + a))
     return _run("cor-3-2", cases)
 
 
@@ -316,12 +321,10 @@ def suite_cor_4_4(bounds: Bounds) -> Report:
     cases = []
     e1 = MonomialSymFn.parse("e:1")
     for n in range(1, MACDONALD_CELLS["cor-4-4"](bounds) + 1):
-        cases.append(_equal_case({"n": n, "route": "eigen-vs-closed"},
-                                 (lambda n=n: hilb_delta(e1, n, "eigen")),
-                                 (lambda n=n: closed_forms("e1", n))))
-        cases.append(_equal_case({"n": n, "route": "tesler-vs-closed"},
-                                 (lambda n=n: hilb_delta(e1, n, "tesler")),
-                                 (lambda n=n: closed_forms("e1", n))))
+        for route in ("eigen", "tesler"):
+            cases.append(_equal_case({"n": n, "route": f"{route}-vs-closed"},
+                                     (lambda n=n, route=route: hilb_delta(e1, n, route)),
+                                     (lambda n=n: closed_forms("e1", n))))
         for route in ("eigen", "tesler"):
             cases.append(_equal_case(
                 {"n": n, "route": f"e2-pn-{route}-vs-closed"},
@@ -341,12 +344,10 @@ def suite_cor_4_5(bounds: Bounds) -> Report:
     cases = []
     m1 = MonomialSymFn.parse("m:-1")
     for n in range(1, MACDONALD_CELLS["cor-4-5"](bounds) + 1):
-        cases.append(_equal_case({"n": n, "route": "eigen-vs-closed"},
-                                 (lambda n=n: hilb_delta(m1, n, "eigen")),
-                                 (lambda n=n: closed_forms("m_minus1", n))))
-        cases.append(_equal_case({"n": n, "route": "tesler-vs-closed"},
-                                 (lambda n=n: hilb_delta(m1, n, "tesler")),
-                                 (lambda n=n: closed_forms("m_minus1", n))))
+        for route in ("eigen", "tesler"):
+            cases.append(_equal_case({"n": n, "route": f"{route}-vs-closed"},
+                                     (lambda n=n, route=route: hilb_delta(m1, n, route)),
+                                     (lambda n=n: closed_forms("m_minus1", n))))
     return _run("cor-4-5", cases)
 
 
@@ -354,38 +355,37 @@ def suite_lemmas_4_6_4_7(bounds: Bounds) -> Report:
     rng = random.Random(bounds.seed)
     values = list(_entry_values(bounds))
     n_max = bounds.cap(5)
-    cases = []
+    alphas = [tuple(rng.choice(values) for _ in range(rng.randint(1, n_max)))
+              for _ in range(200)]
     qt_inv = LaurentPolyQT.monomial(-1, -1, -1)
-    for _ in range(200):
-        n = rng.randint(1, n_max)
-        alpha = tuple(rng.choice(values) for _ in range(n))
-        cases.append(_equal_case(
-            {"alpha": list(alpha), "identity": "remove-1"},
-            (lambda a=alpha: tes((1,) + a)),
-            (lambda a=alpha: sum((tes(a[:i] + (a[i] + 1,) + a[i + 1:]) for i in range(len(a))),
-                                 tes(a)))))
-        cases.append(_equal_case(
-            {"alpha": list(alpha), "identity": "negative-hooks"},
-            (lambda a=alpha: tes(tuple(-v for v in a))),
-            (lambda a=alpha: qt_inv ** len(a) * tes(a).bar())))
-    return _run("lemmas-4-6-4-7", cases)
+    remove_1 = _alpha_cases(
+        alphas, lambda a: tes((1,) + a),
+        lambda a: sum((tes(a[:i] + (a[i] + 1,) + a[i + 1:]) for i in range(len(a))), tes(a)),
+        identity="remove-1")
+    negative = _alpha_cases(
+        alphas, lambda a: tes(tuple(-v for v in a)), lambda a: qt_inv ** len(a) * tes(a).bar(),
+        identity="negative-hooks")
+    # per vector: its remove-1 case, then its negative-hooks case
+    return _run("lemmas-4-6-4-7", [case for pair in zip(remove_1, negative) for case in pair])
+
+
+def _inv_sum(alpha) -> LaurentPolyQT:
+    """The sum of q^inv(pi) over the ordered set partitions of alpha."""
+    return LaurentPolyQT(Counter((inv_stat(pi), 0)
+                                 for pi in osp_enumerate(len(alpha), set_of(alpha))))
 
 
 def suite_cor_5_1(bounds: Bounds) -> Report:
     cases = []
-    for n in range(1, MACDONALD_CELLS["cor-5-1"](bounds) + 1):
-        for alpha in product((0, 1), repeat=n):
-            cases.append(_equal_case(
-                {"alpha": list(alpha)},
-                (lambda a=alpha: tes_t0(a)),
-                (lambda a=alpha: tes(a).specialize(t=0)),
-                (lambda a=alpha, n=n: LaurentPolyQT(Counter(
-                    (inv_stat(pi), 0) for pi in osp_enumerate(n, set_of(a)))))))
+    alphas = _vectors((0, 1), MACDONALD_CELLS["cor-5-1"](bounds))
+    for n, of_length_n in groupby(alphas, len):
+        cases.extend(_alpha_cases(of_length_n, tes_t0, lambda a: tes(a).specialize(t=0), _inv_sum))
         for k in range(0, n):
             cases.append(_equal_case(
                 {"n": n, "k": k, "identity": "q-stirling"},
-                (lambda n=n, k=k: sum((tes_t0(a) for a in product((0, 1), repeat=n)
-                                       if sum(a) == k + 1), LaurentPolyQT())),
+                # the 0/1 vectors of length n with k + 1 ones
+                (lambda n=n, k=k: sum((tes_t0(a) for a in distinct_arrangements((1,) * (k + 1), n)),
+                                      LaurentPolyQT())),
                 (lambda n=n, k=k: q_factorial(k + 1) * q_stirling(n, k + 1)),
                 (lambda n=n, k=k: hilb_delta_prime(MonomialSymFn({(1,) * k: 1}), "e", n)
                  .specialize(t=0))))
@@ -406,18 +406,16 @@ def _tail_products(alpha) -> dict:
             for pi in osp_enumerate(len(alpha), set_of(alpha))}
 
 
+def _fiber_sums(alpha) -> dict:
+    """{pi: the sum of the weights at t = 0} over the fiber of levande_map at pi."""
+    return _sums_by_partition((levande_map(U)[1], U.weight().specialize(t=0))
+                              for U in enumerate_tesler(alpha))
+
+
 def suite_lemma_5_2(bounds: Bounds) -> Report:
-    cases = [
-        _equal_case({"alpha": list(alpha)},
-                    # the fiber sums of levande_map at t = 0
-                    (lambda a=alpha: _sums_by_partition(
-                        (levande_map(U)[1], U.weight().specialize(t=0))
-                        for U in enumerate_tesler(a))),
-                    (lambda a=alpha: {pi: Q ** inv_stat(pi)
-                                      for pi in osp_enumerate(len(a), set_of(a))}))
-        for n in range(1, bounds.cap(5) + 1)
-        for alpha in product((0, 1), repeat=n)
-    ]
+    cases = _alpha_cases(
+        _vectors((0, 1), bounds.cap(5)), _fiber_sums,
+        lambda a: {pi: Q ** inv_stat(pi) for pi in osp_enumerate(len(a), set_of(a))})
     return _run("lemma-5-2", cases)
 
 
@@ -430,27 +428,15 @@ def _psi_images(alpha) -> tuple:
 
 
 def suite_prop_6_1(bounds: Bounds) -> Report:
-    cases = [
-        _equal_case({"alpha": list(alpha)},
-                    (lambda a=alpha: _psi_images(a)),
-                    (lambda a=alpha: (Counter(enumerate_tesler(a, permutational=True)),
-                                      _tail_products(a))))
-        for n in range(1, bounds.cap(4) + 1)
-        for alpha in product((0, 1, 2), repeat=n)
-        if alpha[0]
-    ]
+    cases = _alpha_cases(
+        [a for a in _vectors((0, 1, 2), bounds.cap(4)) if a[0]], _psi_images,
+        lambda a: (Counter(enumerate_tesler(a, permutational=True)), _tail_products(a)))
     return _run("prop-6-1", cases)
 
 
 def suite_prop_6_2(bounds: Bounds) -> Report:
-    values = list(_entry_values(bounds))
-    cases = []
-    for n in range(1, bounds.cap(4) + 1):
-        for alpha in product(values, repeat=n):
-            cases.append(_equal_case(
-                {"alpha": list(alpha)},
-                (lambda a=alpha: tes_t1(a)),
-                (lambda a=alpha: tes(a).specialize(t=1))))
+    cases = _alpha_cases(_vectors(_entry_values(bounds), bounds.cap(4)),
+                         tes_t1, lambda a: tes(a).specialize(t=1))
     return _run("prop-6-2", cases)
 
 
@@ -466,25 +452,22 @@ def _parking_sums(alpha) -> dict:
 
 
 def suite_prop_6_3(bounds: Bounds) -> Report:
-    cases = [
-        _equal_case({"alpha": list(alpha)},
-                    (lambda a=alpha: _parking_sums(a)),
-                    (lambda a=alpha: _tail_products(a)))
-        for n in range(1, bounds.cap(5) + 1)
-        for alpha in product((0, 1), repeat=n)
-    ]
+    cases = _alpha_cases(_vectors((0, 1), bounds.cap(5)), _parking_sums, _tail_products)
     return _run("prop-6-3", cases)
+
+
+def _cpf_weight_sum(alpha) -> int:
+    """The sum of wt_alpha over the parking functions whose considerate cars
+    include the zero positions of alpha."""
+    n = len(alpha)
+    return sum(wt_alpha(alpha, pf) for pf in cpf(n, frozenset(range(1, n + 1)) - set_of(alpha)))
 
 
 def suite_prop_6_4(bounds: Bounds) -> Report:
     values = list(_entry_values(bounds))
-    cases = []
-    for n in range(1, bounds.cap(4) + 1):
-        for alpha in product(values, repeat=n):
-            cases.append(_equal_case(
-                {"alpha": list(alpha), "identity": "product-formula"},
-                (lambda a=alpha: tes_11(a)),
-                (lambda a=alpha: tes(a).specialize(q=1, t=1))))
+    cases = _alpha_cases(_vectors(values, bounds.cap(4)),
+                         tes_11, lambda a: tes(a).specialize(q=1, t=1),
+                         identity="product-formula")
     for n in range(1, bounds.cap(6) + 1):
         cases.append(_equal_case(
             {"n": n, "identity": "parking-count"},
@@ -494,15 +477,8 @@ def suite_prop_6_4(bounds: Bounds) -> Report:
             {"n": n, "identity": "parking-count-enumeration"},
             (lambda n=n: tes((1,) * n).specialize(q=1, t=1)),
             (lambda n=n: (n + 1) ** (n - 1))))
-    for n in range(1, min(bounds.cap(4), 4) + 1):
-        for alpha in product(values, repeat=n):
-            if not alpha[0]:
-                continue
-            S = frozenset(range(1, n + 1)) - set_of(alpha)
-            cases.append(_equal_case(
-                {"alpha": list(alpha), "identity": "cpf-weight"},
-                (lambda a=alpha, n=n, S=S: sum(wt_alpha(a, pf) for pf in cpf(n, S))),
-                (lambda a=alpha: tes_11(a))))
+    cases += _alpha_cases([a for a in _vectors(values, min(bounds.cap(4), 4)) if a[0]],
+                          _cpf_weight_sum, tes_11, identity="cpf-weight")
     return _run("prop-6-4", cases)
 
 

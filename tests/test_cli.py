@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from teslab import cli, specializations, verify
+from teslab import cli, macdonald, specializations, verify
 from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
@@ -185,6 +185,28 @@ class TestBrokenPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert err == b""
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["tes", "--hooks", "1,1"],
+        ["enumerate", "--hooks", "1,1"],
+        ["hilb", "--f", "e:1", "--n", "2"],
+        ["verify", "--suite", "cor-4-5", "--n-max", "2"],
+    ], ids=["tes", "enumerate", "hilb", "verify"])
+    def test_is_a_usage_error(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+        assert code == 2 and out == ""
+        assert "error:" in err and str(missing) in err
+        assert not missing.parent.exists()
+
+    def test_child_process_prints_no_traceback(self, tmp_path):
+        proc = spawn_cli("tes", "--hooks", "1,1", "--out", str(tmp_path / "missing" / "x"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and out == b""
+        assert err.startswith(b"error: ") and b"Traceback" not in err
 
 
 class TestHilbCommand:
@@ -420,15 +442,33 @@ class TestVerifyCommand:
         assert failures
         assert all(f["inputs"].get("identity") == identity for f in failures)
 
-    @pytest.mark.parametrize("suite, name, mutant", [
-        ("lemma-5-2", "levande_map", _blocks_reversed),
-        ("prop-6-1", "psi", _no_image_for_two_blocks),
-        ("prop-6-3", "area", lambda pf, cars: specializations.area(pf, cars) + 1),
-    ], ids=["lemma-5-2", "prop-6-1", "prop-6-3"])
-    def test_partition_sum_suites_fail_on_a_mutant(self, monkeypatch, suite, name, mutant):
+    def test_vectors_lists_every_length_shortest_first(self):
+        assert verify._vectors((0, 1), 2) == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_alpha_cases_binds_each_vector(self):
+        cases = verify._alpha_cases([(1,), (2,)], lambda a: a, lambda a: (1,), identity="x")
+        assert [inputs for inputs, _ in cases] == [{"alpha": [1], "identity": "x"},
+                                                   {"alpha": [2], "identity": "x"}]
+        failures = [f for f in (check() for _, check in cases) if f is not None]
+        assert failures == [{"inputs": {"alpha": [2], "identity": "x"},
+                             "lhs": "(2,)", "rhs": "(1,)"}]
+
+    @pytest.mark.parametrize("suite, name, mutant, n_max", [
+        ("lemma-5-2", "levande_map", _blocks_reversed, 3),
+        ("prop-6-1", "psi", _no_image_for_two_blocks, 3),
+        ("prop-6-3", "area", lambda pf, cars: specializations.area(pf, cars) + 1, 3),
+        ("thm-3-1", "tes_via_theorem", lambda a: macdonald.tes_via_theorem(a[::-1]), 2),
+        ("cor-3-2", "hilb_tilde", lambda a, target: macdonald.hilb_tilde(a[::-1], target), 2),
+        ("cor-5-1", "tes_t0", lambda a: specializations.tes_t0(a[::-1]), 3),
+        ("prop-6-2", "tes_t1", lambda a: specializations.tes_t1(a[::-1]), 3),
+        ("prop-6-4", "wt_alpha", lambda a, pf: specializations.wt_alpha(a[::-1], pf), 3),
+    ], ids=["lemma-5-2", "prop-6-1", "prop-6-3", "thm-3-1", "cor-3-2", "cor-5-1", "prop-6-2",
+            "prop-6-4"])
+    def test_partition_sum_suites_fail_on_a_mutant(self, monkeypatch, suite, name, mutant,
+                                                   n_max):
         # a psi with no image is a failure record, not an exception
         monkeypatch.setattr(verify, name, mutant)
-        failures = run_suite(suite, Bounds(n_max=3)).failures
+        failures = run_suite(suite, Bounds(n_max=n_max)).failures
         assert failures
         assert all(set(f) == {"inputs", "lhs", "rhs"} for f in failures)
 
