@@ -43,6 +43,14 @@ def _output(args):
         yield sys.stdout
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out whose directory cannot take the file, before any work
+    starts; opening it here would leave an empty file behind on an error."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ValueError(f"cannot write --out {path}: {parent} is not a writable directory")
+
+
 def _emit(payload, args) -> None:
     text = json.dumps(payload, indent=2) if not isinstance(payload, str) else payload
     with _output(args) as fh:
@@ -201,6 +209,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fuse_entry_range(list(argv)))
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         code = args.fn(args)
         # a reader that closed stdout early shows here, not at interpreter exit
         sys.stdout.flush()
@@ -212,7 +222,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return BROKEN_PIPE
     except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
-        # OSError: an --out file that cannot be opened (BrokenPipeError is caught above)
+        # OSError: an --out file that still cannot be opened, say when its directory
+        # went away after _check_out (BrokenPipeError is caught above)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -22,7 +22,7 @@ Armstrong-Garsia-Haglund-Rhoades-Sagan, J. Comb. 3 (2012), here with signed
 hooks).  No factor of w(r) depends on where an entry sits, only on the
 multiset of entries of r, so the first rows are grouped by that multiset (a
 partition of |s_1|): the sub-values of a group are added, then multiplied by
-the group's weight once.
+the group's weight once, cached per multiset.
 
 The recursion adds and multiplies Python ints, not dicts (Kronecker
 substitution, as in Harvey, J. Symb. Comput. 44 (2009)).  q^a t^b -> y^(aW+b)
@@ -31,18 +31,29 @@ value is one int N and a slot offset e (the value is y^e * N), a sum is a
 shift-and-add and a weight product one integer multiply, both in C.  Before
 any packing, _bound runs the same recursion on three integers: a bound L1 on
 the sum of the absolute coefficients and a window [tlo, thi] holding every
-t-exponent, both built from the actual weight polynomials.  With
-2^(K-1) > L1 every coefficient is a balanced base-2^K digit, and with
-W > thi - tlo no two monomials of the value land in one slot, so tes decodes
-the packed value exactly, once, whatever the input.  K and W are rounded up
-to steps of 8 bits and 4 slots so that calls of similar size share the
-memoized states, which an lru_cache keys on (hook vector of the remaining
-rows, K, W).
+t-exponent.  With 2^(K-1) > L1 every coefficient is a balanced base-2^K
+digit, and with W > thi - tlo no two monomials share a slot, so tes decodes
+the packed value exactly, once.  K and W are rounded up to steps of 8 bits
+and 4 slots so that calls of similar size share the memoized states.
 
-_bound is the one walk that builds child hook vectors.  For each state it
-records the live groups: the first-row groups with a child whose bound is
-nonzero, and those children.  The packed pass follows these groups and never
-rebuilds a child tuple or visits a child whose value is zero.
+A state, the hook vector of the rows still to fill, is one int code: entry
+j is base-2^16 digit j, stored as x_j + 2^15, so the first entry is
+(code & 0xFFFF) - 2^15, the rows below are code >> 16 and the length is the
+number of digits.  A first-row tail is stored as its signed code
+sum t_j 2^(16j), so a child is below + tail, one int add.  This is exact
+because every entry of every state lies in [-P, P], with P the larger of
+the sums of the positive and of the negative |alpha_i|.  A positive first
+row x_0 splits x_0 into entries >= 0, so the positive entries of a child
+sum to at most those of its state (x_0 leaves, at most x_0 flows back) and
+its negative entries only move towards 0; a negative row is the mirror
+image.  Neither sum ever grows past alpha's, so while P < 2^15 every digit
+lies in [1, 2^16): no add carries and the top digit is never 0.  tes
+refuses a larger P.
+
+_bound is the one walk that builds children: per state it records the live
+groups (those with a child of nonzero bound) and those children's codes.
+The packed pass follows them, and sums the children of each group and then
+the group products in one loop per state.
 
 count_tesler runs the recursion with every weight set to 1.  A
 permutational matrix (one nonzero entry per row, the matrices that survive
@@ -56,7 +67,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add
 
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, qt_int
 
@@ -80,14 +90,12 @@ class TeslerMatrix:
                 raise ValueError("zero row")
             if any(v > 0 for v in row) and any(v < 0 for v in row):
                 raise ValueError("row not sign-homogeneous")
-        self.n = n
-        self.rows = rows
+        self.n, self.rows = n, rows
 
     @classmethod
     def _unchecked(cls, n: int, rows: tuple) -> "TeslerMatrix":
         out = object.__new__(cls)
-        out.n = n
-        out.rows = rows
+        out.n, out.rows = n, rows
         return out
 
     def __eq__(self, other):
@@ -101,29 +109,16 @@ class TeslerMatrix:
 
     def hooks(self) -> tuple:
         """Row sum from the diagonal rightward minus the column sum above it."""
-        n = self.n
-        return tuple(
-            sum(self.rows[i][i:]) - sum(self.rows[k][i] for k in range(i))
-            for i in range(n)
-        )
-
-    def entries_plus(self) -> int:
-        return sum(1 for row in self.rows for v in row if v > 0)
-
-    def rows_plus(self) -> int:
-        return sum(1 for row in self.rows if any(v > 0 for v in row))
-
-    def nonzero(self) -> int:
-        return sum(1 for row in self.rows for v in row if v)
+        rows = self.rows
+        return tuple(sum(rows[i][i:]) - sum(row[i] for row in rows[:i]) for i in range(self.n))
 
     def weight(self) -> LaurentPolyQT:
         """(-1)^(entries+ - rows+) * M^(nonzero - n) * prod qt_int(entry)."""
-        sign = -1 if (self.entries_plus() - self.rows_plus()) % 2 else 1
-        out = _m_power(self.nonzero() - self.n) * sign
-        for row in self.rows:
-            for v in row:
-                if v:
-                    out = out * qt_int(v)
+        entries = [v for row in self.rows for v in row if v]
+        plus = sum(v > 0 for v in entries) - sum(any(v > 0 for v in row) for row in self.rows)
+        out = _m_power(len(entries) - self.n) * (-1 if plus % 2 else 1)
+        for v in entries:
+            out = out * qt_int(v)
         return out
 
     def to_json(self) -> dict:
@@ -205,63 +200,64 @@ def enumerate_tesler(alpha, permutational: bool = False):
 def _first_rows(s: int, width: int) -> tuple:
     """(row weight, tails), one pair per multiset of nonzero entries of a row
     of total s and width entries; tails holds the entries right of the
-    diagonal of every composition of |s| into width parts with that multiset.
-
-    A row with nz nonzero entries weighs M^(nz-1) times the qt_int of each
-    entry, and carries the sign (-1)^(nz-1) when it is positive.  None of
-    these factors sees where an entry sits, so the weight is one product per
-    partition of |s| into at most width parts.
-    """
+    diagonal of every composition of |s| into width parts with that multiset."""
     sign = 1 if s > 0 else -1
     groups: dict = {}
     for comp in compositions(abs(s), width):
         parts = tuple(sorted(v for v in comp if v))
         groups.setdefault(parts, []).append(tuple(sign * v for v in comp[1:]))
-    out = []
-    for parts, tails in groups.items():
-        weight = _m_power(len(parts) - 1)
-        if s > 0 and len(parts) % 2 == 0:
-            weight = -weight
-        for v in parts:
-            weight = weight * qt_int(sign * v)
-        out.append((weight, tuple(tails)))
-    return tuple(out)
+    return tuple((_row_weight(s, parts), tuple(tails)) for parts, tails in groups.items())
+
+
+@lru_cache(maxsize=None)
+def _row_weight(s: int, parts: tuple) -> LaurentPolyQT:
+    """The weight of a row of total s with nonzero entries parts (up to sign):
+    M^(nz-1), the qt_int of each entry, and (-1)^(nz-1) when s is positive.
+    No factor sees where an entry sits, or the row's width."""
+    sign = 1 if s > 0 else -1
+    weight = _m_power(len(parts) - 1)
+    if s > 0 and len(parts) % 2 == 0:
+        weight = -weight
+    for v in parts:
+        weight = weight * qt_int(sign * v)
+    return weight
 
 
 def tes(alpha) -> LaurentPolyQT:
     """The Tesler function: the weight sum over all matrices with hooks alpha.
 
-    Computed by the first-row recursion
-    tes(alpha) = sum over first rows r of w(r) * tes(alpha[1:] + r[1:]),
-    memoized on the hook vector of the rows below, so sub-vectors are shared
-    within one call and across calls.  w(r) depends only on the multiset of
-    entries of r, so the sub-values of all rows with one multiset are added
-    first and multiplied by their common weight once.
-
-    The recursion runs on Kronecker-packed ints (see the module docstring).
-    _bound(alpha) walks the states once and gives L1, a bound on the sum of
-    the absolute coefficients, a window [tlo, thi] of t-exponents and the
-    live groups of each state; with 2^(K-1) > L1 and W > thi - tlo (K and W
-    rounded up to 8 bits and 4 slots) no coefficient spills into the next
-    slot and no two monomials share one, so the balanced base-2^K digits of
-    the packed result are exactly its coefficients.  The packed pass
-    multiplies along the recorded live groups only.  Values are immutable
-    and safe to share.
+    By the first-row recursion on state codes and packed ints (see the module
+    docstring), memoized on the state, so sub-vectors are shared within one
+    call and across calls.  Raises ValueError when the positive or the
+    negative hooks sum to 2^15 or more in absolute value: a state would no
+    longer fit its code.  Values are immutable and safe to share.
     """
     alpha = tuple(alpha)
-    l1, tlo, thi, _ = _bound(alpha)
+    mass = max(sum(x for x in alpha if x > 0), -sum(x for x in alpha if x < 0))
+    if mass >= _HALF:
+        raise ValueError(f"tes needs the positive and the negative hooks to sum below {_HALF}")
+    code = _encode(alpha)
+    l1, tlo, thi, _ = _bound(code) if code else _ZERO_BOUND
     if not l1:
         return ZERO
     k, w = _slot_sizes(l1, tlo, thi)
-    packed, low = _tes_cached(alpha, k, w)
+    packed, low = _tes_cached(code, k, w)
     return _unpack(packed, low, k, w, tlo)
 
 
-# K and W round up to these steps, so that calls of similar size use the same
-# packing and share memoized states.  Exact sizes spread the states of one
-# verify suite over many (K, W): with steps of 1, prop-6-2's 780 small calls
-# ran about 25% slower.  Coarser steps lengthen every int: with steps of 16
-# and 8, the cold tes-large inputs took 15-30% longer.
+# a state code: entry j is base-2^_DIGIT digit j, stored as x_j + _HALF
+_DIGIT, _HALF, _MASK = 16, 1 << 15, 0xFFFF
+
+
+def _encode(alpha: tuple) -> int:
+    """The state code of the hook vector alpha."""
+    return sum((x + _HALF) << _DIGIT * j for j, x in enumerate(alpha))
+
+
+# K and W round up to these steps, so that calls of similar size share memoized
+# states.  Exact sizes spread one verify suite's states over many (K, W): with
+# steps of 1, prop-6-2's 780 small calls ran about 25% slower.  Coarser steps
+# lengthen every int: with 16 and 8, cold tes-large inputs took 15-30% longer.
 K_STEP = 8
 W_STEP = 4
 
@@ -282,7 +278,10 @@ def _span(poly: LaurentPolyQT) -> tuple:
 
 @lru_cache(maxsize=None)
 def _row_spans(s: int, width: int) -> tuple:
-    return tuple((_span(weight), tails) for weight, tails in _first_rows(s, width))
+    """(span of the weight, signed codes of the tails) per group of _first_rows."""
+    return tuple((_span(weight), tuple(sum(t << _DIGIT * j for j, t in enumerate(tail))
+                                       for tail in tails))
+                 for weight, tails in _first_rows(s, width))
 
 
 # the bound of the zero value: no coefficient, an empty t-window, no group
@@ -290,30 +289,28 @@ _ZERO_BOUND = (0, math.inf, -math.inf, ())
 
 
 @lru_cache(maxsize=None)
-def _bound(alpha: tuple) -> tuple:
-    """(l1, tlo, thi, groups): the sum of |coefficients| of tes(alpha) is at
-    most l1, and its t-exponents lie in [tlo, thi] (an empty window when
-    l1 = 0).  groups holds one (row index, kids) pair per first-row group of
-    _first_rows with a live child: kids are the hook vectors of the rows
-    below whose bound is nonzero, so a child whose value is zero is left out.
-
-    The first-row recursion of tes with every value replaced by these three
-    numbers: a sum adds the l1 and joins the windows, a product multiplies
-    the l1 and adds the windows.  It is the one walk that builds the child
-    tuples; _tes_cached follows the recorded groups.
-    """
-    if not alpha or alpha[0] == 0:
+def _bound(code: int) -> tuple:
+    """(l1, tlo, thi, groups) of the state code: the sum of |coefficients|
+    of its tes is at most l1, and its t-exponents lie in [tlo, thi] (an
+    empty window when l1 = 0).  groups holds one (row index, kids) pair per
+    first-row group of _first_rows with a live child: kids are the codes of
+    the rows below whose bound is nonzero.  The first-row recursion of tes
+    on these three numbers: a sum adds the l1 and joins the windows, a
+    product multiplies the l1 and adds the windows."""
+    first = (code & _MASK) - _HALF
+    if not first:
         return _ZERO_BOUND
-    if len(alpha) == 1:
-        return _span(qt_int(alpha[0])) + ((),)
-    below = alpha[1:]
+    if code <= _MASK:
+        return _span(qt_int(first)) + ((),)
+    below = code >> _DIGIT
     l1, lo, hi = 0, math.inf, -math.inf
     groups = []
-    for index, ((wl1, wlo, whi), tails) in enumerate(_row_spans(alpha[0], len(alpha))):
+    for index, ((wl1, wlo, whi), tails) in enumerate(
+            _row_spans(first, -(-code.bit_length() // _DIGIT))):
         kids = []
         total, klo, khi = 0, math.inf, -math.inf
         for tail in tails:
-            kid = tuple(map(add, below, tail))
+            kid = below + tail
             cl1, clo, chi, _ = _bound(kid)
             if cl1:
                 kids.append(kid)
@@ -366,42 +363,45 @@ def _packed_rows(s: int, width: int, k: int, w: int) -> tuple:
     return tuple(_pack(weight, k, w) for weight, _ in _first_rows(s, width))
 
 
-def _add_packed(values, k: int) -> tuple:
-    """The sum of packed (N, e) values, aligned to the lowest e of a nonzero N."""
-    values = [v for v in values if v[0]]
-    if len(values) < 2:
-        return values[0] if values else (0, 0)
-    low = min([e for _, e in values])
-    return sum([n << k * (e - low) for n, e in values]), low
-
-
 @lru_cache(maxsize=None)
-def _tes_cached(alpha: tuple, k: int, w: int) -> tuple:
-    """tes(alpha) packed with slot sizes (K, W), as the (N, e) of _pack, for
-    an alpha whose bound is nonzero.  It follows the live groups _bound
-    recorded: the children of a group are shift-added (one child is taken
-    as it is), then multiplied by the group's packed weight."""
-    if len(alpha) == 1:
-        return _pack(qt_int(alpha[0]), k, w)
-    weights = _packed_rows(alpha[0], len(alpha), k, w)
-    products = []
-    for index, kids in _bound(alpha)[3]:
-        if len(kids) == 1:
-            n, e = _tes_cached(kids[0], k, w)
-        else:
-            n, e = _add_packed([_tes_cached(kid, k, w) for kid in kids], k)
+def _tes_cached(code: int, k: int, w: int) -> tuple:
+    """The tes of the state code packed with slot sizes (K, W), as the (N, e)
+    of _pack, for a state whose bound is nonzero.  Along _bound's live groups
+    it sums each group's children, then the group products.  A sum (n, e)
+    keeps the lowest offset seen: a value that comes in lower shifts n up,
+    and a zero n takes the next value as it is."""
+    first = (code & _MASK) - _HALF
+    if code <= _MASK:
+        return _pack(qt_int(first), k, w)
+    weights = _packed_rows(first, -(-code.bit_length() // _DIGIT), k, w)
+    total = low = 0
+    for index, kids in _bound(code)[3]:
+        n = e = 0
+        for kid in kids:
+            kn, ke = _tes_cached(kid, k, w)
+            if not n:
+                n, e = kn, ke
+            elif ke >= e:
+                n += kn << k * (ke - e)
+            else:
+                n = (n << k * (e - ke)) + kn
+                e = ke
         wn, we = weights[index]
-        products.append((n * wn, e + we))
-    return _add_packed(products, k)
+        n, e = n * wn, e + we
+        if not total:
+            total, low = n, e
+        elif e >= low:
+            total += n << k * (e - low)
+        else:
+            total = (total << k * (low - e)) + n
+            low = e
+    return total, low
 
 
 def count_tesler(alpha, permutational: bool = False) -> int:
     """The number of Tesler matrices with hooks alpha (only the permutational
-    ones, with permutational), without enumerating them.
-
-    The first-row recursion of tes with every weight set to 1, over the rows
-    enumerate_tesler tries, memoized on the hook vector of the rows below.
-    """
+    ones, with permutational), without enumerating them: the first-row
+    recursion of tes with every weight 1, over the rows enumerate_tesler tries."""
     return _count_cached(tuple(alpha), permutational)
 
 

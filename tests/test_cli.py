@@ -201,6 +201,17 @@ class TestUnwritableOut:
         assert "error:" in err and str(missing) in err
         assert not missing.parent.exists()
 
+    def test_verify_refuses_before_the_first_suite(self, capsys, monkeypatch, tmp_path):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("run_suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        missing = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "--suite", "prop-6-3", "--out", str(missing))
+        assert code == 2 and out == ""
+        assert "not a writable directory" in err
+        assert not missing.parent.exists()
+
     def test_child_process_prints_no_traceback(self, tmp_path):
         proc = spawn_cli("tes", "--hooks", "1,1", "--out", str(tmp_path / "missing" / "x"),
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from teslab import tesler
 from teslab.macdonald import tes_via_theorem
-from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, qt_int
+from teslab.qt_algebra import M, ONE, Q, T, ZERO, LaurentPolyQT, qt_int
 from teslab.tesler import (
     TeslerMatrix,
     _bound,
+    _encode,
     _first_rows,
     _pack,
+    _row_spans,
     _slot_sizes,
+    _tes_cached,
     _unpack,
     compositions,
     count_tesler,
@@ -326,6 +330,92 @@ def _tes_dict_terms(alpha):
     return {mono: c for mono, c in acc.items() if c}
 
 
+def _decode(code):
+    """The hook vector of a state code: base-2^16 digits, each offset by 2^15."""
+    out = []
+    while code:
+        out.append((code & 0xFFFF) - (1 << 15))
+        code >>= 16
+    return tuple(out)
+
+
+def _mass(alpha):
+    """P: the larger of the sums of the positive and of the negative |entries|."""
+    return max(sum(x for x in alpha if x > 0), -sum(x for x in alpha if x < 0))
+
+
+def _tes_unguarded(alpha):
+    """tes without its mass check, on whatever digits the module has."""
+    code = _encode(alpha)
+    l1, tlo, thi, _ = _bound(code)
+    if not l1:
+        return ZERO
+    k, w = _slot_sizes(l1, tlo, thi)
+    return _unpack(*_tes_cached(code, k, w), k, w, tlo)
+
+
+def _clear_state_caches():
+    for fn in (_bound, _tes_cached, _row_spans):
+        fn.cache_clear()
+
+
+def _seeded_vectors(seed, count, length):
+    """count seeded vectors of length 1..length with entries in [-3, 3]."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, length)))
+            for _ in range(count)]
+
+
+class TestStateCodes:
+    def test_every_state_stays_within_the_mass(self):
+        # every state the recursion reaches has its entries in [-P, P], and
+        # the code of each child is the code of the rows below plus the tail's
+        for alpha in _seeded_vectors(61, 200, 6):
+            mass = _mass(alpha)
+            seen, stack = set(), [alpha]
+            while stack:
+                state = stack.pop()
+                if state in seen:
+                    continue
+                seen.add(state)
+                assert all(-mass <= x <= mass for x in state)
+                if len(state) < 2 or not state[0]:
+                    continue
+                below = _encode(state[1:])
+                rows = zip(_first_rows(state[0], len(state)), _row_spans(state[0], len(state)))
+                for (_, tails), (_, codes) in rows:
+                    for tail, tail_code in zip(tails, codes):
+                        kid = tuple(x + t for x, t in zip(state[1:], tail))
+                        assert below + tail_code == _encode(kid)
+                        stack.append(kid)
+
+    def test_four_bit_digits_without_the_guard_go_wrong(self, monkeypatch):
+        # the mass bound is what keeps the digits apart: with 4-bit digits a
+        # vector of mass P < 8 still agrees with the dict recursion, and some
+        # vector of larger mass does not
+        vectors = _seeded_vectors(71, 40, 5)
+        expected = [_tes_dict(alpha) for alpha in vectors]
+        _clear_state_caches()
+        try:
+            monkeypatch.setattr(tesler, "_DIGIT", 4)
+            monkeypatch.setattr(tesler, "_HALF", 8)
+            monkeypatch.setattr(tesler, "_MASK", 15)
+            got = [_tes_unguarded(alpha) for alpha in vectors]
+        finally:
+            monkeypatch.undo()
+            _clear_state_caches()
+        assert all(g == e for alpha, g, e in zip(vectors, got, expected) if _mass(alpha) < 8)
+        assert any(g != e for g, e in zip(got, expected))
+
+    def test_mass_over_the_digit_range_is_refused(self):
+        # the extreme entries still fit a digit; one more in either sum is refused
+        top = (1 << 15) - 1
+        assert _decode(_encode((top, -top, 0, 1 - top))) == (top, -top, 0, 1 - top)
+        for alpha in [(20000, 20000), (-20000, -20000), (1 << 15,), (3, top - 2)]:
+            with pytest.raises(ValueError, match="sum below 32768"):
+                tes(alpha)
+
+
 class TestPackedKernel:
     @given(st.integers(2, 70), st.integers(1, 12), st.integers(-30, 30), st.data())
     @settings(max_examples=100, deadline=None)
@@ -356,7 +446,7 @@ class TestPackedKernel:
         for _ in range(60):
             alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
             value = tes(alpha)
-            l1, tlo, thi, _ = _bound(alpha)
+            l1, tlo, thi, _ = _bound(_encode(alpha))
             assert sum(map(abs, value.terms.values())) <= l1
             if value:
                 ts = [b for _, b in value.terms]
@@ -368,7 +458,8 @@ class TestPackedKernel:
         rng = random.Random(59)
         for _ in range(60):
             alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
-            groups = _bound(alpha)[3]
+            groups = tuple((index, tuple(map(_decode, kids)))
+                           for index, kids in _bound(_encode(alpha))[3])
             if len(alpha) == 1 or not alpha[0]:
                 assert groups == ()
                 continue
@@ -380,6 +471,24 @@ class TestPackedKernel:
                 if kids:
                     expected.append((index, kids))
             assert groups == tuple(expected)
+
+    @pytest.mark.parametrize("offset", [-50, 0, 50])
+    def test_group_sum_is_exact_with_a_zero_child(self, monkeypatch, offset):
+        # a child whose packed value is 0, at any offset, in any place of its
+        # group, leaves exactly the other children's sum
+        alpha = (3, 1, 1)
+        code = _encode(alpha)
+        l1, tlo, thi, groups = _bound(code)
+        k, w = _slot_sizes(l1, tlo, thi)
+        index, kids = next(g for g in groups if len(g[1]) > 2)
+        weight = _first_rows(alpha[0], len(alpha))[index][0]
+        tes(alpha)  # every state below is cached, so the fake below reaches no miss
+        real = tesler._tes_cached
+        for zero_kid in kids:
+            monkeypatch.setattr(tesler, "_tes_cached", lambda c, k, w, zero=zero_kid: (
+                (0, offset) if c == zero else real(c, k, w)))
+            value = _unpack(*real.__wrapped__(code, k, w), k, w, tlo)
+            assert value == _tes_dict(alpha) - weight * _tes_dict(_decode(zero_kid))
 
     @pytest.mark.parametrize("alpha", [(1,) * 9, (-1,) * 9, (2,) * 6, (-2,) * 6])
     def test_matches_dict_recursion(self, alpha):
