@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -32,7 +31,7 @@ from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes
 from .young import (Partition, cover_monomial, partition_stats, partitions_of,
-                    w_cell_factors, w_factors)
+                    pi_factors, w_cell_factors, w_factors)
 
 M_FACTORS = (
     LaurentPolyQT({(0, 0): 1, (1, 0): -1}),  # 1 - q
@@ -99,23 +98,20 @@ def shifted_power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
 def _line_product(nu: Partition, mu: Partition, cell, other: bool, extra=()) -> RatFuncQT:
     """The d (other=False) or c (other=True) product of pieri_d / skew_pieri_c.
 
-    Factors equal on both sides cancel first: the product telescopes along
-    runs of equal legs or arms.  extra joins the denominator.
+    Factors equal on both sides cancel before anything is expanded: the
+    product telescopes along runs of equal legs or arms.  extra joins the
+    denominator.
     """
     x0, y0 = cell
     lines = [((x, y0), 0) for x in range(x0)] + [((x0, y), 1) for y in range(y0)]
-    num, den = Counter(), Counter()
+    num, den = [], list(extra)
     for c, k in lines:
         small = w_cell_factors(nu.cell_stats(c))
         big = w_cell_factors(mu.cell_stats(c))
         top, bottom, i = (big, small, 1 - k) if other else (small, big, k)
-        num[top[i]] += 1
-        den[bottom[i]] += 1
-    common = num & den
-    top = ONE
-    for f in (num - common).elements():
-        top = top * f
-    return RatFuncQT.from_factors(top, tuple((den - common).elements()) + extra)
+        num.append(top[i])
+        den.append(bottom[i])
+    return RatFuncQT.from_binomials(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -195,15 +191,12 @@ def virtual_F(alpha: tuple, mu: Partition) -> RatFuncQT:
 
 
 def _eigen_coeff(mu: Partition, target: str) -> RatFuncQT:
-    st = partition_stats(mu)
-    num = ONE * st.Pi
-    for f in M_FACTORS:
-        num = num * f
-    if target == "e":
-        num = num * st.B
-    elif target != "p":
+    """M * Pi_mu / w_mu, times B_mu for target 'e'.  Pi_mu's factors
+    1 - q^a' t^l' stay binomials, so they cancel against w_mu's unexpanded."""
+    if target not in ("p", "e"):
         raise ValueError("target must be 'p' or 'e'")
-    return RatFuncQT.from_factors(num, w_factors(mu))
+    scale = partition_stats(mu).B if target == "e" else ONE
+    return RatFuncQT.from_binomials(pi_factors(mu) + list(M_FACTORS), w_factors(mu), scale)
 
 
 @lru_cache(maxsize=None)

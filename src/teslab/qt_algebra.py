@@ -10,10 +10,29 @@ monomials included.  Cancellation only ever uses exact_div, which divides
 by such a binomial with one pass of running sums along the lines
 {e + k(A - B)}, so intermediate results stay small without computing
 polynomial gcds.
+
+Every RatFuncQT is reduced: no factor it keeps divides its numerator.  A
+canonical factor whose direction A - B has coprime entries is irreducible
+with content 1 (a monomial change of variables takes it to u - 1 or u + 1),
+so it is prime in Z[q^+-1, t^+-1].  Division is tried only where a factor
+can cancel, the rule for exact fractions of Henrici (JACM 3 (1956)) and
+Knuth (TAOCP vol. 2, 4.5.1):
+- a product tries each prime factor of one operand against the other
+  operand's numerator before multiplying, since it cannot divide its own;
+  the other factors (1 - q^2, q^2 - t^2, ...) are tried on the product;
+- a sum skips a prime f that one addend carries more often than the other
+  unless f divides a binomial that this addend gains: the other addend's
+  part of the new numerator has f as a factor, and this one's is f-free
+  unless f divides one of those binomials (each squarefree);
+- a factor that fails once is not tried again: the numerator only loses
+  factors, so its other copies cannot divide either;
+- from_binomials cancels equal binomials and divides a denominator binomial
+  into a numerator binomial before anything is expanded.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -206,11 +225,6 @@ class LaurentPolyQT:
             poly = LaurentPolyQT._raw(data)
         return poly
 
-    def min_exponents(self) -> Mono:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return (min(e for e, _ in self.terms), min(e for _, e in self.terms))
-
     def shift(self, eq: int, et: int) -> "LaurentPolyQT":
         if not (eq or et):
             return self
@@ -297,7 +311,10 @@ def q_factorial(k: int) -> LaurentPolyQT:
 def _is_unit_binomial(p: LaurentPolyQT) -> bool:
     """True for +-x^A +- x^B, the one kind of denominator factor."""
     terms = p.terms
-    return len(terms) == 2 and all(c in (1, -1) for c in terms.values())
+    if len(terms) != 2:
+        return False
+    c, d = terms.values()
+    return c in (1, -1) and d in (1, -1)
 
 
 def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
@@ -315,7 +332,7 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     terms of a finds the unique quotient or shows there is none.
 
     Any other divisor raises ValueError: from_factors admits no other
-    denominator factor, so _reduce never passes one.
+    denominator factor, so RatFuncQT never passes one.
     """
     if not _is_unit_binomial(b):
         raise ValueError(f"exact_div divides only by +-1 binomials, got {b}")
@@ -362,20 +379,44 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
 def _split_canonical(p: LaurentPolyQT):
     """Write a +-1 binomial p as sign * x^mins * canonical, where canonical has
     min exponents (0,0) and a positive graded-lex leading coefficient."""
-    mins = p.min_exponents()
-    shifted = {(e0 - mins[0], e1 - mins[1]): c for (e0, e1), c in p.terms.items()}
-    sign = 1 if shifted[max(shifted, key=_grlex)] > 0 else -1
-    canon = LaurentPolyQT._raw({m: c * sign for m, c in shifted.items()})
-    return sign, mins, canon
+    ((a0, a1), ca), ((b0, b1), cb) = p.terms.items()
+    m0, m1 = min(a0, b0), min(a1, b1)
+    a, b = (a0 - m0, a1 - m1), (b0 - m0, b1 - m1)
+    sign = 1 if (ca if _grlex(a) > _grlex(b) else cb) > 0 else -1
+    return sign, (m0, m1), LaurentPolyQT._raw({a: ca * sign, b: cb * sign})
+
+
+def _canonicalize(num: LaurentPolyQT, factors, side: int):
+    """(num, canonical factors) for num * prod(factors)^side, side = 1 for
+    numerator binomials and -1 for denominator ones: the sign and the
+    monomial x^mins of each factor move into num."""
+    canon = []
+    for f in factors:
+        if side < 0 and f.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if not _is_unit_binomial(f):
+            where = "denominator" if side < 0 else "numerator"
+            raise ValueError(f"{where} factor {f} is not +-x^A +- x^B")
+        sign, (m0, m1), prim = _split_canonical(f)
+        num = num.shift(side * m0, side * m1) * sign
+        canon.append(prim)
+    return num, canon
+
+
+def _is_prime(f: LaurentPolyQT) -> bool:
+    """True for a binomial +-x^A +- x^B whose direction A - B has coprime
+    entries: it is irreducible with content 1, so prime."""
+    (a0, a1), (b0, b1) = f.terms
+    return math.gcd(a0 - b0, a1 - b1) == 1
 
 
 class RatFuncQT:
     """Exact rational function in q and t.
 
     Stored as num / prod(factors) where factors is a sorted tuple of canonical
-    +-1 binomials.  Equality is decided by cross-multiplication, so a missed
-    cancellation can never change a result.  Build one with from_laurent or
-    from_factors.
+    +-1 binomials, none of which divides num.  Equality is decided by
+    cross-multiplication, so a missed cancellation can never change a
+    result.  Build one with from_laurent, from_factors or from_binomials.
     """
 
     __slots__ = ("num", "factors")
@@ -389,7 +430,12 @@ class RatFuncQT:
 
     @classmethod
     def _make(cls, num: LaurentPolyQT, factors) -> "RatFuncQT":
-        return cls._raw(*_reduce(num, factors))
+        # num / prod(factors) for canonical factors, each tried on num
+        if num.is_zero():
+            return cls._raw(ZERO, ())
+        kept = []
+        num = _divide_out(num, factors, kept)
+        return cls._raw(num, _sorted(kept))
 
     @classmethod
     def from_laurent(cls, p) -> "RatFuncQT":
@@ -404,16 +450,31 @@ class RatFuncQT:
         """
         if isinstance(num, int):
             num = LaurentPolyQT.const(num)
-        canon = []
-        for f in factors:
-            if f.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            if not _is_unit_binomial(f):
-                raise ValueError(f"denominator factor {f} is not +-x^A +- x^B")
-            sign, mins, prim = _split_canonical(f)
-            num = num.shift(-mins[0], -mins[1]) * sign
-            canon.append(prim)
-        return cls._make(num, tuple(canon))
+        return cls._make(*_canonicalize(num, factors, -1))
+
+    @classmethod
+    def from_binomials(cls, top, bottom, scale: LaurentPolyQT = ONE) -> "RatFuncQT":
+        """scale * prod(top) / prod(bottom) for +-x^A +- x^B binomials.
+
+        Equal binomials cancel, each remaining bottom binomial divides into
+        one top binomial where it fits, and only then is the rest expanded
+        and reduced as by from_factors.  Any other binomial raises as there.
+        """
+        scale, tops = _canonicalize(scale, top, 1)
+        scale, bottoms = _canonicalize(scale, bottom, -1)
+        over, under = Counter(tops), Counter(bottoms)
+        common = over & under
+        nums = list((over - common).elements())
+        rest = []
+        for f in (under - common).elements():
+            for i, g in enumerate(nums):
+                quotient = exact_div(g, f)
+                if quotient is not None:
+                    nums[i] = quotient
+                    break
+            else:
+                rest.append(f)
+        return cls._make(scale * _expand(nums), rest)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -452,9 +513,22 @@ class RatFuncQT:
             return self
         ca, cb = Counter(self.factors), Counter(other.factors)
         common = ca | cb
-        num = (self.num * _expand((common - ca).elements())
-               + other.num * _expand((common - cb).elements()))
-        return RatFuncQT._make(num, tuple(common.elements()))
+        gain_a, gain_b = common - ca, common - cb
+        num = self.num * _expand(gain_a.elements()) + other.num * _expand(gain_b.elements())
+        if num.is_zero():
+            return RatFuncQT._raw(ZERO, ())
+        # a prime f that one addend carries more often divides the sum only
+        # if it divides a binomial that addend gains
+        kept, trial = [], []
+        for f, count in common.items():
+            more = ca[f] - cb[f]
+            if more and _is_prime(f) and all(
+                    exact_div(g, f) is None for g in (gain_a if more > 0 else gain_b)):
+                kept += [f] * count
+            else:
+                trial += [f] * count
+        num = _divide_out(num, trial, kept)
+        return RatFuncQT._raw(num, _sorted(kept))
 
     __radd__ = __add__
 
@@ -471,7 +545,18 @@ class RatFuncQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFuncQT._make(self.num * other.num, self.factors + other.factors)
+        if self.num.is_zero() or other.num.is_zero():
+            return RatFuncQT._raw(ZERO, ())
+        # a prime factor cannot divide its own numerator, so it is tried on
+        # the other's; the rest are tried on the product
+        kept, trial, nums = [], [], []
+        for own, across in ((self, other), (other, self)):
+            primes = []
+            for f in own.factors:
+                (primes if _is_prime(f) else trial).append(f)
+            nums.append(_divide_out(across.num, primes, kept))
+        num = _divide_out(nums[0] * nums[1], trial, kept)
+        return RatFuncQT._raw(num, _sorted(kept))
 
     __rmul__ = __mul__
 
@@ -480,7 +565,7 @@ class RatFuncQT:
 
         The swap of a canonical factor keeps min exponents (0,0), so only its
         sign moves into num; and a factor divides swap(num) iff its swap
-        divides num, so a reduced fraction stays reduced without _reduce.
+        divides num, so a reduced fraction stays reduced with no trial division.
         """
         num = self.num.swap_qt()
         prims = []
@@ -488,7 +573,7 @@ class RatFuncQT:
             sign, _, prim = _split_canonical(f.swap_qt())
             num = num * sign
             prims.append(prim)
-        return RatFuncQT._raw(num, tuple(sorted(prims, key=_factor_key)))
+        return RatFuncQT._raw(num, _sorted(prims))
 
     def __str__(self) -> str:
         if self.is_laurent():
@@ -514,20 +599,22 @@ def _coerce(x):
     return NotImplemented
 
 
-def _reduce(num: LaurentPolyQT, factors):
-    if num.is_zero():
-        return ZERO, ()
-    kept = []
+def _divide_out(num: LaurentPolyQT, factors, kept: list) -> LaurentPolyQT:
+    """num divided by each of the factors that divides it; kept gets the
+    others.  A factor that fails is not tried again: num only loses factors,
+    so none of its later copies can divide."""
+    failed = []
     for f in factors:
-        quotient = exact_div(num, f)
-        if quotient is None:
-            kept.append(f)
-        else:
-            num = quotient
-    kept.sort(key=_factor_key)
-    return num, tuple(kept)
+        if f not in failed:
+            quotient = exact_div(num, f)
+            if quotient is not None:
+                num = quotient
+                continue
+            failed.append(f)
+        kept.append(f)
+    return num
 
 
-def _factor_key(f: LaurentPolyQT):
+def _sorted(factors) -> tuple:
     # the order of a denominator's factors, so equal multisets are equal tuples
-    return sorted(f.terms.items())
+    return tuple(sorted(factors, key=lambda f: sorted(f.terms.items())))

@@ -230,7 +230,10 @@ def tes(alpha) -> LaurentPolyQT:
     docstring), memoized on the state, so sub-vectors are shared within one
     call and across calls.  Raises ValueError when the positive or the
     negative hooks sum to 2^15 or more in absolute value: a state would no
-    longer fit its code.  Values are immutable and safe to share.
+    longer fit its code; and, after the bound pass, when K * W^2 is over
+    PACKED_BITS_BUDGET.  tes is symmetric in q and t, as every qt_int and M
+    is, so a value's q-span is at most W and no packed int is longer than
+    K * W^2 bits.  Values are immutable and safe to share.
     """
     alpha = tuple(alpha)
     mass = max(sum(x for x in alpha if x > 0), -sum(x for x in alpha if x < 0))
@@ -241,9 +244,17 @@ def tes(alpha) -> LaurentPolyQT:
     if not l1:
         return ZERO
     k, w = _slot_sizes(l1, tlo, thi)
+    if k * w * w > PACKED_BITS_BUDGET:
+        raise ValueError(f"tes{alpha} would pack up to K*W^2 = {k * w * w:,} bits per "
+                         f"value, over the budget of {PACKED_BITS_BUDGET:,}")
     packed, low = _tes_cached(code, k, w)
     return _unpack(packed, low, k, w, tlo)
 
+
+# The longest packed int tes may build, in bits: (1^10) needs K*W^2 = 147,456
+# and tes-large at most 9,600, while (1000,) needs 16,000,000 (0.9 s) and
+# (30000,) would need gigabytes.
+PACKED_BITS_BUDGET = 1 << 22
 
 # a state code: entry j is base-2^_DIGIT digit j, stored as x_j + _HALF
 _DIGIT, _HALF, _MASK = 16, 1 << 15, 0xFFFF

@@ -23,7 +23,6 @@ class CellStats(NamedTuple):
 class PartitionStats(NamedTuple):
     T: LaurentPolyQT   # product of q^coarm t^coleg over all cells (a monomial)
     B: LaurentPolyQT   # sum of q^coarm t^coleg over all cells
-    Pi: LaurentPolyQT  # product of (1 - q^coarm t^coleg) over non-corner cells
 
 
 class Partition:
@@ -135,20 +134,23 @@ def _partition_tuples(n: int, max_part: int):
 
 @lru_cache(maxsize=None)
 def partition_stats(mu: Partition) -> PartitionStats:
-    """T, B and Pi of a nonempty partition; its w stays factored in w_factors."""
+    """T and B of a nonempty partition; its Pi and w stay factored in
+    pi_factors and w_factors."""
     if not mu.parts:
         raise ValueError("empty partition has no statistics")
     T = ONE
     B = LaurentPolyQT()
-    Pi = ONE
     for cell in mu.cells():
         st = mu.cell_stats(cell)
         mono = LaurentPolyQT.monomial(1, st.a_prime, st.l_prime)
         T = T * mono
         B = B + mono
-        if cell != (0, 0):
-            Pi = Pi * (ONE - mono)
-    return PartitionStats(T, B, Pi)
+    return PartitionStats(T, B)
+
+
+def pi_factors(mu: Partition) -> list:
+    """The binomials 1 - q^coarm t^coleg of Pi, one per cell other than (0, 0)."""
+    return [LaurentPolyQT({(0, 0): 1, cell: -1}) for cell in mu.cells() if cell != (0, 0)]
 
 
 def w_cell_factors(st: CellStats):

@@ -51,6 +51,10 @@ class TestTesCommand:
         code, out, _ = run_cli(capsys, "tes", "--hooks", "2,0,3,1", "--spec", "q=t=1")
         assert code == 0 and out.strip() == "308"
 
+    def test_packed_size_over_the_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "tes", "--hooks", "30000")
+        assert code == 2 and out == "" and "over the budget" in err
+
     def test_routes_agree(self, capsys):
         for route in ("enum", "macdonald"):
             code, out, _ = run_cli(capsys, "tes", "--hooks", "1,-1,2", "--route", route)

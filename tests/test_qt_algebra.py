@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from teslab import qt_algebra as qa
 from teslab.qt_algebra import (
     M,
     ONE,
@@ -280,8 +281,11 @@ class TestExactDiv:
             return
         q, t = sympy.symbols("q t")
 
+        def mins(p):
+            return min(e for e, _ in p.terms), min(e for _, e in p.terms)
+
         def shifted(p):
-            m0, m1 = p.min_exponents()
+            m0, m1 = mins(p)
             return sum(c * q ** (e0 - m0) * t ** (e1 - m1) for (e0, e1), c in p.terms.items())
 
         quot, rem = sympy.div(shifted(num), shifted(b), q, t, domain="QQ")
@@ -289,7 +293,7 @@ class TestExactDiv:
         if rem != 0 or any(not c.is_integer for _, c in coeffs):
             assert got is None
             return
-        (n0, n1), (b0, b1) = num.min_exponents(), b.min_exponents()
+        (n0, n1), (b0, b1) = mins(num), mins(b)
         expected = LaurentPolyQT({(e0 + n0 - b0, e1 + n1 - b1): int(c) for (e0, e1), c in coeffs})
         assert got == expected
 
@@ -317,14 +321,123 @@ class TestRatFuncAgainstSympy:
         for got, want in ((x + y, sx + sy), (x * y, sx * sy)):
             assert sympy.cancel(_sympy_value(got, sympy, q, t) - want) == 0
         assert (x == y) == (sympy.cancel(sx - sy) == 0)
-        # the same value with g in numerator and denominator: _reduce divides
+        # the same value with g in numerator and denominator: the reduction divides
         # by g or by a factor of x, so at most len(x.factors) factors stay
         same = RatFuncQT.from_factors(x.num * g, x.factors + (g,))
         assert same == x and x == same
         assert len(same.factors) <= len(x.factors)
         for r in (x + y, x * y, same):
-            # _reduce keeps only factors that do not divide the numerator
+            # the reduction keeps only factors that do not divide the numerator
             assert all(exact_div(r.num, f) is None for f in r.factors)
+
+
+# binomials of both kinds: prime ones, whose direction has coprime entries,
+# and ones that factor (1 - q^2, q^2 - t^2) or need not be prime (1 + q^2 t^2)
+PRIME_BINOMIALS = (ONE - Q, ONE - T, Q - T, ONE + Q, ONE + T, Q - T * T, ONE - Q * T, Q + T)
+OTHER_BINOMIALS = (ONE - Q * Q, Q * Q - T * T, ONE + Q * Q * T * T, ONE - Q * Q * T * T)
+BINOMIALS = PRIME_BINOMIALS + OTHER_BINOMIALS
+
+
+def _random_binomials(rng, most):
+    # each a random pool binomial times a random unit +-q^a t^b
+    return [rng.choice(BINOMIALS) * rng.choice((1, -1)) * Q ** rng.randint(-1, 1)
+            * T ** rng.randint(-1, 1) for _ in range(rng.randint(0, most))]
+
+
+def _random_fraction(rng):
+    """num / den with num a product of binomials times a small polynomial."""
+    num = lp({(rng.randint(-1, 1), rng.randint(-1, 1)): rng.choice((1, -1, 2))
+              for _ in range(rng.randint(1, 2))})
+    for f in _random_binomials(rng, 3):
+        num = num * f
+    return num, _random_binomials(rng, 4)
+
+
+def _naive(num, factors):
+    """The reference reduction: expand, then trial-divide by every factor."""
+    kept = []
+    for f in factors:
+        quotient = exact_div(num, f)
+        if quotient is None:
+            kept.append(f)
+        else:
+            num = quotient
+    return num, kept
+
+
+def _product(factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _cancellation_failures(seed, count):
+    """The cases where a sum, a product or from_binomials differs in value
+    from _naive, keeps a factor that divides its numerator, or is not a
+    Laurent polynomial where _naive's result is one."""
+    rng = random.Random(seed)
+    bad = []
+
+    def check(label, got, num, den):
+        ref_num, ref_kept = _naive(num, den)
+        if got.num * _product(den) != num * _product(got.factors):
+            bad.append((label, "value"))
+        elif any(exact_div(got.num, f) is not None for f in got.factors):
+            bad.append((label, "not reduced"))
+        elif got.is_laurent() != (not ref_kept):
+            bad.append((label, "laurent"))
+        elif got.is_laurent() and got.to_laurent() != ref_num:
+            bad.append((label, "laurent value"))
+
+    for i in range(count):
+        (na, da), (nb, db) = _random_fraction(rng), _random_fraction(rng)
+        x, y = RatFuncQT.from_factors(na, da), RatFuncQT.from_factors(nb, db)
+        check((i, "from_factors"), x, na, da)
+        check((i, "*"), x * y, na * nb, da + db)
+        check((i, "+"), x + y, na * _product(db) + nb * _product(da), da + db)
+        top, bottom = _random_binomials(rng, 5), _random_binomials(rng, 5)
+        scale = lp({(0, 0): 1, (rng.randint(0, 2), rng.randint(0, 2)): rng.choice((0, 1, -1))})
+        check((i, "from_binomials"), RatFuncQT.from_binomials(top, bottom, scale),
+              scale * _product(top), bottom)
+    return bad
+
+
+class TestCancellationRules:
+    """Products cross-cancel primes, sums skip a prime one side carries more
+    often, and from_binomials cancels before it expands: each against _naive."""
+
+    def test_pool_primality(self):
+        assert all(qa._is_prime(qa._split_canonical(f)[2]) for f in PRIME_BINOMIALS)
+        assert not any(qa._is_prime(qa._split_canonical(f)[2]) for f in OTHER_BINOMIALS)
+
+    def test_matches_the_naive_reduction(self):
+        assert _cancellation_failures(5, 400) == []
+
+    def test_a_composite_taken_for_a_prime_is_caught(self, monkeypatch):
+        # 1 - q^2 = (1 - q)(1 + q) may divide a product or a sum that no
+        # single operand or gained binomial shows
+        square = qa._split_canonical(ONE - Q * Q)[2]
+        is_prime = qa._is_prime
+        monkeypatch.setattr(qa, "_is_prime", lambda f: f == square or is_prime(f))
+        assert _cancellation_failures(5, 400) != []
+
+    def test_every_division_goes_through_the_module_exact_div(self, monkeypatch):
+        # the benchmark tracer counts divisions by rebinding qt_algebra.exact_div
+        calls = []
+
+        def counted(a, b):
+            calls.append(b)
+            return exact_div(a, b)
+
+        monkeypatch.setattr(qa, "exact_div", counted)
+        over = RatFuncQT.from_factors(ONE, (ONE - Q,))
+        for build in (lambda: over + RatFuncQT.from_factors(Q, (ONE - Q,)),
+                      lambda: over * RatFuncQT.from_laurent(ONE - Q * Q),
+                      lambda: RatFuncQT.from_binomials([ONE - Q * Q], [ONE - Q])):
+            calls.clear()
+            build()
+            assert calls
 
 
 # q - t is canonical, and swapping q and t flips it to -(q - t)
@@ -332,7 +445,7 @@ _over_q_minus_t = RatFuncQT.from_factors(ONE + Q * Q, (Q - T, ONE - Q))
 
 
 class TestSubstitution:
-    """swap_qt maps the numerator and each factor, without _reduce."""
+    """swap_qt maps the numerator and each factor, with no trial division."""
 
     @given(unit_fractions, unit_fractions)
     @example(_over_q_minus_t, _over_q_minus_t)

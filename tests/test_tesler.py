@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
@@ -414,6 +415,37 @@ class TestStateCodes:
         for alpha in [(20000, 20000), (-20000, -20000), (1 << 15,), (3, top - 2)]:
             with pytest.raises(ValueError, match="sum below 32768"):
                 tes(alpha)
+
+
+class TestPackedBudget:
+    def test_tes_is_symmetric_in_q_and_t(self):
+        # the budget's premise: a value's q-span is at most its t-window W,
+        # so no packed int is longer than K * W^2 bits
+        for alpha in _seeded_vectors(83, 200, 5):
+            value = tes(alpha)
+            assert value == value.swap_qt(), alpha
+
+    def test_over_the_budget_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="over the budget of 4,194,304"):
+            tes((30000,))
+        assert time.perf_counter() - start < 1
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # K * W^2 of (1,1,1) exactly at the budget passes, one bit less refuses
+        l1, tlo, thi, _ = _bound(_encode((1, 1, 1)))
+        k, w = _slot_sizes(l1, tlo, thi)
+        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", k * w * w)
+        assert tes((1, 1, 1)) == tes_via_theorem((1, 1, 1))
+        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", k * w * w - 1)
+        with pytest.raises(ValueError, match="K\\*W\\^2"):
+            tes((1, 1, 1))
+
+    def test_budget_sits_far_above_the_tested_inputs(self):
+        # (1^10) is the largest input the tests and the benchmark reach for
+        l1, tlo, thi, _ = _bound(_encode((1,) * 10))
+        k, w = _slot_sizes(l1, tlo, thi)
+        assert 16 * k * w * w < tesler.PACKED_BITS_BUDGET
 
 
 class TestPackedKernel:
