@@ -9,7 +9,14 @@ factors of M), and from_factors refuses any other, integer content and
 monomials included.  Cancellation only ever uses exact_div, which divides
 by such a binomial with one pass of running sums along the lines
 {e + k(A - B)}, so intermediate results stay small without computing
-polynomial gcds.
+polynomial gcds.  exact_div names each line by one integer, the cross
+product of a term's exponent with A - B together with its coset modulo
+A - B (needed when A - B is not primitive, as for 1 - q^6).
+
+Each canonical factor is one object per value, made by a lru_cache: it
+carries its hash, its sort key in a denominator and its primality, so the
+multiset and ordering work on denominators computes none of them again.  It
+still equals, and hashes like, the plain LaurentPolyQT with its terms.
 
 Every RatFuncQT is reduced: no factor it keeps divides its numerator.  A
 canonical factor whose direction A - B has coprime entries is irreducible
@@ -321,15 +328,22 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     """a / b for a +-1 binomial b, when the quotient is a Laurent polynomial over Z, else None.
 
     Write b = c_A x^A + c_B x^B = c_B x^B (1 - s z) with z = x^v, v = A - B
-    and s = -c_A c_B.  The lattice of exponents splits into the lines
-    {e + k v}, and the ring into one copy of Z[z, 1/z] per line, so b divides
-    a iff 1 - s z divides each line of c_B x^(-B) a.  On a line with
-    coefficients a_k, the quotient is the running sum
-    carry_k = a_k + s carry_(k-1), and the line is divisible iff its last
-    carry is 0.  Both ends of 1 - s z are units because s = +-1, so the
-    carries are integers and no coefficient can fail to divide; v need not be
-    primitive (1 - q^2 and q^2 - t^3 take the same pass).  One pass over the
-    terms of a finds the unique quotient or shows there is none.
+    and s = -c_A c_B, the terms named so that v0 > 0, or v0 = 0 and v1 > 0.
+    The lattice of exponents splits into the lines {e + k v}, and the ring
+    into one copy of Z[z, 1/z] per line, so b divides a iff 1 - s z divides
+    each line of c_B x^(-B) a.  On a line with coefficients a_k, the quotient
+    is the running sum carry_k = a_k + s carry_(k-1), and the line is
+    divisible iff its last carry is 0.  Both ends of 1 - s z are units
+    because s = +-1, so the carries are integers and no coefficient can fail
+    to divide.  One pass over the terms of a finds the unique quotient or
+    shows there is none.  Two cheap tests show it sooner: for s = 1, b
+    vanishes at q = t = 1, so a must; and a line with a single point cannot
+    be divisible.
+
+    A term's line is one integer: its cross product e1 v0 - e0 v1 with v,
+    times n = v0 (v1 when v0 = 0), plus its coset e0 mod n (e1 mod n).  The
+    coset is needed because v need not be primitive (1 - q^6, q^2 - t^4):
+    the cross product alone would put 1 and q on one line of 1 - q^6.
 
     Any other divisor raises ValueError: from_factors admits no other
     denominator factor, so RatFuncQT never passes one.
@@ -338,42 +352,87 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
         raise ValueError(f"exact_div divides only by +-1 binomials, got {b}")
     if a.is_zero():
         return ZERO
-    (A, ca), ((b0, b1), cb) = b.terms.items()
-    v0, v1 = A[0] - b0, A[1] - b1
+    (A, ca), (B, cb) = b.terms.items()
     s = -ca * cb
-    # bucket the terms of a by line; a line's key is its point with k = 0
-    i = 0 if v0 else 1
-    vi = v0 or v1
+    if s > 0 and sum(a.terms.values()):
+        # b = +-(x^A - x^B) vanishes at q = t = 1, so a multiple of it does too
+        return None
+    v0, v1 = A[0] - B[0], A[1] - B[1]
+    if v0 < 0 or (not v0 and v1 < 0):
+        B, cb = A, ca
+        v0, v1 = -v0, -v1
+    # a term's line: its cross product with v, and its coset along v
+    n = v0 or v1
     lines: dict = {}
-    for e, c in a.terms.items():
-        k = e[i] // vi
-        key = (e[0] - k * v0, e[1] - k * v1)
-        line = lines.get(key)
+    get = lines.get
+    for (e0, e1), c in a.terms.items():
+        key = (e1 * v0 - e0 * v1) * n + (e0 if v0 else e1) % n
+        line = get(key)
         if line is None:
-            lines[key] = [(k, c)]
+            lines[key] = [(e0, e1, c)]
         else:
-            line.append((k, c))
+            line.append((e0, e1, c))
+    if min(map(len, lines.values())) == 1:
+        return None
+    b0, b1 = B
     quot: dict = {}
-    for (p0, p1), points in lines.items():
+    for points in lines.values():
+        # sorted, a line's points run in increasing position; the walk runs
+        # in c_B x^(-B) a, so the carries are the quotient's coefficients
         points.sort()
+        p0, p1, carry = points[0]
         p0 -= b0
         p1 -= b1
-        carry = prev = 0
-        for k, c in points:
+        carry *= cb
+        for e0, e1, c in points[1:]:
+            e0 -= b0
+            e1 -= b1
             if carry:
-                # the carry runs on through the gap k = prev+1 .. k-1
-                for j in range(prev + 1, k):
+                # the carry runs on from p through the gap up to e; the test
+                # is (p0, p1) < (e0, e1), an order v moves up, so it ends
+                quot[(p0, p1)] = carry
+                p0 += v0
+                p1 += v1
+                carry *= s
+                while p0 < e0 or (p0 == e0 and p1 < e1):
+                    quot[(p0, p1)] = carry
+                    p0 += v0
+                    p1 += v1
                     carry *= s
-                    quot[(p0 + j * v0, p1 + j * v1)] = carry * cb
-                carry = c + s * carry
-            else:
-                carry = c
-            if carry:
-                quot[(p0 + k * v0, p1 + k * v1)] = carry * cb
-            prev = k
+            p0, p1 = e0, e1
+            carry += c * cb
         if carry:
             return None
     return LaurentPolyQT._raw(quot)
+
+
+class _Factor(LaurentPolyQT):
+    """A canonical binomial x^a + c x^b, one object per value (see _factor).
+
+    Its hash, its sort key in a denominator and its primality are computed
+    once.  Equality stays equality of terms, and the hash is the plain
+    LaurentPolyQT hash, so a Counter merges a factor with an equal plain
+    polynomial, or with the object an earlier _factor cache made.
+    """
+
+    __slots__ = ("hash", "order", "prime")
+
+    def __hash__(self):
+        return self.hash
+
+
+@lru_cache(maxsize=None)
+def _factor(a: Mono, b: Mono, c: int) -> _Factor:
+    """The canonical binomial x^a + c x^b, a leading in graded lex."""
+    f = _Factor._raw({a: 1, b: c})
+    f.hash = LaurentPolyQT.__hash__(f)
+    # the order of a denominator's factors, so equal multisets are equal tuples
+    f.order = tuple(sorted(f.terms.items()))
+    # a direction with coprime entries makes the binomial irreducible with
+    # content 1 (a monomial change of variables takes it to u - 1 or u + 1),
+    # so prime
+    f.prime = math.gcd(a[0] - b[0], a[1] - b[1]) == 1
+    return f
 
 
 def _split_canonical(p: LaurentPolyQT):
@@ -382,8 +441,10 @@ def _split_canonical(p: LaurentPolyQT):
     ((a0, a1), ca), ((b0, b1), cb) = p.terms.items()
     m0, m1 = min(a0, b0), min(a1, b1)
     a, b = (a0 - m0, a1 - m1), (b0 - m0, b1 - m1)
-    sign = 1 if (ca if _grlex(a) > _grlex(b) else cb) > 0 else -1
-    return sign, (m0, m1), LaurentPolyQT._raw({a: ca * sign, b: cb * sign})
+    if _grlex(a) < _grlex(b):
+        a, ca, b, cb = b, cb, a, ca
+    sign = 1 if ca > 0 else -1
+    return sign, (m0, m1), _factor(a, b, cb * sign)
 
 
 def _canonicalize(num: LaurentPolyQT, factors, side: int):
@@ -403,11 +464,9 @@ def _canonicalize(num: LaurentPolyQT, factors, side: int):
     return num, canon
 
 
-def _is_prime(f: LaurentPolyQT) -> bool:
-    """True for a binomial +-x^A +- x^B whose direction A - B has coprime
-    entries: it is irreducible with content 1, so prime."""
-    (a0, a1), (b0, b1) = f.terms
-    return math.gcd(a0 - b0, a1 - b1) == 1
+def _is_prime(f: _Factor) -> bool:
+    """True for a canonical factor whose direction has coprime entries."""
+    return f.prime
 
 
 class RatFuncQT:
@@ -603,18 +662,17 @@ def _divide_out(num: LaurentPolyQT, factors, kept: list) -> LaurentPolyQT:
     """num divided by each of the factors that divides it; kept gets the
     others.  A factor that fails is not tried again: num only loses factors,
     so none of its later copies can divide."""
-    failed = []
+    failed = set()
     for f in factors:
         if f not in failed:
             quotient = exact_div(num, f)
             if quotient is not None:
                 num = quotient
                 continue
-            failed.append(f)
+            failed.add(f)
         kept.append(f)
     return num
 
 
 def _sorted(factors) -> tuple:
-    # the order of a denominator's factors, so equal multisets are equal tuples
-    return tuple(sorted(factors, key=lambda f: sorted(f.terms.items())))
+    return tuple(sorted(factors, key=lambda f: f.order))

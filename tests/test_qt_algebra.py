@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,6 +300,82 @@ class TestExactDiv:
         assert got == expected
 
 
+def _line_walk_div(a: LaurentPolyQT, b: LaurentPolyQT):
+    """The oracle for exact_div: the same division, with each line keyed by
+    its point at k = 0 as an exponent tuple and its points kept as (k, c)."""
+    if a.is_zero():
+        return ZERO
+    (A, ca), ((b0, b1), cb) = b.terms.items()
+    v0, v1 = A[0] - b0, A[1] - b1
+    s = -ca * cb
+    i = 0 if v0 else 1
+    vi = v0 or v1
+    lines: dict = {}
+    for e, c in a.terms.items():
+        k = e[i] // vi
+        lines.setdefault((e[0] - k * v0, e[1] - k * v1), []).append((k, c))
+    quot: dict = {}
+    for (p0, p1), points in lines.items():
+        points.sort()
+        p0 -= b0
+        p1 -= b1
+        carry = prev = 0
+        for k, c in points:
+            if carry:
+                for j in range(prev + 1, k):
+                    carry *= s
+                    quot[(p0 + j * v0, p1 + j * v1)] = carry * cb
+                carry = c + s * carry
+            else:
+                carry = c
+            if carry:
+                quot[(p0 + k * v0, p1 + k * v1)] = carry * cb
+            prev = k
+        if carry:
+            return None
+    return LaurentPolyQT._raw(quot)
+
+
+def _direction_binomial(v, c) -> LaurentPolyQT:
+    """x^a + c x^b with min exponents (0, 0) and a - b = v, in that term order."""
+    a = (max(v[0], 0), max(v[1], 0))
+    b = (max(-v[0], 0), max(-v[1], 0))
+    return LaurentPolyQT._raw({a: 1, b: c})
+
+
+# every canonical binomial with |v_i| <= 6, each in both term orders (v and
+# -v): non-primitive directions (1 - q^6, q^2 - t^4) and v0 = 0 among them
+DIRECTION_BINOMIALS = [_direction_binomial((v0, v1), c)
+                       for v0 in range(-6, 7) for v1 in range(-6, 7) if v0 or v1
+                       for c in (1, -1)]
+
+
+class TestLineIds:
+    """exact_div buckets terms by one integer line id: against the line walk."""
+
+    def test_matches_the_line_walk_on_every_small_direction(self):
+        rng = random.Random(21)
+        for b in DIRECTION_BINOMIALS:
+            # a unit multiple, so B is not always the origin and c_B not always 1
+            b = b * rng.choice((1, -1)) * Q ** rng.randint(-2, 2) * T ** rng.randint(-2, 2)
+            r = lp({(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-4, 4)
+                    for _ in range(rng.randint(1, 6))})
+            noise = lp({(rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice((1, -1))})
+            for a in (r * b, r * b + noise, r):
+                got = exact_div(a, b)
+                assert got == _line_walk_div(a, b), (a, b)
+                if got is not None:
+                    assert got * b == a
+            assert exact_div(r * b, b) == r
+
+    @pytest.mark.parametrize("a, b", [(Q - 1, Q ** 6 - 1), (T - 1, T ** 4 - 1),
+                                      (Q - 1, 1 - Q ** 6), (Q - T, Q ** 2 - T ** 4)])
+    def test_a_line_id_keeps_cosets_apart(self, a, b):
+        # the cross product alone puts 1 and q on one line of 1 - q^6
+        assert exact_div(a, b) is None
+        assert _line_walk_div(a, b) is None
+
+
 def _sympy_value(r: RatFuncQT, sympy, q, t):
     def expr(p):
         return sympy.Add(*(c * q ** e0 * t ** e1 for (e0, e1), c in p.terms.items()))
@@ -438,6 +516,68 @@ class TestCancellationRules:
             calls.clear()
             build()
             assert calls
+
+
+def _clear_teslab_caches():
+    """cache_clear on every lru_cache of a loaded teslab module."""
+    for name, module in list(sys.modules.items()):
+        if name == "teslab" or name.startswith("teslab."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+class TestInternedFactors:
+    """Each canonical binomial is one object carrying its hash, sort key and
+    primality; equality and hashing stay those of its terms."""
+
+    def test_one_object_per_binomial_on_every_route(self):
+        from teslab.young import Partition, w_factors
+
+        (f,) = RatFuncQT.from_factors(ONE, [T - Q * Q]).factors
+        routes = [
+            RatFuncQT.from_factors(ONE, [Q * Q - T]).factors,
+            RatFuncQT.from_factors(Q, [(T - Q * Q) * Q ** -1 * T ** 2]).factors,
+            RatFuncQT.from_binomials([], [T - Q * Q]).factors,
+            RatFuncQT.from_factors(ONE, [Q - T * T]).swap_qt().factors,
+            # (2, 1): the cell (0, 0) has arm 1 and leg 1, so t - q^2 is a w factor
+            RatFuncQT.from_binomials([], w_factors(Partition((2, 1)))).factors,
+        ]
+        for factors in routes:
+            assert any(g is f for g in factors), factors
+
+    def test_hash_and_equality_are_the_plain_ones(self):
+        for g in BINOMIALS:
+            _, _, f = qa._split_canonical(g)
+            plain = LaurentPolyQT(dict(f.terms))
+            assert type(plain) is LaurentPolyQT
+            assert plain == f and f == plain
+            assert hash(f) == hash(plain)
+            assert Counter([f, plain]) == Counter({plain: 2})
+
+    def test_factors_keep_their_order(self):
+        # a denominator's factors sort by their sorted terms
+        rng = random.Random(8)
+        for _ in range(100):
+            (na, da), (nb, db) = _random_fraction(rng), _random_fraction(rng)
+            x, y = RatFuncQT.from_factors(na, da), RatFuncQT.from_factors(nb, db)
+            for r in (x, x + y, x * y, x.swap_qt()):
+                assert r.factors == tuple(sorted(r.factors, key=lambda f: sorted(f.terms.items())))
+
+    def test_clearing_every_cache_keeps_sums_and_equality(self):
+        rng = random.Random(9)
+        parts = [_random_fraction(rng) for _ in range(60)]
+        old = [RatFuncQT.from_factors(num, den) for num, den in parts]
+        _clear_teslab_caches()
+        new = [RatFuncQT.from_factors(num, den) for num, den in parts]
+        # equal values built before and after the clear hold other factor objects
+        assert any(f is not g for x, y in zip(old, new) for f, g in zip(x.factors, y.factors))
+        for x, y, z in zip(old, new, new[1:] + new[:1]):
+            assert x == y and y == x
+            assert (x.num, x.factors) == (y.num, y.factors)
+            for mixed, same in ((x + z, y + z), (x * z, y * z), (x - y, y - y)):
+                assert (mixed.num, mixed.factors) == (same.num, same.factors)
+            assert (x - y).is_zero()
 
 
 # q - t is canonical, and swapping q and t flips it to -(q - t)
