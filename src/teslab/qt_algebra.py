@@ -180,6 +180,9 @@ class LaurentPolyQT:
                 raise ValueError("non-invertible element")
             base = LaurentPolyQT._raw({(-mono[0], -mono[1]): coeff})
             return base ** (-k)
+        if len(self.terms) == 1:
+            (e0, e1), c = next(iter(self.terms.items()))
+            return LaurentPolyQT._raw({(k * e0, k * e1): c ** k})
         out = ONE
         base = self
         while k:
@@ -449,19 +452,24 @@ def _split_canonical(p: LaurentPolyQT):
 
 def _canonicalize(num: LaurentPolyQT, factors, side: int):
     """(num, canonical factors) for num * prod(factors)^side, side = 1 for
-    numerator binomials and -1 for denominator ones: the sign and the
-    monomial x^mins of each factor move into num."""
+    numerator binomials and -1 for denominator ones: the product of the
+    factors' signs and monomials x^mins moves into num, in one shift."""
     canon = []
+    sign = 1
+    s0 = s1 = 0
     for f in factors:
         if side < 0 and f.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not _is_unit_binomial(f):
             where = "denominator" if side < 0 else "numerator"
             raise ValueError(f"{where} factor {f} is not +-x^A +- x^B")
-        sign, (m0, m1), prim = _split_canonical(f)
-        num = num.shift(side * m0, side * m1) * sign
+        s, (m0, m1), prim = _split_canonical(f)
+        sign *= s
+        s0 += m0
+        s1 += m1
         canon.append(prim)
-    return num, canon
+    num = num.shift(side * s0, side * s1)
+    return (num if sign > 0 else -num), canon
 
 
 def _is_prime(f: _Factor) -> bool:

@@ -11,11 +11,16 @@ cars are considerate), computed once when it is built; car_bars, area and
 wt_alpha only read it.  parking_functions(n) generates and parks the
 (n+1)^(n-1) parking functions of order n once per n, and cpf filters that
 cached tuple; cpf refuses n above CPF_N_MAX before generating anything, and
-the CLI turns that into exit 2.  Generated records, here and in
-osp_enumerate, are valid by construction and skip the validation that
-__init__ and parse give user input.  Which hook entries sum to each tail of an
-ordered set partition depends on the partition alone, so tes_t1 reads the
-tails of every partition with given minima from one cached scan.
+the CLI turns that into exit 2.  Generated records, here, in osp_enumerate
+and in car_bars (the parked order is a permutation of 1..n), are valid by
+construction and skip the validation that __init__ and parse give user
+input.  Which hook entries sum to each tail of an ordered set partition
+depends on the partition alone, so tes_t1 and tail_vectors read the tails of
+every partition with given minima from one cached scan, and sum each
+distinct index tuple once per hook vector.  The statistics are plain ints:
+tes_t1 counts the distinct tail multisets and builds its polynomial once, as
+the callers that sum q^area or q^inv over many objects count the exponents
+first.
 """
 
 from __future__ import annotations
@@ -104,10 +109,11 @@ def osp_enumerate(n: int, minima: set) -> list:
 def inv_stat(pi: OrderedSetPartition) -> int:
     """Pairs a > b with a strictly left of b's block and b a block minimum."""
     total = 0
-    for j, b in enumerate(pi.blocks):
+    seen: list = []
+    for b in pi.blocks:
         m = min(b)
-        for i in range(j):
-            total += sum(1 for a in pi.blocks[i] if a > m)
+        total += sum(a > m for a in seen)
+        seen.extend(b)
     return total
 
 
@@ -236,23 +242,48 @@ def psi(alpha, pi: OrderedSetPartition):
 
 @lru_cache(maxsize=None)
 def _osp_tails(n: int, minima: frozenset) -> tuple:
-    """The tail index tuples of every ordered set partition with these minima."""
-    return tuple(_scan(pi)[1] for pi in osp_enumerate(n, minima))
+    """(index tuples, tails) for the ordered set partitions with these minima:
+    the distinct tuples of hook indices that _scan sums to a tail, and for
+    each partition, in osp_enumerate's order, its tails as positions in the
+    index tuples."""
+    position: dict = {}
+    tails = tuple(tuple(position.setdefault(idx, len(position)) for idx in _scan(pi)[1])
+                  for pi in osp_enumerate(n, minima))
+    return tuple(position), tails
+
+
+def _tail_sums(alpha: tuple, minima: frozenset) -> tuple:
+    """(the hook sum of each index tuple of _osp_tails, the tails)."""
+    index_tuples, tails = _osp_tails(len(alpha), minima)
+    return [sum(map(alpha.__getitem__, idx)) for idx in index_tuples], tails
+
+
+def tail_vectors(alpha) -> list:
+    """(pi, tail) for each ordered set partition pi whose minima are the
+    nonzero positions of alpha, in osp_enumerate's order: the tail of
+    target_tail(alpha, pi)."""
+    alpha = tuple(alpha)
+    minima = frozenset(set_of(alpha))
+    sums, tails = _tail_sums(alpha, minima)
+    return [(pi, tuple(map(sums.__getitem__, t)))
+            for pi, t in zip(osp_enumerate(len(alpha), minima), tails)]
 
 
 def tes_t1(alpha) -> LaurentPolyQT:
     """Tail-product formula over ordered set partitions: the t=1 value.
 
     The product depends on the multiset of tails alone, so each distinct
-    multiset is multiplied out once and scaled by its count.
+    multiset is multiplied out once, and its terms times its count go into
+    one dict.
     """
     alpha = tuple(alpha)
-    counts = Counter(tuple(sorted(sum(alpha[j] for j in idx) for idx in tails))
-                     for tails in _osp_tails(len(alpha), frozenset(set_of(alpha))))
-    total = ZERO
+    sums, tails = _tail_sums(alpha, frozenset(set_of(alpha)))
+    counts = Counter(tuple(sorted(map(sums.__getitem__, t))) for t in tails)
+    terms: dict = {}
     for tail, count in counts.items():
-        total = total + count * q_int_product(tail)
-    return total
+        for mono, c in q_int_product(tail).terms.items():
+            terms[mono] = terms.get(mono, 0) + count * c
+    return LaurentPolyQT(terms)
 
 
 def tes_11(alpha) -> int:
@@ -369,21 +400,26 @@ def car_bars(pf: ParkingFunction, cars) -> OrderedSetPartition:
     blocks = []
     for pos, c in enumerate(pf.car):
         if pos == 0 or c not in cars:
-            blocks.append({c})
+            block = [c]
+            blocks.append(block)
         else:
-            if c < max(blocks[-1]):
+            # a block grows only at ascents, so its last car is its largest
+            if c < block[-1]:
                 raise ValueError("bars must sit at ascents")
-            blocks[-1].add(c)
-    return OrderedSetPartition(blocks)
+            block.append(c)
+    # pf.car is a permutation of 1..n
+    return OrderedSetPartition._unchecked(tuple(map(frozenset, blocks)), len(pf.car))
 
 
 def area(pf: ParkingFunction, cars) -> int:
     """Spots passed beyond the preference, discounting spots parked in by the
-    decorated considerate cars."""
-    landmark = {pf.spot[j - 1] for j in cars}
-    total = 0
-    for f_i, s_i in zip(pf.prefs, pf.spot):
-        total += s_i - f_i - len(landmark.intersection(range(f_i, s_i + 1)))
+    decorated considerate cars: the spot x of each is discounted once for
+    every car i with f_i <= x <= s_i."""
+    spot = pf.spot
+    total = sum(spot) - sum(pf.prefs)
+    for j in frozenset(cars):
+        x = spot[j - 1]
+        total -= sum(f_i <= x <= s_i for f_i, s_i in zip(pf.prefs, spot))
     return total
 
 

@@ -51,7 +51,7 @@ from .specializations import (
     psi,
     q_stirling,
     set_of,
-    target_tail,
+    tail_vectors,
     tes_11,
     tes_t0,
     tes_t1,
@@ -402,8 +402,7 @@ def _sums_by_partition(pairs) -> dict:
 
 def _tail_products(alpha) -> dict:
     """{pi: the product of [tail_i]_q} over the ordered set partitions of alpha."""
-    return {pi: q_int_product(target_tail(alpha, pi)[1])
-            for pi in osp_enumerate(len(alpha), set_of(alpha))}
+    return {pi: q_int_product(tuple(sorted(tail))) for pi, tail in tail_vectors(alpha)}
 
 
 def _fiber_sums(alpha) -> dict:
@@ -443,12 +442,21 @@ def suite_prop_6_2(bounds: Bounds) -> Report:
 def _parking_sums(alpha) -> dict:
     """{pi: the sum of q^area} over the parking functions whose considerate
     cars include the zero positions S of alpha, by the partition car_bars
-    makes.  Car 1 is never considerate, so there are none when 1 is in S."""
+    makes.  That partition depends on the parked order alone, and the order
+    can be read back from it, so the (order, area) pairs are counted and
+    each partition and its polynomial are built once.  Car 1 is never
+    considerate, so there are none when 1 is in S."""
     n = len(alpha)
     S = frozenset(range(1, n + 1)) - set_of(alpha)
     if 1 in S:
         return {}
-    return _sums_by_partition((car_bars(pf, S), Q ** area(pf, S)) for pf in cpf(n, S))
+    pfs = cpf(n, S)
+    parked_as = {pf.car: pf for pf in pfs}
+    terms: dict = {}
+    for (order, a), count in Counter((pf.car, area(pf, S)) for pf in pfs).items():
+        terms.setdefault(order, {})[(a, 0)] = count
+    return {car_bars(parked_as[order], S): LaurentPolyQT(by_area)
+            for order, by_area in terms.items()}
 
 
 def suite_prop_6_3(bounds: Bounds) -> Report:

@@ -59,6 +59,25 @@ class TestLaurentArith:
         with pytest.raises(ValueError, match="non-invertible element"):
             (2 * Q) ** -1
 
+    @pytest.mark.parametrize("c", [1, -1, 2, -2, 3])
+    def test_power_of_a_monomial_is_repeated_multiplication(self, c):
+        for a in range(-3, 4):
+            for b in range(-2, 3):
+                base = LaurentPolyQT.monomial(c, a, b)
+                expect = ONE
+                for k in range(13):
+                    assert (base ** k).terms == expect.terms
+                    if c in (1, -1):
+                        assert base ** k * base ** -k == ONE
+                    expect = expect * base
+
+    def test_power_of_a_polynomial_squares(self):
+        p = 2 * ONE - Q * T + T ** -1
+        expect = ONE
+        for k in range(9):
+            assert (p ** k).terms == expect.terms
+            expect = expect * p
+
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
     def test_ring_laws(self, a, b, c):
@@ -554,6 +573,20 @@ class TestInternedFactors:
             assert plain == f and f == plain
             assert hash(f) == hash(plain)
             assert Counter([f, plain]) == Counter({plain: 2})
+
+    def test_canonicalize_is_the_per_factor_fold(self):
+        # one sign product and one shift equal a shift and a sign per factor
+        rng = random.Random(12)
+        for _ in range(200):
+            num, factors = _random_fraction(rng)
+            for side in (1, -1):
+                expect = num
+                for f in factors:
+                    sign, (m0, m1), _ = qa._split_canonical(f)
+                    expect = expect.shift(side * m0, side * m1) * sign
+                got, canon = qa._canonicalize(num, factors, side)
+                assert got.terms == expect.terms
+                assert canon == [qa._split_canonical(f)[2] for f in factors]
 
     def test_factors_keep_their_order(self):
         # a denominator's factors sort by their sorted terms

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from teslab import specializations
-from teslab.qt_algebra import ONE, Q, LaurentPolyQT, q_int, q_factorial
+from teslab.qt_algebra import ONE, Q, LaurentPolyQT, q_int, q_int_product, q_factorial
 from teslab.specializations import (
     CPF_N_MAX,
     OrderedSetPartition,
@@ -26,6 +26,7 @@ from teslab.specializations import (
     wt_alpha,
 )
 from teslab.tesler import TeslerMatrix, enumerate_tesler, tes
+from teslab.verify import _parking_sums, _tail_products
 
 OSP = OrderedSetPartition.parse
 
@@ -84,6 +85,55 @@ def loop_tes_t1(alpha):
     return total
 
 
+def loop_inv_stat(pi):
+    """inv_stat as a loop over each pair of blocks."""
+    total = 0
+    for j, b in enumerate(pi.blocks):
+        for i in range(j):
+            total += sum(1 for a in pi.blocks[i] if a > min(b))
+    return total
+
+
+def set_area(pf, cars):
+    """area with the landmark spots in each [f_i, s_i] found by set intersection."""
+    landmark = {pf.spot[j - 1] for j in cars}
+    return sum(s_i - f_i - len(landmark.intersection(range(f_i, s_i + 1)))
+               for f_i, s_i in zip(pf.prefs, pf.spot))
+
+
+def checked_car_bars(pf, cars):
+    """car_bars through the validating OrderedSetPartition constructor."""
+    blocks = []
+    for pos, c in enumerate(pf.car):
+        if pos == 0 or c not in cars:
+            blocks.append({c})
+        else:
+            if c < max(blocks[-1]):
+                raise ValueError("bars must sit at ascents")
+            blocks[-1].add(c)
+    return OrderedSetPartition(blocks)
+
+
+def polynomial_parking_sums(alpha):
+    """_parking_sums with one q^area polynomial per parking function, each
+    added to its partition's running sum."""
+    n = len(alpha)
+    S = frozenset(range(1, n + 1)) - set_of(alpha)
+    if 1 in S:
+        return {}
+    sums = {}
+    for pf in scan_cpf(n, S):
+        pi = checked_car_bars(pf, S)
+        sums[pi] = sums.get(pi, LaurentPolyQT()) + Q ** set_area(pf, S)
+    return sums
+
+
+def target_tail_products(alpha):
+    """_tail_products with each partition's tails from target_tail."""
+    return {pi: q_int_product(target_tail(alpha, pi)[1])
+            for pi in osp_enumerate(len(alpha), set_of(alpha))}
+
+
 def subsets(items):
     items = list(items)
     return [frozenset(x for x, keep in zip(items, mask) if keep)
@@ -124,6 +174,12 @@ class TestOrderedSetPartitions:
                     assert getattr(pi, field) == getattr(checked, field)
                     assert type(getattr(pi, field)) is type(getattr(checked, field))
                 assert all(type(b) is frozenset for b in pi.blocks)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inv_matches_the_loop_over_block_pairs(self, n):
+        for rest in subsets(range(2, n + 1)):
+            for pi in osp_enumerate(n, {1, *rest}):
+                assert inv_stat(pi) == loop_inv_stat(pi)
 
     def test_inv_examples(self):
         assert inv_stat(OSP("5|24|13")) == 4
@@ -406,6 +462,43 @@ class TestCPF:
                 for v in tail:
                     expect = expect * q_int(v)
                 assert by_pi.get(pi, LaurentPolyQT()) == expect
+
+
+class TestCountedStatistics:
+    """The statistics and sums of prop-6-3 against their per-object forms."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_area_and_car_bars_match_their_oracles(self, n):
+        for pf in parking_functions(n):
+            for S in subsets(range(2, n + 1)):
+                assert area(pf, S) == set_area(pf, S)
+                try:
+                    checked = checked_car_bars(pf, S)
+                except ValueError:
+                    with pytest.raises(ValueError, match="bars must sit at ascents"):
+                        car_bars(pf, S)
+                    continue
+                pi = car_bars(pf, S)
+                for field in OrderedSetPartition.__slots__:
+                    assert getattr(pi, field) == getattr(checked, field)
+                    assert type(getattr(pi, field)) is type(getattr(checked, field))
+                assert all(type(b) is frozenset for b in pi.blocks)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_parking_sums_match_the_polynomial_sum(self, n):
+        # alpha with alpha_1 = 1 reaches every S in {2..n}
+        for alpha in product((0, 1), repeat=n):
+            got, expect = _parking_sums(alpha), polynomial_parking_sums(alpha)
+            assert got == expect
+            assert list(got) == list(expect)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tail_products_match_target_tail(self, n):
+        values = (0, 1) if n == 5 else (-1, 0, 1, 2)
+        for alpha in product(values, repeat=n):
+            got, expect = _tail_products(alpha), target_tail_products(alpha)
+            assert got == expect
+            assert list(got) == list(expect)
 
 
 class TestQT11:
