@@ -82,6 +82,14 @@ def cmd_tes(args) -> int:
     return 0
 
 
+class _RowTexts(dict):
+    """json.dumps(list(row)) by row, each made once, on first lookup."""
+
+    def __missing__(self, row):
+        text = self[row] = json.dumps(list(row))
+        return text
+
+
 def cmd_enumerate(args) -> int:
     alpha = parse_hooks(args.hooks)
     count = count_tesler(alpha, permutational=args.permutational)
@@ -93,11 +101,14 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"--hooks {args.hooks} has {count:,} {kind} matrices, over the "
                          f"JSON cap of {ENUMERATE_JSON_CAP:,}; use --format count")
     stream = enumerate_tesler(alpha, permutational=args.permutational)
-    # one line per matrix as it is produced; an empty stream still ends in "\n"
+    # one line per matrix as it is produced, the text of json.dumps(U.to_json())
+    # put together from the texts of its rows; an empty stream still ends in "\n"
+    texts = _RowTexts()
+    line = '{"n": %d, "rows": [%%s]}\n' % len(alpha)
     empty = True
     with _output(args) as fh:
         for U in stream:
-            fh.write(json.dumps(U.to_json()) + "\n")
+            fh.write(line % ", ".join(map(texts.__getitem__, U.rows)))
             empty = False
         if empty:
             fh.write("\n")

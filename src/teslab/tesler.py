@@ -55,18 +55,29 @@ groups (those with a child of nonzero bound) and those children's codes.
 The packed pass follows them, and sums the children of each group and then
 the group products in one loop per state.
 
-count_tesler runs the recursion with every weight set to 1.  A
+count_tesler runs the recursion with every weight set to 1, on hook tuples
+memoized per call.  It adds up the size of each row set before building
+it, and refuses a call once that sum passes COUNT_ROWS_BUDGET.  A
 permutational matrix (one nonzero entry per row, the matrices that survive
 t = 1) is a Tesler matrix whose rows are compositions with one nonzero
 entry, so enumerate_tesler and count_tesler take permutational=True to try
-only those rows; there is no second recursion for them.  enumerate_tesler
-and TeslerMatrix.weight stay as the independent brute-force definition.
+only those rows; there is no second recursion for them.
+
+enumerate_tesler and TeslerMatrix.weight stay as the independent
+brute-force definition, sharing no code with tes's walk (no grouped first
+rows, no bound, no state codes).  Once per call, enumerate_tesler signs the
+compositions of each (row total, row index) it meets and pads them with
+zeros, each paired with its tail right of the diagonal.  It carries the
+hooks of the rows below as a tuple, so a child is one tuple(map(add, below,
+tail)), and the last row, which is its total alone, is filled in the frame
+of the row above it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, sub
 
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, qt_int
 
@@ -172,28 +183,43 @@ def enumerate_tesler(alpha, permutational: bool = False):
     rows_of = _single_rows if permutational else compositions
     alpha = tuple(alpha)
     n = len(alpha)
-    if n == 0:
+    if not alpha or not alpha[0]:
         return
-    colsum = [0] * n
+    make = TeslerMatrix._unchecked
 
-    def rec(i: int, rows: tuple):
-        s = alpha[i] + colsum[i]
-        if s == 0:
+    @lru_cache(maxsize=None)
+    def signed_rows(s: int, i: int) -> tuple:
+        """(row, tail) per row i of total s: the signed composition padded
+        with i zeros, and its entries right of the diagonal."""
+        pad = (0,) * i
+        out = []
+        for comp in rows_of(abs(s), n - i):
+            row = comp if s > 0 else tuple(-v for v in comp)
+            out.append((pad + row, row[1:]))
+        return tuple(out)
+
+    if n == 1:
+        for row, _ in signed_rows(alpha[0], 0):
+            yield make(1, (row,))
+        return
+    pad = (0,) * (n - 1)
+
+    def rec(i: int, s: int, below: tuple, rows: tuple):
+        # s is row i's total, below the hooks of the rows under it plus the
+        # column sums of rows 0..i-1
+        if len(below) == 1:
+            # the last row is its total alone
+            for row, tail in signed_rows(s, i):
+                last = below[0] + tail[0]
+                if last:
+                    yield make(n, rows + (row, pad + (last,)))
             return
-        sign = 1 if s > 0 else -1
-        width = n - i
-        for comp in rows_of(abs(s), width):
-            row = (0,) * i + tuple(sign * v for v in comp)
-            if i == n - 1:
-                yield TeslerMatrix._unchecked(n, rows + (row,))
-                continue
-            for j in range(i + 1, n):
-                colsum[j] += row[j]
-            yield from rec(i + 1, rows + (row,))
-            for j in range(i + 1, n):
-                colsum[j] -= row[j]
+        for row, tail in signed_rows(s, i):
+            kids = tuple(map(add, below, tail))
+            if kids[0]:
+                yield from rec(i + 1, kids[0], kids[1:], rows + (row,))
 
-    yield from rec(0, ())
+    yield from rec(0, alpha[0], alpha[1:], ())
 
 
 @lru_cache(maxsize=None)
@@ -409,21 +435,46 @@ def _tes_cached(code: int, k: int, w: int) -> tuple:
     return total, low
 
 
+# The most rows count_tesler may try.  The twelve-1s permutational count tries
+# 24,564 rows and (1^13) 309,606 (0.25 s on 2 cores); (1^14) would try
+# 815,642, (1^18) millions, and (1000, 1, 1) would build a row set of
+# 501,501 before its first count.  At about 1 us a row, a refusal comes in
+# well under a second.
+COUNT_ROWS_BUDGET = 400_000
+
+
 def count_tesler(alpha, permutational: bool = False) -> int:
     """The number of Tesler matrices with hooks alpha (only the permutational
     ones, with permutational), without enumerating them: the first-row
-    recursion of tes with every weight 1, over the rows enumerate_tesler tries."""
-    return _count_cached(tuple(alpha), permutational)
-
-
-@lru_cache(maxsize=None)
-def _count_cached(alpha: tuple, permutational: bool) -> int:
-    if not alpha or alpha[0] == 0:
-        return 0
-    if len(alpha) == 1:
-        return 1
-    below = alpha[1:]
-    sign = 1 if alpha[0] > 0 else -1
+    recursion of tes with every weight 1, over the rows enumerate_tesler
+    tries, memoized per call.  Raises ValueError, before building a row set,
+    when the rows tried would pass COUNT_ROWS_BUDGET."""
+    alpha = tuple(alpha)
     rows_of = _single_rows if permutational else compositions
-    return sum(_count_cached(tuple(a + sign * r for a, r in zip(below, comp[1:])), permutational)
-               for comp in rows_of(abs(alpha[0]), len(alpha)))
+    memo: dict = {}
+    tried = 0
+
+    def walk(hooks: tuple) -> int:
+        nonlocal tried
+        s = hooks[0]
+        if not s:
+            return 0
+        width = len(hooks)
+        if width == 1:
+            return 1
+        if hooks in memo:
+            return memo[hooks]
+        # the size of the row set, known before it is built
+        tried += width if permutational else math.comb(abs(s) + width - 1, width - 1)
+        if tried > COUNT_ROWS_BUDGET:
+            raise ValueError(f"counting the Tesler matrices with hooks {alpha} tries "
+                             f"more than {COUNT_ROWS_BUDGET:,} rows")
+        below = hooks[1:]
+        total = 0
+        for comp in rows_of(abs(s), width):
+            total += walk(tuple(map(add, below, comp[1:])) if s > 0
+                          else tuple(map(sub, below, comp[1:])))
+        memo[hooks] = total
+        return total
+
+    return walk(alpha) if alpha else 0

@@ -11,7 +11,7 @@ from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
 from teslab.specializations import OrderedSetPartition
-from teslab.tesler import count_tesler, enumerate_tesler, parse_hooks, tes
+from teslab.tesler import COUNT_ROWS_BUDGET, count_tesler, enumerate_tesler, parse_hooks, tes
 from teslab.verify import ENTRY_RANGE_BUDGET, N_MAX_BUDGETS, Bounds, run_suite
 
 
@@ -116,16 +116,18 @@ class TestEnumerateCommand:
         assert rows == [{"n": 2, "rows": [[1, 0], [0, 1]]},
                         {"n": 2, "rows": [[0, 1], [0, 2]]}]
 
-    @pytest.mark.parametrize("hooks", ["1,1,1", "0,1"])
+    @pytest.mark.parametrize("hooks", ["1,1,1", "0,1", "2,-1,1,0,2", "-2,1,2,-1", "1,1,1,1,1"])
     def test_stream_bytes_match_joined_output(self, capsys, tmp_path, hooks):
         # the lines joined by "\n" plus one final "\n"; "\n" alone when empty
-        joined = "\n".join(json.dumps(U.to_json())
-                           for U in enumerate_tesler(parse_hooks(hooks))) + "\n"
-        code, out, _ = run_cli(capsys, "enumerate", "--hooks", hooks)
-        assert code == 0 and out == joined
-        path = tmp_path / "stream.jsonl"
-        assert run_cli(capsys, "enumerate", "--hooks", hooks, "--out", str(path))[0] == 0
-        assert path.read_bytes() == joined.encode()
+        for flags in ([], ["--permutational"]):
+            joined = "\n".join(json.dumps(U.to_json()) for U in enumerate_tesler(
+                parse_hooks(hooks), permutational=bool(flags))) + "\n"
+            code, out, _ = run_cli(capsys, "enumerate", f"--hooks={hooks}", *flags)
+            assert code == 0 and out == joined
+            path = tmp_path / "stream.jsonl"
+            assert run_cli(capsys, "enumerate", f"--hooks={hooks}", *flags,
+                           "--out", str(path))[0] == 0
+            assert path.read_bytes() == joined.encode()
 
     def test_json_over_cap_exits_2_before_writing(self, capsys, tmp_path):
         hooks = "1,1,1,1,1,1,1,1"
@@ -157,6 +159,15 @@ class TestEnumerateCommand:
                                  "--out", str(path))
         assert code == 2 and out == "" and not path.exists()
         assert "6 permutational Tesler matrices" in err and "--format count" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--hooks", "1000,1,1"],
+        ["--hooks", ",".join(["1"] * 18), "--format", "count"],
+    ], ids=["1000,1,1", "ones-18-count"])
+    def test_over_the_count_budget_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"{COUNT_ROWS_BUDGET:,} rows" in err
 
     def test_permutational_count_does_not_walk(self, capsys):
         # 12! matrices: counted by the recursion, never streamed

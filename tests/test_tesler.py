@@ -3,7 +3,7 @@ import random
 import time
 from collections import Counter
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -111,6 +111,69 @@ class TestEnumeration:
                           for _ in range(60)]
         for alpha in vectors:
             assert count_tesler(alpha) == sum(1 for _ in enumerate_tesler(alpha))
+
+
+def _enumerate_by_colsum(alpha, permutational=False):
+    """The slow definition of the stream's order: one generator per row, the
+    total of row i recomputed from a running list of column sums, updated
+    and undone around each row."""
+    rows_of = tesler._single_rows if permutational else compositions
+    alpha = tuple(alpha)
+    n = len(alpha)
+    if n == 0:
+        return
+    colsum = [0] * n
+
+    def rec(i, rows):
+        s = alpha[i] + colsum[i]
+        if s == 0:
+            return
+        sign = 1 if s > 0 else -1
+        for comp in rows_of(abs(s), n - i):
+            row = (0,) * i + tuple(sign * v for v in comp)
+            if i == n - 1:
+                yield TeslerMatrix(rows + (row,))
+                continue
+            for j in range(i + 1, n):
+                colsum[j] += row[j]
+            yield from rec(i + 1, rows + (row,))
+            for j in range(i + 1, n):
+                colsum[j] -= row[j]
+
+    yield from rec(0, ())
+
+
+class TestEnumerationOrder:
+    VECTORS = ([alpha for length in range(5) for alpha in product(range(-2, 3), repeat=length)]
+               + [(1,) * 6, (2, 0, 3, 1), (-2, 1, 2, -1)])
+
+    @pytest.mark.parametrize("permutational", [False, True], ids=["all", "permutational"])
+    def test_stream_equals_the_column_sum_recursion_in_order(self, permutational):
+        for alpha in self.VECTORS:
+            got = [U.rows for U in enumerate_tesler(alpha, permutational)]
+            assert got == [U.rows for U in _enumerate_by_colsum(alpha, permutational)], alpha
+
+
+class TestCountBudget:
+    # (1,1,1) tries the 3 rows of its first row, then 2 rows at (1, 1),
+    # 3 at (2, 1) and 2 at (1, 2); with permutational rows, 3 + 2 + 2 + 2
+    COSTS = {False: 10, True: 9}
+
+    @pytest.mark.parametrize("permutational", [False, True], ids=["all", "permutational"])
+    def test_budget_is_inclusive(self, monkeypatch, permutational):
+        cost = self.COSTS[permutational]
+        monkeypatch.setattr(tesler, "COUNT_ROWS_BUDGET", cost)
+        assert count_tesler((1, 1, 1), permutational) == (6 if permutational else 7)
+        monkeypatch.setattr(tesler, "COUNT_ROWS_BUDGET", cost - 1)
+        with pytest.raises(ValueError, match=f"more than {cost - 1} rows"):
+            count_tesler((1, 1, 1), permutational)
+
+    def test_refused_before_the_row_set_is_built(self):
+        # C(10^6 + 2, 2) compositions would take hours to build
+        before = compositions.cache_info().currsize
+        with pytest.raises(ValueError, match=r"\(1000000, 1, 1\) tries more than"):
+            count_tesler((10**6, 1, 1))
+        assert compositions.cache_info().currsize == before
 
 
 class TestPermutational:
