@@ -77,14 +77,14 @@ def _bracket_side(alphabet: LaurentPolyQT, k: int, j: int) -> RatFuncQT:
     """Lemma 3.3's bracket side: (-1)^(k-1) e_j[alphabet] / M for k > 0, and for
     k < 0 (-1)^k q^-1 t^-1 bar(e_(-k)[alphabet] / M) = (-1)^k bar(e_(-k)[alphabet]) / M."""
     if k > 0:
-        return RatFuncQT.from_factors(e_plethysm(j, alphabet) * (-1) ** (k - 1), M_FACTORS)
-    return RatFuncQT.from_factors(e_plethysm(-k, alphabet).bar() * (-1) ** -k, M_FACTORS)
+        return RatFuncQT.from_binomials((), M_FACTORS, e_plethysm(j, alphabet) * (-1) ** (k - 1))
+    return RatFuncQT.from_binomials((), M_FACTORS, e_plethysm(-k, alphabet).bar() * (-1) ** -k)
 
 
 def power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
     """The bracket side of the power identities built on M*B(nu) - 1."""
     if k == 0:
-        return RatFuncQT.from_factors(ONE, M_FACTORS)
+        return RatFuncQT.from_binomials((), M_FACTORS)
     return _bracket_side(M * partition_stats(nu).B - ONE, k, k - 1)
 
 

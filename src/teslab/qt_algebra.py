@@ -2,10 +2,12 @@
 
 A Laurent polynomial is a dict from exponent pairs (eq, et) to nonzero
 arbitrary-precision integer coefficients, so every computation is exact.
+The constructor keeps a dict's nonzero coefficients; a product or a
+specialization adds into one fresh dict and drops the zeros at the end.
 Rational functions keep their denominator as a multiset of canonical
 factors, and every factor is a binomial +-x^A +- x^B: those are all the
 denominators the Macdonald route builds (arm/leg binomials and the two
-factors of M), and from_factors refuses any other, integer content and
+factors of M), and from_binomials refuses any other, integer content and
 monomials included.  Cancellation only ever uses exact_div, which divides
 by such a binomial with one pass of running sums along the lines
 {e + k(A - B)}, so intermediate results stay small without computing
@@ -61,22 +63,9 @@ class LaurentPolyQT:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                if not coeff:
-                    continue
-                key = (mono[0], mono[1])
-                c = data.get(key)
-                if c is None:
-                    data[key] = coeff
-                elif c + coeff:
-                    data[key] = c + coeff
-                else:
-                    del data[key]
-        self.terms = data
+    def __init__(self, terms: dict | None = None):
+        # the one rule for a dict of sums: keep the nonzero coefficients
+        self.terms = {mono: c for mono, c in terms.items() if c} if terms else {}
 
     @classmethod
     def _raw(cls, data: dict) -> "LaurentPolyQT":
@@ -123,6 +112,8 @@ class LaurentPolyQT:
             other = LaurentPolyQT.const(other)
         if not isinstance(other, LaurentPolyQT):
             return NotImplemented
+        # deleting a zero in place, not filtering the copy: the folds add small
+        # polynomials into large ones, and a filter would cost O(|self|) a sum
         data = dict(self.terms)
         for m, c in other.terms.items():
             n = data.get(m)
@@ -157,17 +148,15 @@ class LaurentPolyQT:
         if len(a) > len(b):
             a, b = b, a
         data: dict = {}
+        get = data.get
         for (e0, e1), c in a.items():
             for (f0, f1), d in b.items():
                 key = (e0 + f0, e1 + f1)
-                n = data.get(key)
-                if n is None:
-                    data[key] = c * d
-                elif n + c * d:
-                    data[key] = n + c * d
-                else:
-                    del data[key]
-        return LaurentPolyQT._raw(data)
+                data[key] = get(key, 0) + c * d
+        # a one-term a meets each key once, so no sum is 0
+        if len(a) == 1 or 0 not in data.values():
+            return LaurentPolyQT._raw(data)
+        return LaurentPolyQT(data)
 
     __rmul__ = __mul__
 
@@ -225,14 +214,8 @@ class LaurentPolyQT:
                 elif value == -1 and e % 2:
                     c = -c
                 key = (0, mono[1]) if var == 0 else (mono[0], 0)
-                n = data.get(key)
-                if n is None:
-                    data[key] = c
-                elif n + c:
-                    data[key] = n + c
-                else:
-                    del data[key]
-            poly = LaurentPolyQT._raw(data)
+                data[key] = data.get(key, 0) + c
+            poly = LaurentPolyQT(data)
         return poly
 
     def shift(self, eq: int, et: int) -> "LaurentPolyQT":
@@ -348,7 +331,7 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     coset is needed because v need not be primitive (1 - q^6, q^2 - t^4):
     the cross product alone would put 1 and q on one line of 1 - q^6.
 
-    Any other divisor raises ValueError: from_factors admits no other
+    Any other divisor raises ValueError: from_binomials admits no other
     denominator factor, so RatFuncQT never passes one.
     """
     if not _is_unit_binomial(b):
@@ -483,7 +466,7 @@ class RatFuncQT:
     Stored as num / prod(factors) where factors is a sorted tuple of canonical
     +-1 binomials, none of which divides num.  Equality is decided by
     cross-multiplication, so a missed cancellation can never change a
-    result.  Build one with from_laurent, from_factors or from_binomials.
+    result.  Build one with from_laurent or from_binomials.
     """
 
     __slots__ = ("num", "factors")
@@ -496,52 +479,41 @@ class RatFuncQT:
         return out
 
     @classmethod
-    def _make(cls, num: LaurentPolyQT, factors) -> "RatFuncQT":
-        # num / prod(factors) for canonical factors, each tried on num
-        if num.is_zero():
-            return cls._raw(ZERO, ())
-        kept = []
-        num = _divide_out(num, factors, kept)
-        return cls._raw(num, _sorted(kept))
-
-    @classmethod
     def from_laurent(cls, p) -> "RatFuncQT":
         return cls._raw(LaurentPolyQT.const(p) if isinstance(p, int) else p, ())
-
-    @classmethod
-    def from_factors(cls, num, factors) -> "RatFuncQT":
-        """num / prod(factors) with each factor canonicalized, not expanded.
-
-        Each factor must be +-x^A +- x^B; any other nonzero factor, integer
-        content and monomials included, raises ValueError.
-        """
-        if isinstance(num, int):
-            num = LaurentPolyQT.const(num)
-        return cls._make(*_canonicalize(num, factors, -1))
 
     @classmethod
     def from_binomials(cls, top, bottom, scale: LaurentPolyQT = ONE) -> "RatFuncQT":
         """scale * prod(top) / prod(bottom) for +-x^A +- x^B binomials.
 
-        Equal binomials cancel, each remaining bottom binomial divides into
-        one top binomial where it fits, and only then is the rest expanded
-        and reduced as by from_factors.  Any other binomial raises as there.
+        Each binomial's sign and monomial move into scale.  Equal top and
+        bottom binomials cancel, each remaining bottom binomial divides into
+        one top binomial where it fits, and only then are the tops expanded;
+        the bottom binomials left are tried on the numerator in order.  A
+        zero bottom binomial raises ZeroDivisionError, and any other
+        non-binomial, integer content and monomials included, ValueError.
         """
-        scale, tops = _canonicalize(scale, top, 1)
-        scale, bottoms = _canonicalize(scale, bottom, -1)
-        over, under = Counter(tops), Counter(bottoms)
-        common = over & under
-        nums = list((over - common).elements())
-        rest = []
-        for f in (under - common).elements():
-            for i, g in enumerate(nums):
-                quotient = exact_div(g, f)
-                if quotient is not None:
-                    nums[i] = quotient
-                    break
-            else:
-                rest.append(f)
-        return cls._make(scale * _expand(nums), rest)
+        num, tops = _canonicalize(scale, top, 1)
+        num, bottoms = _canonicalize(num, bottom, -1)
+        if tops:
+            over, under = Counter(tops), Counter(bottoms)
+            common = over & under
+            nums = list((over - common).elements())
+            bottoms = []
+            for f in (under - common).elements():
+                for i, g in enumerate(nums):
+                    quotient = exact_div(g, f)
+                    if quotient is not None:
+                        nums[i] = quotient
+                        break
+                else:
+                    bottoms.append(f)
+            num = num * _expand(nums)
+        if num.is_zero():
+            return cls._raw(ZERO, ())
+        kept = []
+        num = _divide_out(num, bottoms, kept)
+        return cls._raw(num, _sorted(kept))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -10,21 +10,23 @@ A ParkingFunction carries its parked outcome (who parks where, and which
 cars are considerate), computed once when it is built; car_bars, area and
 wt_alpha only read it.  parking_functions(n) generates and parks the
 (n+1)^(n-1) parking functions of order n once per n, and cpf filters that
-cached tuple; cpf refuses n above CPF_N_MAX before generating anything, and
-the CLI turns that into exit 2.  Generated records, here, in osp_enumerate
-and in car_bars (the parked order is a permutation of 1..n), are valid by
-construction and skip the validation that __init__ and parse give user
-input.  Which hook entries sum to each tail of an ordered set partition
-depends on the partition alone, so tes_t1 and tail_vectors read the tails of
-every partition with given minima from one cached scan, and sum each
-distinct index tuple once per hook vector.  The statistics are plain ints:
-tes_t1 counts the distinct tail multisets and builds its polynomial once, as
-the callers that sum q^area or q^inv over many objects count the exponents
-first.
+cached tuple; cpf refuses n above CPF_N_MAX before generating anything,
+osp_enumerate counts its partitions and refuses more than OSP_BUDGET before
+building any, and the CLI turns both refusals into exit 2.  Generated
+records, here, in osp_enumerate and in car_bars (the parked order is a
+permutation of 1..n), are valid by construction and skip the validation
+that __init__ and parse give user input.  Which hook entries sum to each
+tail of an ordered set partition depends on the partition alone, so tes_t1
+and tail_vectors read the tails of every partition with given minima from
+one cached scan, and sum each distinct index tuple once per hook vector.
+The statistics are plain ints: tes_t1 counts the distinct tail multisets
+and builds its polynomial once, as the callers that sum q^area or q^inv
+over many objects count the exponents first.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations, product
@@ -86,14 +88,37 @@ class OrderedSetPartition:
         return f"OSP<{self}>"
 
 
+# The most ordered set partitions osp_enumerate may build.  cor-5-1 at
+# --n-max 8 builds 8! = 40,320 at most; tes_t1 on (1^9) would build
+# 9! = 362,880 records, 20.8 s and 860 MiB of work.
+OSP_BUDGET = 100_000
+
+
+def osp_count(n: int, minima: set) -> int:
+    """The number of ordered set partitions osp_enumerate(n, minima) builds,
+    without building them: 0 unless 1 is a minimum, else |S|! orders of the
+    minima S, times, for each other x, the number of minima below x (the
+    blocks x may join)."""
+    count = math.factorial(len(minima)) if 1 in minima else 0
+    for x in range(2, n + 1):
+        if x not in minima:
+            count *= sum(m < x for m in minima)
+    return count
+
+
 def osp_enumerate(n: int, minima: set) -> list:
     """All ordered set partitions of {1..n} whose block minima are exactly
-    the given set; empty unless 1 is a minimum."""
+    the given set; empty unless 1 is a minimum.  Raises ValueError, before
+    building any, when there would be more than OSP_BUDGET of them."""
     minima = set(minima)
     if not minima <= set(range(1, n + 1)):
         raise ValueError("minima must lie in {1..n}")
     if 1 not in minima:
         return []
+    count = osp_count(n, minima)
+    if count > OSP_BUDGET:
+        raise ValueError(f"there are {count:,} ordered set partitions of {{1..{n}}} with "
+                         f"minima {sorted(minima)}, over the budget of {OSP_BUDGET:,}")
     rest = [x for x in range(1, n + 1) if x not in minima]
     out = []
     for order in permutations(sorted(minima)):

@@ -165,11 +165,23 @@ def _single_rows(total: int, parts: int) -> tuple:
     return tuple((0,) * j + (total,) + (0,) * (parts - 1 - j) for j in range(parts))
 
 
+# The longest hook vector parse_hooks accepts, which every --hooks route
+# reads.  The longest tested vector has 18 entries, and compositions recurses
+# once per part, so a vector of about 600 entries would overflow the stack.
+HOOKS_LENGTH_BUDGET = 64
+
+
 def parse_hooks(text: str) -> tuple:
+    """The hook vector of comma-separated integers.  Raises ValueError for
+    other text and for more than HOOKS_LENGTH_BUDGET entries."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        alpha = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse hook vector {text!r}") from exc
+    if len(alpha) > HOOKS_LENGTH_BUDGET:
+        raise ValueError(f"the hook vector has {len(alpha):,} entries, over the length "
+                         f"budget of {HOOKS_LENGTH_BUDGET}")
+    return alpha
 
 
 def enumerate_tesler(alpha, permutational: bool = False):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from teslab.cli import main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
 from teslab.specializations import OrderedSetPartition
-from teslab.tesler import COUNT_ROWS_BUDGET, count_tesler, enumerate_tesler, parse_hooks, tes
+from teslab.tesler import (COUNT_ROWS_BUDGET, HOOKS_LENGTH_BUDGET, count_tesler,
+                           enumerate_tesler, parse_hooks, tes)
 from teslab.verify import ENTRY_RANGE_BUDGET, N_MAX_BUDGETS, Bounds, run_suite
 
 
@@ -177,6 +179,33 @@ class TestEnumerateCommand:
         code, out, err = run_cli(capsys, "enumerate", "--hooks", ",".join(["1"] * 12),
                                  "--permutational")
         assert code == 2 and out == "" and "479,001,600" in err
+
+
+class TestWorkBudgets:
+    """Hook vectors that would overflow the stack or build millions of
+    records exit 2 with a message, well inside a second."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--format", "count", "--hooks", ",".join(["1"] * 600)],
+        ["tes", "--hooks", ",".join(["1"] * 1100)],
+        ["tes", "--hooks", ",".join(["1"] * 400)],
+    ], ids=["enumerate-count-ones-600", "tes-ones-1100", "tes-ones-400"])
+    def test_over_the_hooks_length_budget_exits_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert f"over the length budget of {HOOKS_LENGTH_BUDGET}" in err
+
+    def test_over_the_osp_budget_exits_2(self, capsys):
+        # (1^9) at t = 1 sums over the 9! ordered set partitions into singletons
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "tes", "--hooks", ",".join(["1"] * 9),
+                                 "--route", "closed", "--spec", "t=1")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "362,880 ordered set partitions" in err
 
 
 class TestBrokenPipe:

@@ -56,7 +56,7 @@ def solved_pieri_d(nu: Partition) -> dict:
     rhs = [power_identity_rhs(nu, k) for k in range(m)]
     vandermonde = [ts[j] - ts[i] for i, j in combinations(range(m), 2)]
     assert _leibniz_det(matrix) == RatFuncQT.from_laurent(math.prod(vandermonde, start=ONE))
-    inverse_det = RatFuncQT.from_factors(ONE, vandermonde)
+    inverse_det = RatFuncQT.from_binomials((), vandermonde)
     solved = {}
     for j, (mu, _) in enumerate(covers):
         cramer = [row[:j] + [b] + row[j + 1:] for row, b in zip(matrix, rhs)]
@@ -74,12 +74,12 @@ class TestPieri:
         table = pieri_d(P((1,)))
         d2 = table.entries[P((2,))]
         d11 = table.entries[P((1, 1))]
-        assert d2 == RatFuncQT.from_factors(ONE, (ONE - Q, Q - T))
-        assert d11 == RatFuncQT.from_factors(ONE, (ONE - T, T - Q))
+        assert d2 == RatFuncQT.from_binomials((), (ONE - Q, Q - T))
+        assert d11 == RatFuncQT.from_binomials((), (ONE - T, T - Q))
 
     def test_one_cell_k2_overdetermined(self):
         table = pieri_d(P((1,)))
-        expect = RatFuncQT.from_factors(Q + T - Q * T, (ONE - Q, ONE - T))
+        expect = RatFuncQT.from_binomials((), (ONE - Q, ONE - T), Q + T - Q * T)
         assert pieri_power_sum(table, 2) == expect
         assert pieri_power_sum(table, 2) == power_identity_rhs(P((1,)), 2)
 
@@ -101,7 +101,8 @@ class TestPieri:
             solved = solved_pieri_d(nu)
             assert pieri_d(nu).entries == solved
             for mu, d in solved.items():
-                c = d * RatFuncQT.from_factors(math.prod(w_factors(mu), start=ONE), w_factors(nu))
+                w_mu = math.prod(w_factors(mu), start=ONE)
+                c = d * RatFuncQT.from_binomials((), w_factors(nu), w_mu)
                 assert skew_pieri_c(mu)[nu] == c, (mu, nu)
 
     def test_denominators_are_unit_binomials(self):

@@ -84,10 +84,18 @@ def e_newton(k, alphabet):
     return LaurentPolyQT({m: int(c) for m, c in es[k].items()})
 
 
+def merged(pairs):
+    """The polynomial of (monomial, coefficient) pairs, repeated monomials added."""
+    terms = {}
+    for mono, c in pairs:
+        terms[mono] = terms.get(mono, 0) + c
+    return LaurentPolyQT(terms)
+
+
 signed_polys = st.lists(
     st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3)),
     max_size=4,
-).map(LaurentPolyQT)
+).map(merged)
 
 
 class TestAlphabets:

@@ -172,58 +172,122 @@ class TestSpecialize:
         assert (Q + T).specialize(q=-1) == T - 1
 
 
+def _summed(pairs) -> dict:
+    """The naive model of a sum: add up every (monomial, coefficient) pair,
+    then drop the zeros."""
+    out = {}
+    for mono, c in pairs:
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _substituted(terms: dict, var: int, value: int):
+    """The pairs of terms with value for q (var 0) or t (var 1), one per term."""
+    for mono, c in terms.items():
+        e = mono[var]
+        if value == 0 and e < 0:
+            raise ValueError("pole")
+        yield ((0, mono[1]) if var == 0 else (mono[0], 0)), c * value ** abs(e)
+
+
+class TestSumsDropZeros:
+    """The constructor, __mul__ and specialize against the naive summing
+    model, on seeded products built to cancel: the operands are small
+    polynomials times 1 + x and 1 - x for one monomial x, so each product
+    has the factor 1 - x^2 and its x terms meet 0."""
+
+    def _random_poly(self, rng, v, sign) -> dict:
+        small = {(rng.randint(-1, 2), rng.randint(-1, 1)): rng.choice((1, -1, 2, 0))
+                 for _ in range(rng.randint(0, 4))}
+        # the zero coefficients stay, for the constructor to drop
+        return {**{m: 0 for m in small},
+                **_summed(pair for m, c in small.items()
+                          for pair in ((m, c), ((m[0] + v[0], m[1] + v[1]), sign * c)))}
+
+    def test_matches_the_naive_sums(self):
+        rng = random.Random(24)
+        cancelled = 0
+        bindings = [(q, t) for q in (None, 0, 1, -1) for t in (None, 0, 1, -1)][1:]
+        for _ in range(400):
+            v, sign = (rng.randint(0, 2), rng.randint(-1, 1)), rng.choice((1, -1))
+            da, db = self._random_poly(rng, v, sign), self._random_poly(rng, v, -sign)
+            a, b = lp(da), lp(db)
+            assert a.terms == _summed(da.items()) and b.terms == _summed(db.items())
+            pairs = [((e0 + f0, e1 + f1), c * d)
+                     for (e0, e1), c in da.items() for (f0, f1), d in db.items()]
+            product = a * b
+            assert product.terms == _summed(pairs)
+            assert 0 not in product.terms.values()
+            cancelled += len({m for m, c in pairs if c}) - len(product.terms)
+            for q, t in bindings:
+                try:
+                    want = product.terms
+                    for var, value in ((0, q), (1, t)):
+                        if value is not None:
+                            want = _summed(_substituted(want, var, value))
+                except ValueError:
+                    with pytest.raises(ValueError, match="pole"):
+                        product.specialize(q=q, t=t)
+                    continue
+                got = product.specialize(q=q, t=t)
+                assert got.terms == want and 0 not in got.terms.values()
+        # the products did cancel: monomials met by a nonzero term product
+        # summed to 0
+        assert cancelled > 300
+
+
 class TestRatFunc:
     def test_multiply_cancels(self):
         one_minus_q = ONE - Q
-        r = RatFuncQT.from_factors(ONE, (one_minus_q,)) * RatFuncQT.from_laurent(one_minus_q)
+        r = RatFuncQT.from_binomials((), (one_minus_q,)) * RatFuncQT.from_laurent(one_minus_q)
         assert r.is_laurent() and r.to_laurent() == ONE
 
     def test_cross_multiplication_equality(self):
-        lhs = RatFuncQT.from_factors(Q, (ONE - Q, Q - T))
-        rhs = RatFuncQT.from_factors(Q * (ONE - T), (ONE - Q, ONE - T, Q - T))
+        lhs = RatFuncQT.from_binomials((), (ONE - Q, Q - T), Q)
+        rhs = RatFuncQT.from_binomials((), (ONE - Q, ONE - T, Q - T), Q * (ONE - T))
         assert lhs == rhs
 
     def test_additive_inverse(self):
-        r = RatFuncQT.from_factors(ONE, (ONE - Q, ONE - T))
+        r = RatFuncQT.from_binomials((), (ONE - Q, ONE - T))
         assert (r + (-r)).is_zero()
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            RatFuncQT.from_factors(ONE, (ZERO,))
+            RatFuncQT.from_binomials((), (ZERO,))
         with pytest.raises(ZeroDivisionError):
-            RatFuncQT.from_factors(ONE, (ONE - Q, ZERO))
+            RatFuncQT.from_binomials((), (ONE - Q, ZERO))
 
     @pytest.mark.parametrize("factor", [ONE - Q - T, M, 2 * Q - T])
     def test_rejects_factor_that_is_not_a_binomial(self, factor):
         with pytest.raises(ValueError, match="denominator factor"):
-            RatFuncQT.from_factors(ONE, (ONE - Q, factor))
+            RatFuncQT.from_binomials((), (ONE - Q, factor))
 
     def test_rejects_content_and_monomials(self):
         # integer content (2 - 2q), a monomial and a constant are not +-x^A +- x^B
         for factor in (2 - 2 * Q, -Q * T, LaurentPolyQT.const(3)):
             with pytest.raises(ValueError, match="denominator factor"):
-                RatFuncQT.from_factors(ONE, (ONE - Q, factor))
+                RatFuncQT.from_binomials((), (ONE - Q, factor))
 
     @given(unit_binomials, small_polys, small_polys)
     @settings(max_examples=40, deadline=None)
     def test_field_laws(self, a, b, c):
-        db = RatFuncQT.from_factors(a, (ONE - Q, ONE - T))
-        rb = RatFuncQT.from_factors(b, (ONE - Q,))
-        rc = RatFuncQT.from_factors(c, (ONE - T, Q - T))
+        db = RatFuncQT.from_binomials((), (ONE - Q, ONE - T), a)
+        rb = RatFuncQT.from_binomials((), (ONE - Q,), b)
+        rc = RatFuncQT.from_binomials((), (ONE - T, Q - T), c)
         assert db * (rb + rc) == db * rb + db * rc
-        assert (db * rb) * RatFuncQT.from_factors(M, (a,)) == rb
+        assert (db * rb) * RatFuncQT.from_binomials((), (a,), M) == rb
 
 
 class TestRfToLaurent:
     def test_qt_int_quotient(self):
-        assert RatFuncQT.from_factors(Q ** 2 - T ** 2, (Q - T,)).to_laurent() == Q + T
+        assert RatFuncQT.from_binomials((), (Q - T,), Q ** 2 - T ** 2).to_laurent() == Q + T
 
     def test_unit_quotient(self):
-        assert RatFuncQT.from_factors(ONE - Q, (ONE - Q,)).to_laurent() == ONE
+        assert RatFuncQT.from_binomials((), (ONE - Q,), ONE - Q).to_laurent() == ONE
 
     def test_failure(self):
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
-            RatFuncQT.from_factors(ONE, (ONE - Q,)).to_laurent()
+            RatFuncQT.from_binomials((), (ONE - Q,)).to_laurent()
 
     @given(small_polys)
     @settings(max_examples=40, deadline=None)
@@ -233,13 +297,13 @@ class TestRfToLaurent:
     def test_monomial_denominator_shifts(self):
         # the monomial part q*t of the factor q*t - q^2*t leaves the denominator
         num = Q * T * (ONE - Q * Q)
-        assert RatFuncQT.from_factors(num, (Q * T - Q ** 2 * T,)).to_laurent() == ONE + Q
+        assert RatFuncQT.from_binomials((), (Q * T - Q ** 2 * T,), num).to_laurent() == ONE + Q
 
     def test_integer_content(self):
         # content stays in the numerator; only exact_div cancels
-        assert RatFuncQT.from_factors(2 - 2 * Q, (ONE - Q,)).to_laurent() == 2
+        assert RatFuncQT.from_binomials((), (ONE - Q,), 2 - 2 * Q).to_laurent() == 2
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
-            RatFuncQT.from_factors(2 * Q, (ONE - Q,)).to_laurent()
+            RatFuncQT.from_binomials((), (ONE - Q,), 2 * Q).to_laurent()
 
 
 class TestDisplay:
@@ -405,7 +469,7 @@ def _sympy_value(r: RatFuncQT, sympy, q, t):
 # num / (prod of 0-2 unit binomials), built as the Macdonald route builds them
 unit_fractions = st.tuples(
     small_polys, st.lists(unit_binomials, max_size=2)
-).map(lambda x: RatFuncQT.from_factors(x[0], x[1]))
+).map(lambda x: RatFuncQT.from_binomials((), x[1], x[0]))
 
 
 class TestRatFuncAgainstSympy:
@@ -420,7 +484,7 @@ class TestRatFuncAgainstSympy:
         assert (x == y) == (sympy.cancel(sx - sy) == 0)
         # the same value with g in numerator and denominator: the reduction divides
         # by g or by a factor of x, so at most len(x.factors) factors stay
-        same = RatFuncQT.from_factors(x.num * g, x.factors + (g,))
+        same = RatFuncQT.from_binomials((), x.factors + (g,), x.num * g)
         assert same == x and x == same
         assert len(same.factors) <= len(x.factors)
         for r in (x + y, x * y, same):
@@ -489,8 +553,8 @@ def _cancellation_failures(seed, count):
 
     for i in range(count):
         (na, da), (nb, db) = _random_fraction(rng), _random_fraction(rng)
-        x, y = RatFuncQT.from_factors(na, da), RatFuncQT.from_factors(nb, db)
-        check((i, "from_factors"), x, na, da)
+        x, y = RatFuncQT.from_binomials((), da, na), RatFuncQT.from_binomials((), db, nb)
+        check((i, "from_binomials, no top"), x, na, da)
         check((i, "*"), x * y, na * nb, da + db)
         check((i, "+"), x + y, na * _product(db) + nb * _product(da), da + db)
         top, bottom = _random_binomials(rng, 5), _random_binomials(rng, 5)
@@ -519,6 +583,18 @@ class TestCancellationRules:
         monkeypatch.setattr(qa, "_is_prime", lambda f: f == square or is_prime(f))
         assert _cancellation_failures(5, 400) != []
 
+    def test_no_top_binomials_means_no_cancellation_and_no_expansion(self, monkeypatch):
+        # num / prod(bottom) tries each bottom binomial on num, in the order given
+        def refuse(*args):
+            raise AssertionError("from_binomials with no top binomial must not get here")
+
+        monkeypatch.setattr(qa, "Counter", refuse)
+        monkeypatch.setattr(qa, "_expand", refuse)
+        r = RatFuncQT.from_binomials((), (ONE - Q, ONE - Q * Q, ONE - Q), ONE - Q * Q)
+        # the three signs and the one division by q - 1 leave (1 + q) / ((q - 1)(q^2 - 1))
+        assert r.num == ONE + Q and r.factors == (Q - ONE, Q * Q - ONE)
+        assert RatFuncQT.from_binomials((), (ONE - Q,), ZERO).factors == ()
+
     def test_every_division_goes_through_the_module_exact_div(self, monkeypatch):
         # the benchmark tracer counts divisions by rebinding qt_algebra.exact_div
         calls = []
@@ -528,8 +604,8 @@ class TestCancellationRules:
             return exact_div(a, b)
 
         monkeypatch.setattr(qa, "exact_div", counted)
-        over = RatFuncQT.from_factors(ONE, (ONE - Q,))
-        for build in (lambda: over + RatFuncQT.from_factors(Q, (ONE - Q,)),
+        over = RatFuncQT.from_binomials((), (ONE - Q,))
+        for build in (lambda: over + RatFuncQT.from_binomials((), (ONE - Q,), Q),
                       lambda: over * RatFuncQT.from_laurent(ONE - Q * Q),
                       lambda: RatFuncQT.from_binomials([ONE - Q * Q], [ONE - Q])):
             calls.clear()
@@ -553,12 +629,12 @@ class TestInternedFactors:
     def test_one_object_per_binomial_on_every_route(self):
         from teslab.young import Partition, w_factors
 
-        (f,) = RatFuncQT.from_factors(ONE, [T - Q * Q]).factors
+        (f,) = RatFuncQT.from_binomials((), [T - Q * Q]).factors
         routes = [
-            RatFuncQT.from_factors(ONE, [Q * Q - T]).factors,
-            RatFuncQT.from_factors(Q, [(T - Q * Q) * Q ** -1 * T ** 2]).factors,
+            RatFuncQT.from_binomials((), [Q * Q - T]).factors,
+            RatFuncQT.from_binomials((), [(T - Q * Q) * Q ** -1 * T ** 2], Q).factors,
             RatFuncQT.from_binomials([], [T - Q * Q]).factors,
-            RatFuncQT.from_factors(ONE, [Q - T * T]).swap_qt().factors,
+            RatFuncQT.from_binomials((), [Q - T * T]).swap_qt().factors,
             # (2, 1): the cell (0, 0) has arm 1 and leg 1, so t - q^2 is a w factor
             RatFuncQT.from_binomials([], w_factors(Partition((2, 1)))).factors,
         ]
@@ -593,16 +669,16 @@ class TestInternedFactors:
         rng = random.Random(8)
         for _ in range(100):
             (na, da), (nb, db) = _random_fraction(rng), _random_fraction(rng)
-            x, y = RatFuncQT.from_factors(na, da), RatFuncQT.from_factors(nb, db)
+            x, y = RatFuncQT.from_binomials((), da, na), RatFuncQT.from_binomials((), db, nb)
             for r in (x, x + y, x * y, x.swap_qt()):
                 assert r.factors == tuple(sorted(r.factors, key=lambda f: sorted(f.terms.items())))
 
     def test_clearing_every_cache_keeps_sums_and_equality(self):
         rng = random.Random(9)
         parts = [_random_fraction(rng) for _ in range(60)]
-        old = [RatFuncQT.from_factors(num, den) for num, den in parts]
+        old = [RatFuncQT.from_binomials((), den, num) for num, den in parts]
         _clear_teslab_caches()
-        new = [RatFuncQT.from_factors(num, den) for num, den in parts]
+        new = [RatFuncQT.from_binomials((), den, num) for num, den in parts]
         # equal values built before and after the clear hold other factor objects
         assert any(f is not g for x, y in zip(old, new) for f, g in zip(x.factors, y.factors))
         for x, y, z in zip(old, new, new[1:] + new[:1]):
@@ -614,7 +690,7 @@ class TestInternedFactors:
 
 
 # q - t is canonical, and swapping q and t flips it to -(q - t)
-_over_q_minus_t = RatFuncQT.from_factors(ONE + Q * Q, (Q - T, ONE - Q))
+_over_q_minus_t = RatFuncQT.from_binomials((), (Q - T, ONE - Q), ONE + Q * Q)
 
 
 class TestSubstitution:
@@ -633,7 +709,7 @@ class TestSubstitution:
     @settings(max_examples=60, deadline=None)
     def test_equals_reduced_rebuild(self, x):
         got = x.swap_qt()
-        rebuilt = RatFuncQT.from_factors(x.num.swap_qt(), [f.swap_qt() for f in x.factors])
+        rebuilt = RatFuncQT.from_binomials((), [f.swap_qt() for f in x.factors], x.num.swap_qt())
         assert got == rebuilt
         # x is reduced, so no factor of the rebuild cancels: same parts, still reduced
         assert len(got.factors) == len(x.factors)

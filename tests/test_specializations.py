@@ -7,6 +7,7 @@ from teslab import specializations
 from teslab.qt_algebra import ONE, Q, LaurentPolyQT, q_int, q_int_product, q_factorial
 from teslab.specializations import (
     CPF_N_MAX,
+    OSP_BUDGET,
     OrderedSetPartition,
     ParkingFunction,
     area,
@@ -14,6 +15,7 @@ from teslab.specializations import (
     cpf,
     inv_stat,
     levande_map,
+    osp_count,
     osp_enumerate,
     parking_functions,
     psi,
@@ -180,6 +182,23 @@ class TestOrderedSetPartitions:
         for rest in subsets(range(2, n + 1)):
             for pi in osp_enumerate(n, {1, *rest}):
                 assert inv_stat(pi) == loop_inv_stat(pi)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_count_is_the_length_of_the_enumeration(self, n):
+        for minima in subsets(range(1, n + 1)):
+            assert osp_count(n, minima) == len(osp_enumerate(n, minima)), minima
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # {1, 3} of {1..4}: 2! orders, 2 is placed after 1 and 4 after 1 or 3
+        assert osp_count(4, {1, 3}) == 4
+        monkeypatch.setattr(specializations, "OSP_BUDGET", 4)
+        assert len(osp_enumerate(4, {1, 3})) == 4
+        monkeypatch.setattr(specializations, "OSP_BUDGET", 3)
+        with pytest.raises(ValueError, match="there are 4 ordered set partitions"):
+            osp_enumerate(4, {1, 3})
+
+    def test_budget_sits_between_cor_5_1_and_nine_blocks(self):
+        assert osp_count(8, set(range(1, 9))) <= OSP_BUDGET < osp_count(9, set(range(1, 10)))
 
     def test_inv_examples(self):
         assert inv_stat(OSP("5|24|13")) == 4

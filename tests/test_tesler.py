@@ -76,6 +76,16 @@ class TestHooks:
         with pytest.raises(ValueError):
             parse_hooks("1,x")
 
+    def test_hooks_length_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(tesler, "HOOKS_LENGTH_BUDGET", 4)
+        assert parse_hooks("2,0,-3,1") == (2, 0, -3, 1)
+        with pytest.raises(ValueError, match="5 entries, over the length budget of 4"):
+            parse_hooks("2,0,-3,1,1")
+
+    def test_hooks_length_budget_sits_far_from_both_ends(self):
+        # CI's longest --hooks has 18 entries; about 600 overflow compositions
+        assert 2 * 18 <= tesler.HOOKS_LENGTH_BUDGET <= 600 // 4
+
 
 class TestEnumeration:
     def test_alpha_11(self):
