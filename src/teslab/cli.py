@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import lru_cache, partial
 
 from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
@@ -159,7 +159,12 @@ def cmd_verify(args) -> int:
     return 0 if ok else VERIFY_FAILURE
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The teslab parser, built once per process: in-process calls of main
+    share it.  Parsing leaves it as it was (each parse_args fills a new
+    namespace), and set_defaults(fn=...) binds the handlers here, when it is
+    built."""
     parser = argparse.ArgumentParser(
         prog="teslab",
         description="Exact Tesler functions and Macdonald-operator Hilbert series.",

@@ -33,8 +33,10 @@ any packing, _bound runs the same recursion on three integers: a bound L1 on
 the sum of the absolute coefficients and a window [tlo, thi] holding every
 t-exponent.  With 2^(K-1) > L1 every coefficient is a balanced base-2^K
 digit, and with W > thi - tlo no two monomials share a slot, so tes decodes
-the packed value exactly, once.  K and W are rounded up to steps of 8 bits
-and 4 slots so that calls of similar size share the memoized states.
+the packed value exactly, once, from its binary text: a K-bit digit text
+equal to that of an empty slot is skipped, and only the occupied slots are
+converted.  K and W are rounded up to steps of 8 bits and 4 slots so that
+calls of similar size share the memoized states.
 
 A state, the hook vector of the rows still to fill, is one int code: entry
 j is base-2^16 digit j, stored as x_j + 2^15, so the first entry is
@@ -389,20 +391,23 @@ def _unpack(packed: int, low: int, k: int, w: int, tlo: int) -> LaurentPolyQT:
     """The polynomial of _pack's (N, e), given that every coefficient is less
     than 2^(K-1) in absolute value and every t-exponent lies in
     [tlo, tlo + W).  Adding 2^(K-1) to every slot makes each balanced digit
-    a plain base-2^K digit, read from the binary string of the sum."""
+    a plain base-2^K digit, read from the binary string of the sum.  An
+    empty slot reads "1" and K - 1 zeros there, so only the other digit
+    texts are converted: prop-6-2's 624 values hold 19,322 terms in 39,250
+    slots."""
     if not packed:
         return ZERO
     count = abs(packed).bit_length() // k + 2
     half = 1 << (k - 1)
-    digits = format(packed + int(("1" + "0" * (k - 1)) * count, 2), "b").zfill(count * k)
+    empty = "1" + "0" * (k - 1)
+    digits = format(packed + int(empty * count, 2), "b").zfill(count * k)
     terms = {}
-    end = len(digits)
-    for slot in range(low, low + count):
-        c = int(digits[end - k:end], 2) - half
-        end -= k
-        if c:
-            a, b = divmod(slot - tlo, w)
-            terms[(a, b + tlo)] = c
+    # slot - tlo of each digit, lowest first: the digit of slot low ends the text
+    for slot, end in enumerate(range(count * k, 0, -k), low - tlo):
+        text = digits[end - k:end]
+        if text != empty:
+            a, b = divmod(slot, w)
+            terms[(a, b + tlo)] = int(text, 2) - half
     return LaurentPolyQT._raw(terms)
 
 

@@ -4,11 +4,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from teslab import cli, macdonald, specializations, verify
-from teslab.cli import main
+from teslab.cli import build_parser, main
 from teslab.macdonald import _check_cap, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
 from teslab.specializations import OrderedSetPartition
@@ -532,3 +533,64 @@ class TestVerifyCommand:
         b = run_suite("lemmas-4-6-4-7", Bounds(n_max=2, seed=1))
         assert a.cases_run == b.cases_run == 400
         assert a.failures == b.failures == []
+
+
+class TestParserReuse:
+    """main builds its parser once per process (build_parser is an lru_cache);
+    a sequence of calls must read the same whether it shares that parser or
+    rebuilds it before each call.  set_defaults(fn=...) binds the cmd_*
+    handlers when the parser is built, so a test that patches a handler must
+    clear build_parser's cache first."""
+
+    @staticmethod
+    def _argvs(tmp_path, session):
+        return [
+            ["tes", "--hooks", "1,1", "--bogus"],                      # argparse usage error
+            ["hilb", "--f", "e:1"],                                    # argparse: --n missing
+            ["tes", "--hooks", "1,1", "--route", "closed"],            # domain error
+            ["hilb", "--f", "e:1", "--n", "3", "--target", "pn"],      # domain error
+            ["tes", "--hooks", "2,0,3,1", "--format", "json",
+             "--out", str(tmp_path / f"{session}.json")],
+            ["verify", "--suite", "prop-6-3", "--entry-range", "-2..2"],
+            ["enumerate", "--hooks", "1,1,1", "--format", "count"],
+            ["tes", "--hooks", "1,1", "--spec", "t=1"],
+            ["tes", "--hooks", "1,1"],                                 # no --spec left over
+        ]
+
+    def _session(self, capsys, monkeypatch, tmp_path, rebuild):
+        # every session starts cold and reads a fixed clock, so that verify's
+        # stats and times do not tell the two apart
+        for fn in verify._lru_caches().values():
+            fn.cache_clear()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        session = "rebuilt" if rebuild else "shared"
+        results = []
+        for argv in self._argvs(tmp_path, session):
+            if rebuild:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results, (tmp_path / f"{session}.json").read_text()
+
+    def test_shared_parser_reads_like_a_new_one_each_call(self, capsys, monkeypatch, tmp_path):
+        shared, shared_out = self._session(capsys, monkeypatch, tmp_path, rebuild=False)
+        rebuilt, rebuilt_out = self._session(capsys, monkeypatch, tmp_path, rebuild=True)
+        assert shared == rebuilt and shared_out == rebuilt_out
+        assert [code for code, _, _ in shared] == [2, 2, 2, 2, 0, 0, 0, 0, 0]
+        assert "unrecognized arguments: --bogus" in shared[0][2]
+        assert json.loads(shared_out)["terms"] and shared[4][1] == ""
+        report = json.loads(shared[5][1])
+        assert report["suite"] == "prop-6-3" and report["failures"] == []
+        assert shared[6][1] == "7\n"
+        assert shared[7][1] == "2 + q\n" and shared[8][1] == "1 + q + t\n"
+
+    def test_one_parser_per_process(self, capsys):
+        build_parser.cache_clear()
+        for _ in range(3):
+            run_cli(capsys, "tes", "--hooks", "1,1")
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)

@@ -21,7 +21,9 @@ from teslab.plethysm import MonomialSymFn
 
 PINS = Path(__file__).with_name("macdonald_pins.json")
 FUNCTIONS = ("e:1", "e:2", "e:3", "m:-1", "s:2,1")
-SIZES = (1, 2, 3, 4, 5, 6)
+# n = 7 reaches the arrangements of plethysm.distinct_arrangements in 6 slots;
+# n = 8 would add 1.0-1.6 s cold, and this test keeps within 1 s
+SIZES = (1, 2, 3, 4, 5, 6, 7)
 
 
 def _vectors() -> list:
@@ -31,9 +33,15 @@ def _vectors() -> list:
                               for length in range(1, 6) for _ in range(3)))
 
 
+def _long_vectors() -> list:
+    """Four seeded hook vectors in [-2, 2] of length 6, each with a nonzero tes."""
+    rng = random.Random(29)
+    return list(dict.fromkeys(tuple(rng.randint(-2, 2) for _ in range(6)) for _ in range(4)))
+
+
 def _calls() -> list:
     calls = [(f"tes_via_theorem{alpha}", lambda a=alpha: tes_via_theorem(a))
-             for alpha in _vectors()]
+             for alpha in _vectors() + _long_vectors()]
     for text in FUNCTIONS:
         f = MonomialSymFn.parse(text)
         for n in SIZES:

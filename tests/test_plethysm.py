@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -266,3 +269,40 @@ class TestMonomialSymFn:
             wrong = at_last_one_every_arrangement(f, n)
             assert wrong.coeffs[(1,)] == n - 1
             assert expand_monomials(wrong, n - 1) != expand_last_one(f, n)
+
+
+# repeated parts, negative parts, and (1^8), more parts than slots <= 7
+ARRANGED_RHOS = [(), (1,), (1, 1), (2, 1, 1), (3, 3, 1), (-1,), (1, -1), (2, -1, -1),
+                 (-2, -2, -3), (1,) * 8]
+
+
+def _arrangements_by_permutations(rho, slots):
+    """The slow definition: every permutation of rho padded with zeros to
+    `slots`, each distinct one once, sorted."""
+    if len(rho) > slots:
+        return []
+    return sorted(set(permutations(tuple(rho) + (0,) * (slots - len(rho)))))
+
+
+class TestDistinctArrangements:
+    @pytest.mark.parametrize("rho", ARRANGED_RHOS)
+    def test_matches_the_permutation_walk(self, rho):
+        for slots in range(8):
+            assert distinct_arrangements(rho, slots) == _arrangements_by_permutations(rho, slots)
+
+    def test_more_parts_than_slots_give_none(self):
+        assert all(distinct_arrangements((1,) * 8, slots) == [] for slots in range(8))
+        assert distinct_arrangements((2, -1), 1) == []
+
+    @pytest.mark.parametrize("rho", ARRANGED_RHOS)
+    def test_length_is_the_multinomial(self, rho):
+        for slots in range(len(rho), 11):
+            multiplicities = Counter(tuple(rho) + (0,) * (slots - len(rho))).values()
+            multinomial = factorial(slots) // prod(map(factorial, multiplicities))
+            assert len(distinct_arrangements(rho, slots)) == multinomial
+
+    @pytest.mark.parametrize("rho", ARRANGED_RHOS)
+    def test_order_is_strictly_increasing(self, rho):
+        for slots in range(len(rho), 11):
+            out = distinct_arrangements(rho, slots)
+            assert all(a < b for a, b in zip(out, out[1:]))

@@ -604,3 +604,63 @@ class TestPackedKernel:
         for _ in range(20):
             alpha = tuple(rng.randint(-2, 2) for _ in range(7))
             assert tes(alpha) == _tes_dict(alpha)
+
+
+def _unpack_slot_by_slot(packed, low, k, w, tlo):
+    """The slow definition of _unpack: convert every K-bit digit text, and
+    keep the nonzero ones."""
+    if not packed:
+        return ZERO
+    count = abs(packed).bit_length() // k + 2
+    half = 1 << (k - 1)
+    digits = format(packed + int(("1" + "0" * (k - 1)) * count, 2), "b").zfill(count * k)
+    terms = {}
+    end = len(digits)
+    for slot in range(low, low + count):
+        c = int(digits[end - k:end], 2) - half
+        end -= k
+        if c:
+            a, b = divmod(slot - tlo, w)
+            terms[(a, b + tlo)] = c
+    return LaurentPolyQT._raw(terms)
+
+
+class TestDecode:
+    """_unpack converts only the occupied slots; it must equal the slow
+    definition term for term, in the same order."""
+
+    @staticmethod
+    def _check(poly, k, w, tlo):
+        packed, low = _pack(poly, k, w)
+        fast, slow = _unpack(packed, low, k, w, tlo), _unpack_slot_by_slot(packed, low, k, w, tlo)
+        assert list(fast.terms.items()) == list(slow.terms.items())
+        assert fast == poly
+
+    def test_matches_the_slot_by_slot_decode_seeded(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            k, w, tlo = rng.randint(2, 72), rng.randint(1, 12), rng.randint(-30, 30)
+            top = (1 << (k - 1)) - 1
+            terms = {}
+            # sparse or dense, so that runs of empty slots are long or short
+            for _ in range(rng.choice((1, 3, 10, 40))):
+                c = rng.choice((top, -top, 1, -1, rng.randint(-top, top)))
+                if c:
+                    terms[(rng.randint(-20, 20), rng.randint(tlo, tlo + w - 1))] = c
+            self._check(LaurentPolyQT._raw(terms), k, w, tlo)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 16, 17, 64, 72])
+    @pytest.mark.parametrize("w", [1, 4, 7])
+    def test_wide_empty_gaps(self, k, w):
+        top = (1 << (k - 1)) - 1
+        tlo = -2
+        corners = {(-25, tlo): top, (25, tlo + w - 1): -top}
+        self._check(LaurentPolyQT._raw(corners), k, w, tlo)
+        # one term alone, in the top slot of the window
+        self._check(LaurentPolyQT._raw({(9, tlo + w - 1): -1}), k, w, tlo)
+        self._check(LaurentPolyQT._raw({(9, tlo + w - 1): top}), k, w, tlo)
+        # +-(2^(K-1) - 1) with an empty slot on either side
+        spaced = {(a, tlo): top if a % 4 else -top for a in range(-12, 13, 2)}
+        if w > 2:
+            spaced.update({(a, tlo + w - 1): -top for a in range(-11, 13, 4)})
+        self._check(LaurentPolyQT._raw(spaced), k, w, tlo)
