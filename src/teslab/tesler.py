@@ -20,9 +20,9 @@ alpha[1:] + r[1:], so tes(alpha) = sum over r of w(r) * tes(alpha[1:] + r[1:])
 (the first-row recursion of Haglund, Adv. Math. 227 (2011), and of
 Armstrong-Garsia-Haglund-Rhoades-Sagan, J. Comb. 3 (2012), here with signed
 hooks).  No factor of w(r) depends on where an entry sits, only on the
-multiset of entries of r, so the first rows are grouped by that multiset (a
-partition of |s_1|): the sub-values of a group are added, then multiplied by
-the group's weight once, cached per multiset.
+multiset lambda of its entries: the sub-values of the rows with one lambda
+are added, then multiplied by their weight once.  A row -r of total -m weighs
+-(qt)^(-m) w(r), as [-v]_{q,t} = -(qt)^(-v) [v]_{q,t}, so only w(r) is built.
 
 The recursion adds and multiplies Python ints, not dicts (Kronecker
 substitution, as in Harvey, J. Symb. Comput. 44 (2009)).  q^a t^b -> y^(aW+b)
@@ -237,29 +237,12 @@ def enumerate_tesler(alpha, permutational: bool = False):
 
 
 @lru_cache(maxsize=None)
-def _first_rows(s: int, width: int) -> tuple:
-    """(row weight, tails), one pair per multiset of nonzero entries of a row
-    of total s and width entries; tails holds the entries right of the
-    diagonal of every composition of |s| into width parts with that multiset."""
-    sign = 1 if s > 0 else -1
-    groups: dict = {}
-    for comp in compositions(abs(s), width):
-        parts = tuple(sorted(v for v in comp if v))
-        groups.setdefault(parts, []).append(tuple(sign * v for v in comp[1:]))
-    return tuple((_row_weight(s, parts), tuple(tails)) for parts, tails in groups.items())
-
-
-@lru_cache(maxsize=None)
-def _row_weight(s: int, parts: tuple) -> LaurentPolyQT:
-    """The weight of a row of total s with nonzero entries parts (up to sign):
-    M^(nz-1), the qt_int of each entry, and (-1)^(nz-1) when s is positive.
-    No factor sees where an entry sits, or the row's width."""
-    sign = 1 if s > 0 else -1
-    weight = _m_power(len(parts) - 1)
-    if s > 0 and len(parts) % 2 == 0:
-        weight = -weight
+def _row_weight(parts: tuple) -> LaurentPolyQT:
+    """The weight of a positive row with nonzero entries parts: (-1)^(nz-1),
+    M^(nz-1) and the qt_int of each entry, wherever they sit."""
+    weight = _m_power(len(parts) - 1) * (-1) ** (len(parts) - 1)
     for v in parts:
-        weight = weight * qt_int(sign * v)
+        weight = weight * qt_int(v)
     return weight
 
 
@@ -328,11 +311,31 @@ def _span(poly: LaurentPolyQT) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _row_spans(s: int, width: int) -> tuple:
-    """(span of the weight, signed codes of the tails) per group of _first_rows."""
-    return tuple((_span(weight), tuple(sum(t << _DIGIT * j for j, t in enumerate(tail))
-                                       for tail in tails))
-                 for weight, tails in _first_rows(s, width))
+def _row_groups(s: int, width: int) -> tuple:
+    """(parts, span of the weight, tails) per partition parts of |s| into at
+    most width parts: tails codes the entries right of the diagonal of each
+    row of total s with entries parts, in the colex order of compositions,
+    each summed as it is generated and keyed by its value counts (one field
+    of bits per value, each count <= width < 2^bits).  s < 0 negates the
+    codes (they are linear) and moves the window by s."""
+    if s < 0:
+        return tuple((parts, (l1, lo + s, hi + s), tuple(-t for t in tails))
+                     for parts, (l1, lo, hi), tails in _row_groups(-s, width))
+    bits = width.bit_length()
+    groups: dict = {}
+
+    def fill(j: int, rest: int, code: int, counts: int) -> None:
+        # entries j+1.. are set and sum to s - rest; entry 0 takes what is left
+        if not j:
+            groups.setdefault(counts + (1 << bits * rest), []).append(code)
+            return
+        for v in range(rest + 1):
+            fill(j - 1, rest - v, code + (v << _DIGIT * (j - 1)), counts + (1 << bits * v))
+
+    fill(width - 1, s, 0, 0)
+    mask = (1 << bits) - 1
+    parts = [tuple(v for v in range(1, s + 1) for _ in range(c >> bits * v & mask)) for c in groups]
+    return tuple((p, _span(_row_weight(p)), tuple(t)) for p, t in zip(parts, groups.values()))
 
 
 # the bound of the zero value: no coefficient, an empty t-window, no group
@@ -344,7 +347,7 @@ def _bound(code: int) -> tuple:
     """(l1, tlo, thi, groups) of the state code: the sum of |coefficients|
     of its tes is at most l1, and its t-exponents lie in [tlo, thi] (an
     empty window when l1 = 0).  groups holds one (row index, kids) pair per
-    first-row group of _first_rows with a live child: kids are the codes of
+    first-row group of _row_groups with a live child: kids are the codes of
     the rows below whose bound is nonzero.  The first-row recursion of tes
     on these three numbers: a sum adds the l1 and joins the windows, a
     product multiplies the l1 and adds the windows."""
@@ -356,8 +359,8 @@ def _bound(code: int) -> tuple:
     below = code >> _DIGIT
     l1, lo, hi = 0, math.inf, -math.inf
     groups = []
-    for index, ((wl1, wlo, whi), tails) in enumerate(
-            _row_spans(first, -(-code.bit_length() // _DIGIT))):
+    for index, (_, (wl1, wlo, whi), tails) in enumerate(
+            _row_groups(first, -(-code.bit_length() // _DIGIT))):
         kids = []
         total, klo, khi = 0, math.inf, -math.inf
         for tail in tails:
@@ -393,8 +396,7 @@ def _unpack(packed: int, low: int, k: int, w: int, tlo: int) -> LaurentPolyQT:
     [tlo, tlo + W).  Adding 2^(K-1) to every slot makes each balanced digit
     a plain base-2^K digit, read from the binary string of the sum.  An
     empty slot reads "1" and K - 1 zeros there, so only the other digit
-    texts are converted: prop-6-2's 624 values hold 19,322 terms in 39,250
-    slots."""
+    texts are converted."""
     if not packed:
         return ZERO
     count = abs(packed).bit_length() // k + 2
@@ -412,9 +414,16 @@ def _unpack(packed: int, low: int, k: int, w: int, tlo: int) -> LaurentPolyQT:
 
 
 @lru_cache(maxsize=None)
+def _packed_weight(parts: tuple, k: int, w: int) -> tuple:
+    return _pack(_row_weight(parts), k, w)
+
+
+@lru_cache(maxsize=None)
 def _packed_rows(s: int, width: int, k: int, w: int) -> tuple:
-    """The packed (N, e) of each group weight of _first_rows(s, width)."""
-    return tuple(_pack(weight, k, w) for weight, _ in _first_rows(s, width))
+    """The packed (N, e) of each group weight of _row_groups(s, width); for
+    s < 0, (qt)^s packs as y^(s(W+1)), so the weight is (-N, e + s(W+1))."""
+    packed = (_packed_weight(parts, k, w) for parts, _, _ in _row_groups(s, width))
+    return tuple(packed) if s > 0 else tuple((-n, e + s * (w + 1)) for n, e in packed)
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import groupby, product
+from math import comb
 
 from .macdonald import (
     _check_cap,
@@ -392,23 +393,25 @@ def suite_cor_5_1(bounds: Bounds) -> Report:
     return _run("cor-5-1", cases)
 
 
-def _sums_by_partition(pairs) -> dict:
-    """{pi: the sum of the values paired with pi}."""
-    sums: dict = {}
-    for pi, value in pairs:
-        sums[pi] = sums.get(pi, ZERO) + value
-    return sums
-
-
 def _tail_products(alpha) -> dict:
     """{pi: the product of [tail_i]_q} over the ordered set partitions of alpha."""
     return {pi: q_int_product(tuple(sorted(tail))) for pi, tail in tail_vectors(alpha)}
 
 
+def _weight_t0(U) -> LaurentPolyQT:
+    """U.weight() at t = 0 for U >= 0, where [a]_{q,t} is q^(a-1) and M is 1 - q."""
+    entries = [v for row in U.rows for v in row if v]
+    k, low = len(entries) - U.n, sum(entries) - len(entries)
+    return LaurentPolyQT({(low + i, 0): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)})
+
+
 def _fiber_sums(alpha) -> dict:
     """{pi: the sum of the weights at t = 0} over the fiber of levande_map at pi."""
-    return _sums_by_partition((levande_map(U)[1], U.weight().specialize(t=0))
-                              for U in enumerate_tesler(alpha))
+    sums: dict = {}
+    for U in enumerate_tesler(alpha):
+        pi = levande_map(U)[1]
+        sums[pi] = sums.get(pi, ZERO) + _weight_t0(U)
+    return sums
 
 
 def suite_lemma_5_2(bounds: Bounds) -> Report:

@@ -28,7 +28,7 @@ from teslab.specializations import (
     wt_alpha,
 )
 from teslab.tesler import TeslerMatrix, enumerate_tesler, tes
-from teslab.verify import _parking_sums, _tail_products
+from teslab.verify import _parking_sums, _tail_products, _weight_t0
 
 OSP = OrderedSetPartition.parse
 
@@ -273,6 +273,16 @@ class TestLevande:
             for pi in osp_enumerate(n, set_of(alpha)):
                 assert fibers.get(pi, LaurentPolyQT()) == Q ** inv_stat(pi)
             assert set(fibers) <= set(osp_enumerate(n, set_of(alpha)))
+
+    def test_weight_at_t0_from_the_entries(self):
+        # lemma-5-2's t = 0 weight against the full (q, t) weight specialized
+        count = 0
+        for n in range(1, 6):
+            for alpha in product((0, 1), repeat=n):
+                for U in enumerate_tesler(alpha):
+                    assert _weight_t0(U) == U.weight().specialize(t=0), U
+                    count += 1
+        assert count == 1565  # every matrix of the suite at its default bounds
 
 
 class TestTargetTail:

@@ -16,10 +16,11 @@ from teslab.tesler import (
     TeslerMatrix,
     _bound,
     _encode,
-    _first_rows,
     _pack,
-    _row_spans,
+    _packed_rows,
+    _row_groups,
     _slot_sizes,
+    _span,
     _tes_cached,
     _unpack,
     compositions,
@@ -356,6 +357,28 @@ def _row_weight(row):
     return weight
 
 
+@lru_cache(maxsize=None)
+def _first_rows(s, width):
+    """(row weight, tails), one pair per multiset of nonzero entries of a row
+    of total s and width entries, in the order of their first compositions:
+    tails holds the entries right of the diagonal of every composition of
+    |s| into width parts with that multiset, and the weight is the
+    per-composition formula on the group's first row.  The slow definition
+    of tesler._row_groups: it sorts every composition to find its group."""
+    sign = 1 if s > 0 else -1
+    groups: dict = {}
+    for comp in compositions(abs(s), width):
+        parts = tuple(sorted(v for v in comp if v))
+        groups.setdefault(parts, []).append(tuple(sign * v for v in comp))
+    return tuple((_row_weight(rows[0]), tuple(row[1:] for row in rows))
+                 for rows in groups.values())
+
+
+def _tail_code(tail):
+    """The signed state code of the entries right of the diagonal."""
+    return sum(t << 16 * j for j, t in enumerate(tail))
+
+
 class TestFirstRows:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, -1, -2, -3, -4])
     def test_groups_match_per_composition_rows(self, s):
@@ -372,6 +395,34 @@ class TestFirstRows:
                 multisets |= {tuple(sorted(v for v in row if v)) for row in rows}
             # one group per multiset of entries: a partition of |s| into at most width parts
             assert len(multisets) == len(groups)
+
+
+class TestRowGroups:
+    """_row_groups builds its codes without a tuple or a sort per row, and
+    derives the negative rows from the positive ones: it must equal the
+    grouping of every composition, group for group and tail for tail."""
+
+    @pytest.mark.parametrize("s", [v for m in range(1, 10) for v in (m, -m)])
+    def test_matches_the_grouped_compositions(self, s):
+        for width in range(1, 8):
+            expected = [tuple(map(_tail_code, tails)) for _, tails in _first_rows(s, width)]
+            assert [tails for _, _, tails in _row_groups(s, width)] == expected
+            for (parts, _, _), (_, tails) in zip(_row_groups(s, width), _first_rows(s, width)):
+                first_row = (s - sum(tails[0]),) + tails[0]
+                assert parts == tuple(sorted(abs(v) for v in first_row if v))
+
+    @pytest.mark.parametrize("s", [v for m in range(1, 8) for v in (m, -m)])
+    def test_weights_are_the_direct_products(self, s):
+        # the positive weight, and the negative one through -(qt)^s, equal
+        # the per-composition product, in span and packed at any (K, W)
+        factor = LaurentPolyQT.monomial(-1, s, s) if s < 0 else ONE
+        for width in range(2, 6):
+            groups = _row_groups(s, width)
+            weights = [tesler._row_weight(parts) * factor for parts, _, _ in groups]
+            assert weights == [weight for weight, _ in _first_rows(s, width)]
+            assert [span for _, span, _ in groups] == list(map(_span, weights))
+            for k, w in [(8, 4), (16, 12), (24, 40)]:
+                assert list(_packed_rows(s, width, k, w)) == [_pack(x, k, w) for x in weights]
 
 
 class TestCompositions:
@@ -429,7 +480,8 @@ def _tes_unguarded(alpha):
 
 
 def _clear_state_caches():
-    for fn in (_bound, _tes_cached, _row_spans):
+    # every cache whose values hold state codes, so depend on _DIGIT
+    for fn in (_bound, _tes_cached, _row_groups):
         fn.cache_clear()
 
 
@@ -456,8 +508,8 @@ class TestStateCodes:
                 if len(state) < 2 or not state[0]:
                     continue
                 below = _encode(state[1:])
-                rows = zip(_first_rows(state[0], len(state)), _row_spans(state[0], len(state)))
-                for (_, tails), (_, codes) in rows:
+                rows = zip(_first_rows(state[0], len(state)), _row_groups(state[0], len(state)))
+                for (_, tails), (_, _, codes) in rows:
                     for tail, tail_code in zip(tails, codes):
                         kid = tuple(x + t for x, t in zip(state[1:], tail))
                         assert below + tail_code == _encode(kid)
