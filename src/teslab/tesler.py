@@ -24,19 +24,34 @@ multiset lambda of its entries: the sub-values of the rows with one lambda
 are added, then multiplied by their weight once.  A row -r of total -m weighs
 -(qt)^(-m) w(r), as [-v]_{q,t} = -(qt)^(-v) [v]_{q,t}, so only w(r) is built.
 
+Every weight is symmetric in q and t, so every value lies in Z[e1, e2, 1/e2]
+with e1 = q + t and e2 = qt, the symmetric part of Z[q,t,1/q,1/t]
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2): M = 1 - e1 + e2,
+[a]_{q,t} = h_(a-1)(q, t) = sum over j of (-1)^j C(a-1-j, j) e1^(a-1-2j) e2^j,
+and [-v]_{q,t} = -e2^(-v) [v]_{q,t}.  The walk works in that basis, on about
+half the monomials a (q,t) value has.  An e-basis value is held in a
+LaurentPolyQT whose first exponent is that of e1 and second that of e2, so
+the row weights are built with its products, and a single hook, whose value
+is qt_int itself, skips the walk.
+
 The recursion adds and multiplies Python ints, not dicts (Kronecker
-substitution, as in Harvey, J. Symb. Comput. 44 (2009)).  q^a t^b -> y^(aW+b)
-with y = 2^K is a ring homomorphism from Z[q,t,1/q,1/t] to Z[y,1/y], so a
-value is one int N and a slot offset e (the value is y^e * N), a sum is a
-shift-and-add and a weight product one integer multiply, both in C.  Before
-any packing, _bound runs the same recursion on three integers: a bound L1 on
-the sum of the absolute coefficients and a window [tlo, thi] holding every
-t-exponent.  With 2^(K-1) > L1 every coefficient is a balanced base-2^K
-digit, and with W > thi - tlo no two monomials share a slot, so tes decodes
-the packed value exactly, once, from its binary text: a K-bit digit text
-equal to that of an empty slot is skipped, and only the occupied slots are
-converted.  K and W are rounded up to steps of 8 bits and 4 slots so that
-calls of similar size share the memoized states.
+substitution, as in Harvey, J. Symb. Comput. 44 (2009)).  e1^i e2^j ->
+y^(iW+j) with y = 2^K is a ring homomorphism from Z[e1,e2,1/e2] to
+Z[y,1/y], so a value is one int N and a slot offset e (the value is
+y^e * N), a sum is a shift-and-add and a weight product one integer
+multiply, both in C.  A negative row of total s multiplies by -e2^s, which
+moves the offset by s.  Before any packing, _bound runs the same recursion
+on four integers: a bound L1 on the sum of the absolute e-basis
+coefficients, a window [lo, hi] holding every e2-exponent and the largest
+e1-exponent I.  With 2^(K-1) > L1 every coefficient is a balanced base-2^K
+digit, and with W > hi - lo no two monomials share a slot, so tes decodes
+the packed value exactly, once; and no packed int is longer than
+K * W * (I + 1) bits, which tes checks against its budget.  K and W are
+rounded up to steps of 8 bits and 4 slots so that calls of similar size
+share the memoized states.  The decode adds 2^(K-1) to every slot and reads
+the bytes of the sum K/8 at a time; it converts only the slots that are
+not empty, then maps e1^i e2^j to the sum over x of
+C(i, x) q^(j+x) t^(j+i-x), for the terms with x >= y only, and mirrors them.
 
 A state, the hook vector of the rows still to fill, is one int code: entry
 j is base-2^16 digit j, stored as x_j + 2^15, so the first entry is
@@ -236,48 +251,81 @@ def enumerate_tesler(alpha, permutational: bool = False):
     yield from rec(0, alpha[0], alpha[1:], ())
 
 
+# M = (1 - q)(1 - t) = 1 - e1 + e2 in the e-basis
+_E_M = LaurentPolyQT._raw({(0, 0): 1, (1, 0): -1, (0, 1): 1})
+
+
+@lru_cache(maxsize=None)
+def _e_m_power(k: int) -> LaurentPolyQT:
+    return ONE if k == 0 else _e_m_power(k - 1) * _E_M
+
+
+@lru_cache(maxsize=None)
+def _e_int(a: int) -> LaurentPolyQT:
+    """qt_int(a) in the e-basis: [a] = h_(a-1)(q, t) is the sum over j of
+    (-1)^j C(a-1-j, j) e1^(a-1-2j) e2^j, and [-v] = -e2^(-v) [v]."""
+    if a < 0:
+        return LaurentPolyQT._raw({(i, j + a): -c for (i, j), c in _e_int(-a).terms.items()})
+    return LaurentPolyQT._raw({(a - 1 - 2 * j, j): (-1) ** j * math.comb(a - 1 - j, j)
+                               for j in range((a + 1) // 2)})
+
+
 @lru_cache(maxsize=None)
 def _row_weight(parts: tuple) -> LaurentPolyQT:
-    """The weight of a positive row with nonzero entries parts: (-1)^(nz-1),
-    M^(nz-1) and the qt_int of each entry, wherever they sit."""
-    weight = _m_power(len(parts) - 1) * (-1) ** (len(parts) - 1)
+    """The weight of a positive row with nonzero entries parts, in the
+    e-basis: (-1)^(nz-1), M^(nz-1) and the qt_int of each entry, wherever
+    they sit."""
+    weight = _e_m_power(len(parts) - 1) * (-1) ** (len(parts) - 1)
     for v in parts:
-        weight = weight * qt_int(v)
+        weight = weight * _e_int(v)
     return weight
+
+
+# The longest packed int tes may build, in bits, K*W*(I+1): (1^10) needs
+# 61,824 and tes-large at most 8,160, while (150,1) needs 9,849,600.
+PACKED_BITS_BUDGET = 1 << 22
+
+# The largest |a| of a single hook, whose tes is qt_int(a), built directly
+# in |a| terms.  Single hooks skip the walk because the e-basis L1 of [a] is
+# the Fibonacci number F_a: packed, (300,) would already be over
+# PACKED_BITS_BUDGET.  This is a policy limit with no cost behind it: 512 is
+# the largest single hook the (q,t) packing's budget let in, so the same
+# single hooks are accepted as before, and (30000,) is still refused.
+SINGLE_HOOK_BUDGET = 512
 
 
 def tes(alpha) -> LaurentPolyQT:
     """The Tesler function: the weight sum over all matrices with hooks alpha.
 
-    By the first-row recursion on state codes and packed ints (see the module
-    docstring), memoized on the state, so sub-vectors are shared within one
-    call and across calls.  Raises ValueError when the positive or the
+    By the first-row recursion on state codes and ints packed in the
+    e-basis (see the module docstring), memoized on the state, so
+    sub-vectors are shared within one call and across calls; a single hook
+    a is qt_int(a) itself.  Raises ValueError when the positive or the
     negative hooks sum to 2^15 or more in absolute value: a state would no
-    longer fit its code; and, after the bound pass, when K * W^2 is over
-    PACKED_BITS_BUDGET.  tes is symmetric in q and t, as every qt_int and M
-    is, so a value's q-span is at most W and no packed int is longer than
-    K * W^2 bits.  Values are immutable and safe to share.
+    longer fit its code; when a single hook is over SINGLE_HOOK_BUDGET in
+    absolute value; and, after the bound pass, when the packed length
+    K * W * (I + 1) is over PACKED_BITS_BUDGET.  Values are immutable and
+    safe to share.
     """
     alpha = tuple(alpha)
     mass = max(sum(x for x in alpha if x > 0), -sum(x for x in alpha if x < 0))
     if mass >= _HALF:
         raise ValueError(f"tes needs the positive and the negative hooks to sum below {_HALF}")
+    if len(alpha) == 1:
+        if mass > SINGLE_HOOK_BUDGET:
+            raise ValueError(f"tes{alpha} is qt_int({alpha[0]}), a hook over the budget of "
+                             f"{SINGLE_HOOK_BUDGET:,}")
+        return qt_int(alpha[0])
     code = _encode(alpha)
-    l1, tlo, thi, _ = _bound(code) if code else _ZERO_BOUND
+    l1, lo, hi, top, _ = _bound(code) if code else _ZERO_BOUND
     if not l1:
         return ZERO
-    k, w = _slot_sizes(l1, tlo, thi)
-    if k * w * w > PACKED_BITS_BUDGET:
-        raise ValueError(f"tes{alpha} would pack up to K*W^2 = {k * w * w:,} bits per "
-                         f"value, over the budget of {PACKED_BITS_BUDGET:,}")
-    packed, low = _tes_cached(code, k, w)
-    return _unpack(packed, low, k, w, tlo)
+    k, w = _slot_sizes(l1, lo, hi)
+    if k * w * (top + 1) > PACKED_BITS_BUDGET:
+        raise ValueError(f"tes{alpha} would pack up to K*W*(I+1) = {k * w * (top + 1):,} bits "
+                         f"per value, over the budget of {PACKED_BITS_BUDGET:,}")
+    return _from_e(_unpack(*_tes_cached(code, k, w), k, w, lo))
 
-
-# The longest packed int tes may build, in bits: (1^10) needs K*W^2 = 147,456
-# and tes-large at most 9,600, while (1000,) needs 16,000,000 (0.9 s) and
-# (30000,) would need gigabytes.
-PACKED_BITS_BUDGET = 1 << 22
 
 # a state code: entry j is base-2^_DIGIT digit j, stored as x_j + _HALF
 _DIGIT, _HALF, _MASK = 16, 1 << 15, 0xFFFF
@@ -292,22 +340,24 @@ def _encode(alpha: tuple) -> int:
 # states.  Exact sizes spread one verify suite's states over many (K, W): with
 # steps of 1, prop-6-2's 780 small calls ran about 25% slower.  Coarser steps
 # lengthen every int: with 16 and 8, cold tes-large inputs took 15-30% longer.
+# K_STEP is also the byte the decode reads its digits in.
 K_STEP = 8
 W_STEP = 4
 
 
-def _slot_sizes(l1: int, tlo: int, thi: int) -> tuple:
-    """(K, W) for a value with coefficient sum at most l1 and t-exponents in
-    [tlo, thi]: 2^(K-1) > l1 and W > thi - tlo, each rounded up to its step."""
+def _slot_sizes(l1: int, lo: int, hi: int) -> tuple:
+    """(K, W) for a value with coefficient sum at most l1 and e2-exponents in
+    [lo, hi]: 2^(K-1) > l1 and W > hi - lo, each rounded up to its step."""
     k = -(-(l1.bit_length() + 1) // K_STEP) * K_STEP
-    w = -(-(thi - tlo + 1) // W_STEP) * W_STEP
+    w = -(-(hi - lo + 1) // W_STEP) * W_STEP
     return k, w
 
 
 def _span(poly: LaurentPolyQT) -> tuple:
-    """(sum of |coefficients|, lowest t-exponent, highest t-exponent)."""
-    ts = [b for _, b in poly.terms]
-    return sum(map(abs, poly.terms.values())), min(ts), max(ts)
+    """(sum of |coefficients|, lowest e2-exponent, highest e2-exponent,
+    highest e1-exponent) of an e-basis value."""
+    es, js = zip(*poly.terms)
+    return sum(map(abs, poly.terms.values())), min(js), max(js), max(es)
 
 
 @lru_cache(maxsize=None)
@@ -317,10 +367,10 @@ def _row_groups(s: int, width: int) -> tuple:
     row of total s with entries parts, in the colex order of compositions,
     each summed as it is generated and keyed by its value counts (one field
     of bits per value, each count <= width < 2^bits).  s < 0 negates the
-    codes (they are linear) and moves the window by s."""
+    codes (they are linear) and moves the e2-window by s."""
     if s < 0:
-        return tuple((parts, (l1, lo + s, hi + s), tuple(-t for t in tails))
-                     for parts, (l1, lo, hi), tails in _row_groups(-s, width))
+        return tuple((parts, (l1, lo + s, hi + s, top), tuple(-t for t in tails))
+                     for parts, (l1, lo, hi, top), tails in _row_groups(-s, width))
     bits = width.bit_length()
     groups: dict = {}
 
@@ -338,34 +388,35 @@ def _row_groups(s: int, width: int) -> tuple:
     return tuple((p, _span(_row_weight(p)), tuple(t)) for p, t in zip(parts, groups.values()))
 
 
-# the bound of the zero value: no coefficient, an empty t-window, no group
-_ZERO_BOUND = (0, math.inf, -math.inf, ())
+# the bound of the zero value: no coefficient, an empty e2-window, no group
+_ZERO_BOUND = (0, math.inf, -math.inf, 0, ())
 
 
 @lru_cache(maxsize=None)
 def _bound(code: int) -> tuple:
-    """(l1, tlo, thi, groups) of the state code: the sum of |coefficients|
-    of its tes is at most l1, and its t-exponents lie in [tlo, thi] (an
-    empty window when l1 = 0).  groups holds one (row index, kids) pair per
-    first-row group of _row_groups with a live child: kids are the codes of
-    the rows below whose bound is nonzero.  The first-row recursion of tes
-    on these three numbers: a sum adds the l1 and joins the windows, a
-    product multiplies the l1 and adds the windows."""
+    """(l1, lo, hi, top, groups) of the state code: in the e-basis, the sum
+    of |coefficients| of its tes is at most l1, its e2-exponents lie in
+    [lo, hi] (an empty window when l1 = 0) and its e1-exponents in
+    [0, top].  groups holds one (row index, kids) pair per first-row group
+    of _row_groups with a live child: kids are the codes of the rows below
+    whose bound is nonzero.  The first-row recursion of tes on these four
+    numbers: a sum adds the l1, joins the windows and keeps the larger top,
+    a product multiplies the l1 and adds the windows and the tops."""
     first = (code & _MASK) - _HALF
     if not first:
         return _ZERO_BOUND
     if code <= _MASK:
-        return _span(qt_int(first)) + ((),)
+        return _span(_e_int(first)) + ((),)
     below = code >> _DIGIT
-    l1, lo, hi = 0, math.inf, -math.inf
+    l1, lo, hi, top = 0, math.inf, -math.inf, 0
     groups = []
-    for index, (_, (wl1, wlo, whi), tails) in enumerate(
+    for index, (_, (wl1, wlo, whi, wtop), tails) in enumerate(
             _row_groups(first, -(-code.bit_length() // _DIGIT))):
         kids = []
-        total, klo, khi = 0, math.inf, -math.inf
+        total, klo, khi, ktop = 0, math.inf, -math.inf, 0
         for tail in tails:
             kid = below + tail
-            cl1, clo, chi, _ = _bound(kid)
+            cl1, clo, chi, ctop, _ = _bound(kid)
             if cl1:
                 kids.append(kid)
                 total += cl1
@@ -373,44 +424,76 @@ def _bound(code: int) -> tuple:
                     klo = clo
                 if chi > khi:
                     khi = chi
+                if ctop > ktop:
+                    ktop = ctop
         if kids:
             groups.append((index, tuple(kids)))
             l1 += wl1 * total
-            lo = min(lo, wlo + klo)
-            hi = max(hi, whi + khi)
-    return l1, lo, hi, tuple(groups)
+            if wlo + klo < lo:
+                lo = wlo + klo
+            if whi + khi > hi:
+                hi = whi + khi
+            if wtop + ktop > top:
+                top = wtop + ktop
+    return l1, lo, hi, top, tuple(groups)
 
 
 def _pack(poly: LaurentPolyQT, k: int, w: int) -> tuple:
-    """(N, e) with poly = y^e * N(y) under q^a t^b -> y^(aW+b), y = 2^K."""
+    """(N, e) with poly = y^e * N(y) under e1^i e2^j -> y^(iW+j), y = 2^K."""
     if not poly:
         return 0, 0
-    slots = [(a * w + b, c) for (a, b), c in poly.terms.items()]
+    slots = [(i * w + j, c) for (i, j), c in poly.terms.items()]
     low = min(s for s, _ in slots)
     return sum(c << k * (s - low) for s, c in slots), low
 
 
-def _unpack(packed: int, low: int, k: int, w: int, tlo: int) -> LaurentPolyQT:
-    """The polynomial of _pack's (N, e), given that every coefficient is less
-    than 2^(K-1) in absolute value and every t-exponent lies in
-    [tlo, tlo + W).  Adding 2^(K-1) to every slot makes each balanced digit
-    a plain base-2^K digit, read from the binary string of the sum.  An
-    empty slot reads "1" and K - 1 zeros there, so only the other digit
-    texts are converted."""
+def _unpack(packed: int, low: int, k: int, w: int, lo: int) -> dict:
+    """The e-basis terms {(i, j): c} of _pack's (N, e), in ascending slot
+    order, given that K is a multiple of 8, every coefficient is less than
+    2^(K-1) in absolute value and every e2-exponent lies in [lo, lo + W).
+    Adding 2^(K-1) to every slot makes each balanced digit a plain base-2^K
+    digit: the sum's little-endian bytes, K/8 at a time, are the digits,
+    and an empty slot reads 2^(K-1)."""
     if not packed:
-        return ZERO
-    count = abs(packed).bit_length() // k + 2
+        return {}
+    size = k >> 3
+    count = abs(packed).bit_length() // k + 1
     half = 1 << (k - 1)
-    empty = "1" + "0" * (k - 1)
-    digits = format(packed + int(empty * count, 2), "b").zfill(count * k)
+    raw = (packed + int.from_bytes(half.to_bytes(size, "little") * count, "little")
+           ).to_bytes(size * count, "little")
+    digits = [int.from_bytes(raw[s:s + size], "little") for s in range(0, len(raw), size)]
     terms = {}
-    # slot - tlo of each digit, lowest first: the digit of slot low ends the text
-    for slot, end in enumerate(range(count * k, 0, -k), low - tlo):
-        text = digits[end - k:end]
-        if text != empty:
-            a, b = divmod(slot, w)
-            terms[(a, b + tlo)] = int(text, 2) - half
-    return LaurentPolyQT._raw(terms)
+    for slot, u in enumerate(digits, low - lo):
+        if u != half:
+            i, r = divmod(slot, w)
+            terms[(i, r + lo)] = u - half
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _spread(i: int) -> tuple:
+    """(x, i - x, C(i, x)) for x >= i - x: the upper half of (q + t)^i."""
+    return tuple((x, i - x, math.comb(i, x)) for x in range((i + 1) // 2, i + 1))
+
+
+def _from_e(terms: dict) -> LaurentPolyQT:
+    """The (q,t) polynomial of e-basis terms: e1^i e2^j is the sum over x of
+    C(i, x) q^(j+x) t^(j+i-x), so c(x, y) is the sum over j of
+    C(x+y-2j, x-j) c_e(x+y-2j, j).  Only the terms with x >= y are summed;
+    the value is symmetric, so the others are their mirror images."""
+    upper: dict = {}
+    get = upper.get
+    for (i, j), c in terms.items():
+        for x, y, b in _spread(i):
+            key = (j + x, j + y)
+            upper[key] = get(key, 0) + b * c
+    out = {}
+    for (x, y), c in upper.items():
+        if c:
+            out[(x, y)] = c
+            if x != y:
+                out[(y, x)] = c
+    return LaurentPolyQT._raw(out)
 
 
 @lru_cache(maxsize=None)
@@ -421,9 +504,9 @@ def _packed_weight(parts: tuple, k: int, w: int) -> tuple:
 @lru_cache(maxsize=None)
 def _packed_rows(s: int, width: int, k: int, w: int) -> tuple:
     """The packed (N, e) of each group weight of _row_groups(s, width); for
-    s < 0, (qt)^s packs as y^(s(W+1)), so the weight is (-N, e + s(W+1))."""
+    s < 0, (qt)^s = e2^s packs as y^s, so the weight is (-N, e + s)."""
     packed = (_packed_weight(parts, k, w) for parts, _, _ in _row_groups(s, width))
-    return tuple(packed) if s > 0 else tuple((-n, e + s * (w + 1)) for n, e in packed)
+    return tuple(packed) if s > 0 else tuple((-n, e + s) for n, e in packed)
 
 
 @lru_cache(maxsize=None)
@@ -435,10 +518,10 @@ def _tes_cached(code: int, k: int, w: int) -> tuple:
     and a zero n takes the next value as it is."""
     first = (code & _MASK) - _HALF
     if code <= _MASK:
-        return _pack(qt_int(first), k, w)
+        return _pack(_e_int(first), k, w)
     weights = _packed_rows(first, -(-code.bit_length() // _DIGIT), k, w)
     total = low = 0
-    for index, kids in _bound(code)[3]:
+    for index, kids in _bound(code)[4]:
         n = e = 0
         for kid in kids:
             kn, ke = _tes_cached(kid, k, w)

@@ -22,8 +22,9 @@ from teslab.tesler import tes
 PINS = Path(__file__).with_name("tes_pins.json")
 
 # every cache between a hook vector and its value, row weights included
-CACHES = (tesler._m_power, tesler._row_weight, tesler._row_groups, tesler._bound,
-          tesler._packed_weight, tesler._packed_rows, tesler._tes_cached)
+CACHES = (tesler._e_m_power, tesler._e_int, tesler._spread, tesler.qt_int, tesler._row_weight,
+          tesler._row_groups, tesler._bound, tesler._packed_weight, tesler._packed_rows,
+          tesler._tes_cached)
 
 
 def _vectors() -> list:

@@ -16,6 +16,7 @@ from teslab.tesler import (
     TeslerMatrix,
     _bound,
     _encode,
+    _from_e,
     _pack,
     _packed_rows,
     _row_groups,
@@ -343,6 +344,16 @@ class TestTes:
         qt_inv = LaurentPolyQT.monomial(-1, -1, -1)
         assert tes((-1,) * n) == qt_inv ** n * tes((1,) * n).bar()
 
+    def test_negation_seeded(self):
+        # tes(-alpha) = (-1)^n (qt)^(-n) * tes(alpha)(1/q, 1/t), from
+        # weight(-U) = (-1)^n (qt)^(-n) * bar(weight(U)); in the packed walk
+        # the negative rows are derived from the positive ones through their
+        # e2-offset, so an offset one slot off breaks it
+        for alpha in _seeded_vectors(89, 150, 6):
+            n = len(alpha)
+            assert (tes(tuple(-x for x in alpha))
+                    == LaurentPolyQT.monomial((-1) ** n, -n, -n) * tes(alpha).bar()), alpha
+
 
 def _row_weight(row):
     """The weight of one row by the per-composition formula: M^(nz-1), the
@@ -355,6 +366,39 @@ def _row_weight(row):
         if v:
             weight = weight * qt_int(v)
     return weight
+
+
+def _qt_weight(parts):
+    """The weight of a positive row with nonzero entries parts as the (q,t)
+    product (-1)^(nz-1) M^(nz-1) prod qt_int(a)."""
+    weight = M ** (len(parts) - 1) * (-1) ** (len(parts) - 1)
+    for v in parts:
+        weight = weight * qt_int(v)
+    return weight
+
+
+E1, E2 = Q + T, Q * T
+
+
+def _qt_of(terms):
+    """The (q,t) polynomial of e-basis terms {(i, j): c}, by substituting
+    e1 = q + t and e2 = qt: the slow definition of tesler._from_e."""
+    out = ZERO
+    for (i, j), c in terms.items():
+        out = out + E1 ** i * E2 ** j * c
+    return out
+
+
+def _e_of(poly):
+    """The e-basis terms of a symmetric (q,t) polynomial: peel off a term
+    q^x t^y with the largest x - y, the leading term of e1^(x-y) e2^y."""
+    rest, out = poly, {}
+    while rest:
+        x, y = max(rest.terms, key=lambda m: m[0] - m[1])
+        c = rest.terms[(x, y)]
+        out[(x - y, y)] = c
+        rest = rest - E1 ** (x - y) * E2 ** y * c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -413,13 +457,18 @@ class TestRowGroups:
 
     @pytest.mark.parametrize("s", [v for m in range(1, 8) for v in (m, -m)])
     def test_weights_are_the_direct_products(self, s):
-        # the positive weight, and the negative one through -(qt)^s, equal
-        # the per-composition product, in span and packed at any (K, W)
-        factor = LaurentPolyQT.monomial(-1, s, s) if s < 0 else ONE
+        # each group weight, built in the e-basis and mapped back to (q,t),
+        # is the (q,t) product of its entries; with the negative factor
+        # -e2^s it is the per-composition product; span and packed forms
+        # are those of that e-basis value at any (K, W)
+        factor = LaurentPolyQT.monomial(-1, 0, s) if s < 0 else ONE
         for width in range(2, 6):
             groups = _row_groups(s, width)
+            for parts, _, _ in groups:
+                assert _qt_of(tesler._row_weight(parts).terms) == _qt_weight(parts)
             weights = [tesler._row_weight(parts) * factor for parts, _, _ in groups]
-            assert weights == [weight for weight, _ in _first_rows(s, width)]
+            assert ([_qt_of(x.terms) for x in weights]
+                    == [weight for weight, _ in _first_rows(s, width)])
             assert [span for _, span, _ in groups] == list(map(_span, weights))
             for k, w in [(8, 4), (16, 12), (24, 40)]:
                 assert list(_packed_rows(s, width, k, w)) == [_pack(x, k, w) for x in weights]
@@ -472,11 +521,11 @@ def _mass(alpha):
 def _tes_unguarded(alpha):
     """tes without its mass check, on whatever digits the module has."""
     code = _encode(alpha)
-    l1, tlo, thi, _ = _bound(code)
+    l1, lo, hi, _, _ = _bound(code)
     if not l1:
         return ZERO
-    k, w = _slot_sizes(l1, tlo, thi)
-    return _unpack(*_tes_cached(code, k, w), k, w, tlo)
+    k, w = _slot_sizes(l1, lo, hi)
+    return _from_e(_unpack(*_tes_cached(code, k, w), k, w, lo))
 
 
 def _clear_state_caches():
@@ -544,70 +593,122 @@ class TestStateCodes:
 
 class TestPackedBudget:
     def test_tes_is_symmetric_in_q_and_t(self):
-        # the budget's premise: a value's q-span is at most its t-window W,
-        # so no packed int is longer than K * W^2 bits
+        # the premise of the packing: a value symmetric in q and t lies in
+        # Z[e1, e2, 1/e2], so it packs in e1 and e2
         for alpha in _seeded_vectors(83, 200, 5):
             value = tes(alpha)
             assert value == value.swap_qt(), alpha
 
     def test_over_the_budget_is_refused_at_once(self):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="over the budget of 4,194,304"):
-            tes((30000,))
-        assert time.perf_counter() - start < 1
+        # a single hook over its budget, and a packed length over
+        # PACKED_BITS_BUDGET, known after the bound pass
+        for alpha, budget in [((30000,), "512"), ((-30000,), "512"), ((513,), "512"),
+                              ((190, 1), "4,194,304")]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"over the budget of {budget}"):
+                tes(alpha)
+            assert time.perf_counter() - start < 1
+
+    def test_wide_two_entry_rows_cross_the_budget(self):
+        # a known loss of the e-basis packing: the coefficients of [a] grow
+        # like the Fibonacci numbers, so K grows with a wide first row, and
+        # (112,1) is the widest (a,1) inside the budget
+        l1, lo, hi, top, _ = _bound(_encode((112, 1)))
+        k, w = _slot_sizes(l1, lo, hi)
+        assert (k, w, top) == (160, 112, 223)
+        assert k * w * (top + 1) <= tesler.PACKED_BITS_BUDGET
+        for alpha in [(113, 1), (-100, 1)]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"K\*W\*\(I\+1\)"):
+                tes(alpha)
+            assert time.perf_counter() - start < 1
 
     def test_budget_is_inclusive(self, monkeypatch):
-        # K * W^2 of (1,1,1) exactly at the budget passes, one bit less refuses
-        l1, tlo, thi, _ = _bound(_encode((1, 1, 1)))
-        k, w = _slot_sizes(l1, tlo, thi)
-        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", k * w * w)
+        # K * W * (I + 1) of (1,1,1) exactly at the budget passes, one bit less refuses
+        l1, lo, hi, top, _ = _bound(_encode((1, 1, 1)))
+        k, w = _slot_sizes(l1, lo, hi)
+        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", k * w * (top + 1))
         assert tes((1, 1, 1)) == tes_via_theorem((1, 1, 1))
-        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", k * w * w - 1)
-        with pytest.raises(ValueError, match="K\\*W\\^2"):
+        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", k * w * (top + 1) - 1)
+        with pytest.raises(ValueError, match=r"K\*W\*\(I\+1\)"):
             tes((1, 1, 1))
 
     def test_budget_sits_far_above_the_tested_inputs(self):
         # (1^10) is the largest input the tests and the benchmark reach for
-        l1, tlo, thi, _ = _bound(_encode((1,) * 10))
-        k, w = _slot_sizes(l1, tlo, thi)
-        assert 16 * k * w * w < tesler.PACKED_BITS_BUDGET
+        l1, lo, hi, top, _ = _bound(_encode((1,) * 10))
+        k, w = _slot_sizes(l1, lo, hi)
+        assert 16 * k * w * (top + 1) < tesler.PACKED_BITS_BUDGET
+
+    def test_bound_gives_the_packed_length(self):
+        # the packed value has at most (I + 1) * W slots of K bits, the
+        # length the budget is checked on before any packing
+        for alpha in _seeded_vectors(97, 40, 6) + [(1,) * 8, (2,) * 5, (12, 1, 1), (-9, 2)]:
+            code = _encode(alpha)
+            l1, lo, hi, top, _ = _bound(code)
+            if l1:
+                k, w = _slot_sizes(l1, lo, hi)
+                packed, low = _tes_cached(code, k, w)
+                assert low >= lo and abs(packed).bit_length() <= k * (top * w + hi + 1 - low)
+                assert top * w + hi + 1 - lo <= w * (top + 1)
+
+    def test_single_hook_is_its_qt_int(self):
+        for a in (512, -512):
+            start = time.perf_counter()
+            value = tes((a,))
+            assert time.perf_counter() - start < 0.1
+            assert value == qt_int(a)
+
+    def test_single_hook_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(tesler, "SINGLE_HOOK_BUDGET", 7)
+        assert tes((7,)) == qt_int(7) and tes((-7,)) == qt_int(-7)
+        for a in (8, -8):
+            with pytest.raises(ValueError, match="over the budget of 7"):
+                tes((a,))
+
+
+# every K the slot sizes make, up to 10-byte digits
+K_SIZES = range(8, 81, 8)
 
 
 class TestPackedKernel:
-    @given(st.integers(2, 70), st.integers(1, 12), st.integers(-30, 30), st.data())
+    @given(st.sampled_from(K_SIZES), st.integers(1, 12), st.integers(-30, 30), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_pack_unpack_round_trip(self, k, w, tlo, data):
+    def test_pack_unpack_round_trip(self, k, w, lo, data):
         top = (1 << (k - 1)) - 1
         coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top))
         terms = data.draw(st.dictionaries(
-            st.tuples(st.integers(-20, 20), st.integers(tlo, tlo + w - 1)),
+            st.tuples(st.integers(-20, 20), st.integers(lo, lo + w - 1)),
             coeff.filter(bool), max_size=40))
         poly = LaurentPolyQT._raw(terms)
-        assert _unpack(*_pack(poly, k, w), k, w, tlo) == poly
+        assert _unpack(*_pack(poly, k, w), k, w, lo) == terms
 
     @pytest.mark.parametrize("l1", [1, 2**7 - 1, 2**7, 2**14, 2**15 - 1, 2**15, 2**23 - 1,
-                                    2**23, 2**31 - 1, 2**31, 2**47 - 1])
+                                    2**23, 2**31 - 1, 2**31, 2**47 - 1, 2**63 - 1, 2**63,
+                                    2**79 - 1])
     @pytest.mark.parametrize("span", [0, 3, 4, 6, 7, 8, 15, 16])
     def test_slot_sizes_decode_extreme_values(self, l1, span):
-        # coefficients of +-l1 at both ends of the t-window, next to each other
+        # coefficients of +-l1 at both ends of the e2-window, next to each other
         k, w = _slot_sizes(l1, -3, span - 3)
         terms = {}
         for a in range(-2, 3):
             terms[(a, -3)] = l1 if a % 2 else -l1
             terms[(a, span - 3)] = -l1 if a % 2 else l1
         poly = LaurentPolyQT._raw(terms)
-        assert _unpack(*_pack(poly, k, w), k, w, -3) == poly
+        assert _unpack(*_pack(poly, k, w), k, w, -3) == terms
 
     def test_bound_dominates_value(self):
+        # against the e-basis value found without the packing
         rng = random.Random(47)
         for _ in range(60):
             alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
-            value = tes(alpha)
-            l1, tlo, thi, _ = _bound(_encode(alpha))
-            assert sum(map(abs, value.terms.values())) <= l1
-            if value:
-                ts = [b for _, b in value.terms]
-                assert tlo <= min(ts) and max(ts) <= thi
+            terms = _e_of(_tes_dict(alpha))
+            l1, lo, hi, top, _ = _bound(_encode(alpha))
+            assert sum(map(abs, terms.values())) <= l1
+            if terms:
+                assert lo <= min(j for _, j in terms) and max(j for _, j in terms) <= hi
+                assert max(i for i, _ in terms) <= top
+                k, w = _slot_sizes(l1, lo, hi)
+                assert _unpack(*_tes_cached(_encode(alpha), k, w), k, w, lo) == terms
 
     def test_bound_groups_hold_the_nonzero_children(self):
         # each recorded group lists, in tail order, exactly the children of
@@ -616,7 +717,7 @@ class TestPackedKernel:
         for _ in range(60):
             alpha = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
             groups = tuple((index, tuple(map(_decode, kids)))
-                           for index, kids in _bound(_encode(alpha))[3])
+                           for index, kids in _bound(_encode(alpha))[4])
             if len(alpha) == 1 or not alpha[0]:
                 assert groups == ()
                 continue
@@ -635,8 +736,8 @@ class TestPackedKernel:
         # group, leaves exactly the other children's sum
         alpha = (3, 1, 1)
         code = _encode(alpha)
-        l1, tlo, thi, groups = _bound(code)
-        k, w = _slot_sizes(l1, tlo, thi)
+        l1, lo, hi, _, groups = _bound(code)
+        k, w = _slot_sizes(l1, lo, hi)
         index, kids = next(g for g in groups if len(g[1]) > 2)
         weight = _first_rows(alpha[0], len(alpha))[index][0]
         tes(alpha)  # every state below is cached, so the fake below reaches no miss
@@ -644,7 +745,7 @@ class TestPackedKernel:
         for zero_kid in kids:
             monkeypatch.setattr(tesler, "_tes_cached", lambda c, k, w, zero=zero_kid: (
                 (0, offset) if c == zero else real(c, k, w)))
-            value = _unpack(*real.__wrapped__(code, k, w), k, w, tlo)
+            value = _from_e(_unpack(*real.__wrapped__(code, k, w), k, w, lo))
             assert value == _tes_dict(alpha) - weight * _tes_dict(_decode(zero_kid))
 
     @pytest.mark.parametrize("alpha", [(1,) * 9, (-1,) * 9, (2,) * 6, (-2,) * 6])
@@ -658,11 +759,12 @@ class TestPackedKernel:
             assert tes(alpha) == _tes_dict(alpha)
 
 
-def _unpack_slot_by_slot(packed, low, k, w, tlo):
-    """The slow definition of _unpack: convert every K-bit digit text, and
-    keep the nonzero ones."""
+def _unpack_slot_by_slot(packed, low, k, w, lo):
+    """The slow definition of _unpack: convert every K-bit digit of the
+    binary text of the value plus 2^(K-1) in every slot, and keep the
+    nonzero ones."""
     if not packed:
-        return ZERO
+        return {}
     count = abs(packed).bit_length() // k + 2
     half = 1 << (k - 1)
     digits = format(packed + int(("1" + "0" * (k - 1)) * count, 2), "b").zfill(count * k)
@@ -672,47 +774,74 @@ def _unpack_slot_by_slot(packed, low, k, w, tlo):
         c = int(digits[end - k:end], 2) - half
         end -= k
         if c:
-            a, b = divmod(slot - tlo, w)
-            terms[(a, b + tlo)] = c
-    return LaurentPolyQT._raw(terms)
+            i, r = divmod(slot - lo, w)
+            terms[(i, r + lo)] = c
+    return terms
 
 
 class TestDecode:
-    """_unpack converts only the occupied slots; it must equal the slow
-    definition term for term, in the same order."""
+    """_unpack reads the digits K/8 bytes at a time; it must equal the slow
+    definition term for term, in the same order, and _from_e must map its
+    e-basis terms to the (q,t) polynomial they stand for."""
 
     @staticmethod
-    def _check(poly, k, w, tlo):
+    def _check(poly, k, w, lo):
         packed, low = _pack(poly, k, w)
-        fast, slow = _unpack(packed, low, k, w, tlo), _unpack_slot_by_slot(packed, low, k, w, tlo)
-        assert list(fast.terms.items()) == list(slow.terms.items())
-        assert fast == poly
+        fast, slow = _unpack(packed, low, k, w, lo), _unpack_slot_by_slot(packed, low, k, w, lo)
+        assert list(fast.items()) == list(slow.items())
+        assert fast == poly.terms
 
     def test_matches_the_slot_by_slot_decode_seeded(self):
         rng = random.Random(61)
         for _ in range(200):
-            k, w, tlo = rng.randint(2, 72), rng.randint(1, 12), rng.randint(-30, 30)
+            k, w, lo = rng.choice(K_SIZES), rng.randint(1, 12), rng.randint(-30, 30)
             top = (1 << (k - 1)) - 1
             terms = {}
             # sparse or dense, so that runs of empty slots are long or short
             for _ in range(rng.choice((1, 3, 10, 40))):
                 c = rng.choice((top, -top, 1, -1, rng.randint(-top, top)))
                 if c:
-                    terms[(rng.randint(-20, 20), rng.randint(tlo, tlo + w - 1))] = c
-            self._check(LaurentPolyQT._raw(terms), k, w, tlo)
+                    terms[(rng.randint(-20, 20), rng.randint(lo, lo + w - 1))] = c
+            self._check(LaurentPolyQT._raw(terms), k, w, lo)
 
-    @pytest.mark.parametrize("k", [2, 3, 8, 16, 17, 64, 72])
+    # need is the bit length of the balanced digits, and K the multiple of 8
+    # that _slot_sizes makes for them: need = K puts +-(2^(K-1) - 1) in a slot
+    @pytest.mark.parametrize("need", [2, 3, *K_SIZES, 17])
     @pytest.mark.parametrize("w", [1, 4, 7])
-    def test_wide_empty_gaps(self, k, w):
-        top = (1 << (k - 1)) - 1
-        tlo = -2
-        corners = {(-25, tlo): top, (25, tlo + w - 1): -top}
-        self._check(LaurentPolyQT._raw(corners), k, w, tlo)
+    def test_wide_empty_gaps(self, need, w):
+        top = (1 << (need - 1)) - 1
+        lo = -2
+        k, _ = _slot_sizes(top, lo, lo)
+        corners = {(-25, lo): top, (25, lo + w - 1): -top}
+        self._check(LaurentPolyQT._raw(corners), k, w, lo)
         # one term alone, in the top slot of the window
-        self._check(LaurentPolyQT._raw({(9, tlo + w - 1): -1}), k, w, tlo)
-        self._check(LaurentPolyQT._raw({(9, tlo + w - 1): top}), k, w, tlo)
-        # +-(2^(K-1) - 1) with an empty slot on either side
-        spaced = {(a, tlo): top if a % 4 else -top for a in range(-12, 13, 2)}
+        self._check(LaurentPolyQT._raw({(9, lo + w - 1): -1}), k, w, lo)
+        self._check(LaurentPolyQT._raw({(9, lo + w - 1): top}), k, w, lo)
+        # +-top with an empty slot on either side
+        spaced = {(a, lo): top if a % 4 else -top for a in range(-12, 13, 2)}
         if w > 2:
-            spaced.update({(a, tlo + w - 1): -top for a in range(-11, 13, 4)})
-        self._check(LaurentPolyQT._raw(spaced), k, w, tlo)
+            spaced.update({(a, lo + w - 1): -top for a in range(-11, 13, 4)})
+        self._check(LaurentPolyQT._raw(spaced), k, w, lo)
+
+    @pytest.mark.parametrize("k", K_SIZES[1:])
+    def test_k_one_byte_short_goes_wrong(self, k):
+        # a value whose digits need all of K bits does not survive K - 8
+        top = (1 << (k - 1)) - 1
+        poly = LaurentPolyQT._raw({(0, 0): top, (1, 0): -top, (2, 1): 1})
+        assert _unpack(*_pack(poly, k, 4), k, 4, 0) == poly.terms
+        assert _unpack(*_pack(poly, k - 8, 4), k - 8, 4, 0) != poly.terms
+
+    def test_convert_round_trips_random_symmetric_polynomials(self):
+        # a random e-basis value is a random symmetric (q,t) polynomial:
+        # packed, decoded and converted it gives that polynomial back
+        rng = random.Random(67)
+        for _ in range(60):
+            k, w, lo = rng.choice(K_SIZES), rng.randint(1, 9), rng.randint(-6, 3)
+            top = (1 << (k - 1)) - 1
+            terms = {(rng.randint(0, 14), rng.randint(lo, lo + w - 1)):
+                     rng.choice((top, -top, 1, -1, rng.randint(-top, top)))
+                     for _ in range(rng.choice((1, 4, 15, 40)))}
+            terms = {m: c for m, c in terms.items() if c}
+            poly = _qt_of(terms)
+            assert poly == poly.swap_qt() and _e_of(poly) == terms
+            assert _from_e(_unpack(*_pack(LaurentPolyQT._raw(terms), k, w), k, w, lo)) == poly
