@@ -285,14 +285,6 @@ def _row_weight(parts: tuple) -> LaurentPolyQT:
 # 61,824 and tes-large at most 8,160, while (150,1) needs 9,849,600.
 PACKED_BITS_BUDGET = 1 << 22
 
-# The largest |a| of a single hook, whose tes is qt_int(a), built directly
-# in |a| terms.  Single hooks skip the walk because the e-basis L1 of [a] is
-# the Fibonacci number F_a: packed, (300,) would already be over
-# PACKED_BITS_BUDGET.  This is a policy limit with no cost behind it: 512 is
-# the largest single hook the (q,t) packing's budget let in, so the same
-# single hooks are accepted as before, and (30000,) is still refused.
-SINGLE_HOOK_BUDGET = 512
-
 
 def tes(alpha) -> LaurentPolyQT:
     """The Tesler function: the weight sum over all matrices with hooks alpha.
@@ -302,8 +294,7 @@ def tes(alpha) -> LaurentPolyQT:
     sub-vectors are shared within one call and across calls; a single hook
     a is qt_int(a) itself.  Raises ValueError when the positive or the
     negative hooks sum to 2^15 or more in absolute value: a state would no
-    longer fit its code; when a single hook is over SINGLE_HOOK_BUDGET in
-    absolute value; and, after the bound pass, when the packed length
+    longer fit its code; and, after the bound pass, when the packed length
     K * W * (I + 1) is over PACKED_BITS_BUDGET.  Values are immutable and
     safe to share.
     """
@@ -312,9 +303,6 @@ def tes(alpha) -> LaurentPolyQT:
     if mass >= _HALF:
         raise ValueError(f"tes needs the positive and the negative hooks to sum below {_HALF}")
     if len(alpha) == 1:
-        if mass > SINGLE_HOOK_BUDGET:
-            raise ValueError(f"tes{alpha} is qt_int({alpha[0]}), a hook over the budget of "
-                             f"{SINGLE_HOOK_BUDGET:,}")
         return qt_int(alpha[0])
     code = _encode(alpha)
     l1, lo, hi, top, _ = _bound(code) if code else _ZERO_BOUND

@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import comb
 
 from .macdonald import (
@@ -191,7 +191,8 @@ def _sweep_length(bounds: Bounds) -> int:
 
 # The cells of the largest partition each suite that runs the Macdonald route
 # builds, from its bounds.  The suites take their n_max from here, so the
-# check against TESLAB_NMAX before any case sees the partitions they build.
+# check against the partition-size budget before any case sees the
+# partitions they build.
 MACDONALD_CELLS = {
     "thm-3-1": lambda b: _sweep_length(b) + 1,   # a vector of length n: mu of n + 1
     "cor-3-2": lambda b: _sweep_length(b) + 1,
@@ -283,20 +284,11 @@ def suite_lemma_3_3(bounds: Bounds) -> Report:
 
 
 def _laurent_partitions(bounds: Bounds, max_len: int):
+    """The weakly decreasing tuples of 1..max_len nonzero entries of the range."""
     lo, hi = bounds.entry_range
     values = [v for v in range(hi, lo - 1, -1) if v]
-    out = []
-
-    def extend(prefix, start):
-        if 0 < len(prefix) <= max_len:
-            out.append(tuple(prefix))
-        if len(prefix) == max_len:
-            return
-        for i in range(start, len(values)):
-            extend(prefix + [values[i]], i)
-
-    extend([], 0)
-    return out
+    return [rho for r in range(1, max_len + 1)
+            for rho in combinations_with_replacement(values, r)]
 
 
 def suite_thm_4_1(bounds: Bounds) -> Report:
@@ -558,7 +550,7 @@ def run_suite(name: str, bounds: Bounds | None = None):
     Raises ValueError when a suite builds no case under the given bounds, and,
     before any case is built, when n_max is over a suite's budget, the entry
     range is over ENTRY_RANGE_BUDGET (ALL_ENTRY_RANGE_BUDGET for 'all') or a
-    partition a suite would build is over the cap TESLAB_NMAX.
+    partition a suite would build is over macdonald.PARTITION_SIZE_BUDGET.
     """
     bounds = bounds or Bounds()
     if name != "all" and name not in SUITES:

@@ -10,11 +10,11 @@ import pytest
 
 from teslab import cli, macdonald, specializations, verify
 from teslab.cli import build_parser, main
-from teslab.macdonald import _check_cap, virtual_F
+from teslab.macdonald import PARTITION_SIZE_BUDGET, virtual_F
 from teslab.qt_algebra import LaurentPolyQT
 from teslab.specializations import OrderedSetPartition
-from teslab.tesler import (COUNT_ROWS_BUDGET, HOOKS_LENGTH_BUDGET, count_tesler,
-                           enumerate_tesler, parse_hooks, tes)
+from teslab.tesler import (COUNT_ROWS_BUDGET, HOOKS_LENGTH_BUDGET, PACKED_BITS_BUDGET,
+                           count_tesler, enumerate_tesler, parse_hooks, tes)
 from teslab.verify import ENTRY_RANGE_BUDGET, N_MAX_BUDGETS, Bounds, run_suite
 
 
@@ -36,9 +36,9 @@ def run_cli(capsys, *argv):
 def spawn_cli(*argv, **kwargs):
     """The CLI in a child process, with this checkout's src first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "teslab.cli", *argv],
-                            env=dict(os.environ, PYTHONPATH=path), **kwargs)
+    boot = (f"import runpy, sys; sys.path.insert(0, {src!r}); "
+            "runpy.run_module('teslab.cli', run_name='__main__')")
+    return subprocess.Popen([sys.executable, "-c", boot, *argv], **kwargs)
 
 
 class TestTesCommand:
@@ -55,8 +55,9 @@ class TestTesCommand:
         assert code == 0 and out.strip() == "308"
 
     def test_packed_size_over_the_budget_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "tes", "--hooks", "30000")
-        assert code == 2 and out == "" and "over the budget" in err
+        code, out, err = run_cli(capsys, "tes", "--hooks", "190,1")
+        assert code == 2 and out == ""
+        assert f"over the budget of {PACKED_BITS_BUDGET:,}" in err
 
     def test_routes_agree(self, capsys):
         for route in ("enum", "macdonald"):
@@ -271,27 +272,26 @@ class TestHilbCommand:
         assert code == 0
         assert out.strip() == "3 + 3*q + 3*t + q^2 + q*t + t^2"
 
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_nmax_is_usage_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("TESLAB_NMAX", raw)
-        code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", "3")
-        assert code == 2 and out == ""
-        assert "TESLAB_NMAX must be an integer of at least 1" in err
-
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_n_below_one_is_usage_error(self, capsys, n):
         code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", n)
         assert code == 2 and out == ""
         assert f"n must be at least 1, got {n}" in err
 
-    def test_default_cap_is_eight(self, capsys, monkeypatch):
-        monkeypatch.delenv("TESLAB_NMAX", raising=False)
-        _check_cap(8)
-        misses = virtual_F.cache_info().misses
-        code, out, err = run_cli(capsys, "hilb", "--f", "e:1", "--n", "9")
-        assert code == 2 and out == ""
-        assert "n=9 exceeds the configured cap 8" in err
-        assert virtual_F.cache_info().misses == misses
+    def test_over_the_partition_size_budget_exits_2_at_once(self, capsys):
+        # hilb at n = budget + 1, and tes through Theorem 3.1 on a vector of
+        # length budget, whose sum runs over the partitions of budget + 1
+        n = PARTITION_SIZE_BUDGET + 1
+        ones = ",".join(["1"] * (n - 1))
+        for argv in (["hilb", "--f", "e:1", "--n", str(n)],
+                     ["tes", "--hooks", ones, "--route", "macdonald"]):
+            misses = virtual_F.cache_info().misses
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == ""
+            assert f"n={n} is over the partition-size budget of {PARTITION_SIZE_BUDGET}" in err
+            assert virtual_F.cache_info().misses == misses
 
     def test_m_minus1(self, capsys):
         code, out, _ = run_cli(capsys, "hilb", "--f", "m:-1", "--n", "4")
@@ -364,8 +364,6 @@ class TestVerifyCommand:
             raise AssertionError(f"{suite} built its cases over the n_max budget")
 
         budget = N_MAX_BUDGETS[suite]
-        # a partition-size cap at the budget leaves the budget to decide
-        monkeypatch.setenv("TESLAB_NMAX", str(budget))
         verify._check_budget(suite, Bounds(n_max=budget))
         monkeypatch.setitem(verify.SUITES, suite, build)
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", str(budget + 1))
@@ -373,21 +371,18 @@ class TestVerifyCommand:
         assert f"suite {suite} has an n_max budget of {budget}," in err
 
     @pytest.mark.parametrize("suite, cap, n_max", [
-        ("cor-4-4", None, 9), ("cor-4-5", None, 9),
-        *((suite, "3", 4) for suite in ("thm-4-1", "cor-4-4", "cor-4-5", "cor-5-1")),
-        ("thm-3-1", "4", 4), ("cor-3-2", "4", 4),
-        # no --n-max: the suite's own default is over the cap
-        ("cor-4-4", "4", None), ("cor-5-1", "4", None),
+        ("cor-4-4", 8, 9), ("cor-4-5", 8, 9),
+        *((suite, 3, 4) for suite in ("thm-4-1", "cor-4-4", "cor-4-5", "cor-5-1")),
+        ("thm-3-1", 4, 4), ("cor-3-2", 4, 4),
+        # no --n-max: the suite's own default is over the budget
+        ("cor-4-4", 4, None), ("cor-5-1", 4, None),
     ])
     def test_n_max_over_the_cap_exits_2_before_any_case(self, capsys, monkeypatch,
                                                          suite, cap, n_max):
         def build(bounds):
-            raise AssertionError(f"{suite} built its cases over the partition-size cap")
+            raise AssertionError(f"{suite} built its cases over the partition-size budget")
 
-        if cap is None:
-            monkeypatch.delenv("TESLAB_NMAX", raising=False)
-        else:
-            monkeypatch.setenv("TESLAB_NMAX", cap)
+        monkeypatch.setattr(macdonald, "PARTITION_SIZE_BUDGET", cap)
         # the cells of the largest partition the suite builds: thm-3-1 and
         # cor-3-2 run vectors of length n_max on partitions of n_max + 1 cells,
         # and cor-4-4 and cor-5-1 default to n_max 6 and 7
@@ -400,7 +395,16 @@ class TestVerifyCommand:
         monkeypatch.setitem(verify.SUITES, suite, build)
         code, out, err = run_cli(capsys, "verify", "--suite", suite, *argv)
         assert code == 2 and out == ""
-        assert f"n={cells} exceeds the configured cap {cap or 8}" in err
+        assert f"n={cells} is over the partition-size budget of {cap}" in err
+
+    def test_n_max_budget_speaks_before_the_partition_size_budget(self):
+        # every suite on the Macdonald route builds partitions within the
+        # budget at its n_max budget; thm-3-1 and cor-3-2 at any n_max
+        for suite, cells in verify.MACDONALD_CELLS.items():
+            if suite in N_MAX_BUDGETS:
+                assert cells(Bounds(n_max=N_MAX_BUDGETS[suite])) <= PARTITION_SIZE_BUDGET, suite
+            else:
+                assert max(cells(Bounds(n_max=n)) for n in range(1, 100)) <= PARTITION_SIZE_BUDGET
 
     def test_all_checks_every_budget_before_any_suite(self, capsys, monkeypatch):
         def build(bounds):

@@ -5,13 +5,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from teslab import macdonald
 from teslab.macdonald import (
     _eigen_coeff,
     closed_forms,
     hilb_delta,
     hilb_delta_prime,
     hilb_tilde,
-    n_cap,
     shifted_power_identity_rhs,
     power_identity_rhs,
     pieri_d,
@@ -320,13 +320,13 @@ class TestDeltaThroughPrime:
             assert hilb_delta(f, n, "tesler") == expected, n
 
     def test_cap_is_checked_before_the_expansion(self, monkeypatch):
-        monkeypatch.setenv("TESLAB_NMAX", "3")
+        monkeypatch.setattr(macdonald, "PARTITION_SIZE_BUDGET", 3)
 
         def refuse(self, n):
-            raise AssertionError("at_last_one ran before the cap check")
+            raise AssertionError("at_last_one ran before the budget check")
 
         monkeypatch.setattr(MonomialSymFn, "at_last_one", refuse)
-        with pytest.raises(ValueError, match="exceeds the configured cap 3"):
+        with pytest.raises(ValueError, match="over the partition-size budget of 3"):
             hilb_delta(MonomialSymFn.parse("e:1"), 12)
 
 
@@ -357,17 +357,27 @@ class TestClosedForms:
 
 class TestConfig:
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("TESLAB_NMAX", "3")
-        with pytest.raises(ValueError, match="exceeds"):
+        monkeypatch.setattr(macdonald, "PARTITION_SIZE_BUDGET", 3)
+        with pytest.raises(ValueError, match="over the partition-size budget of 3"):
             hilb_tilde((0, 0, 0), "e")
-        monkeypatch.delenv("TESLAB_NMAX")
+        monkeypatch.undo()
         assert hilb_tilde((0, 0, 0), "e").to_laurent() == ONE
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
-    def test_bad_cap_names_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv("TESLAB_NMAX", raw)
-        with pytest.raises(ValueError, match="TESLAB_NMAX must be an integer of at least 1"):
-            n_cap()
+    def test_partition_size_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(macdonald, "PARTITION_SIZE_BUDGET", 5)
+        e1 = MonomialSymFn.parse("e:1")
+        assert hilb_delta(e1, 5) == hilb_delta(e1, 5, "tesler")
+        assert tes_via_theorem((1, -1, 2, 0)) == tes((1, -1, 2, 0))
+        misses = virtual_F.cache_info().misses
+        for refused in (lambda: hilb_delta(e1, 6), lambda: hilb_delta_prime(e1, "p", 6),
+                        lambda: tes_via_theorem((1, -1, 2, 0, 1))):
+            with pytest.raises(ValueError, match="n=6 is over the partition-size budget of 5"):
+                refused()
+        assert virtual_F.cache_info().misses == misses
+        # a miss checks the budget too
+        virtual_F.cache_clear()
+        with pytest.raises(ValueError, match="n=6 is over the partition-size budget of 5"):
+            virtual_F((0,) * 5, Partition((3, 2, 1)))
 
     def test_cache_transparency(self):
         warm = tes_via_theorem((1, -1, 2))
