@@ -141,13 +141,13 @@ def _parse_entry_range(text: str) -> tuple:
         raise ValueError(f"--entry-range must be LO..HI with integer ends, got {text!r}") from None
 
 
+def _bounds(args) -> Bounds:
+    return Bounds(n_max=args.n_max, entry_range=_parse_entry_range(args.entry_range),
+                  seed=args.seed)
+
+
 def cmd_verify(args) -> int:
-    bounds = Bounds(
-        n_max=args.n_max,
-        entry_range=_parse_entry_range(args.entry_range),
-        seed=args.seed,
-    )
-    result = run_suite(args.suite, bounds)
+    result = run_suite(args.suite, _bounds(args))
     reports = result if isinstance(result, list) else [result]
     payload = [r.to_json() for r in reports]
     ok = all(r.ok for r in reports)
@@ -195,11 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_hilb.add_argument("--out")
     p_hilb.set_defaults(fn=cmd_hilb)
 
+    defaults = Bounds()
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_verify.add_argument("--entry-range", dest="entry_range", default="-2..2")
-    p_verify.add_argument("--seed", type=int, default=20260810)
+    p_verify.add_argument("--n-max", dest="n_max", type=int, default=defaults.n_max)
+    p_verify.add_argument("--entry-range", dest="entry_range",
+                          default="%d..%d" % defaults.entry_range)
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -23,14 +23,12 @@ hilb_delta_prime of g on either route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes
-from .young import (Partition, cover_monomial, partition_stats, partitions_of,
-                    pi_factors, w_cell_factors, w_factors)
+from .young import Partition, partition_stats, partitions_of, pi_factors, w_cell_factors, w_factors
 
 M_FACTORS = (
     LaurentPolyQT({(0, 0): 1, (1, 0): -1}),  # 1 - q
@@ -52,15 +50,6 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
     if n > PARTITION_SIZE_BUDGET:
         raise ValueError(f"n={n} is over the partition-size budget of {PARTITION_SIZE_BUDGET}")
-
-
-@dataclass(frozen=True)
-class PieriTable:
-    """Expansion coefficients d of (e_1/M) applied to the basis element of nu."""
-
-    nu: Partition
-    entries: dict      # cover partition -> RatFuncQT
-    monomials: dict    # cover partition -> LaurentPolyQT (the added-cell monomial)
 
 
 def _bracket_side(alphabet: LaurentPolyQT, k: int, j: int) -> RatFuncQT:
@@ -105,52 +94,50 @@ def _line_product(nu: Partition, mu: Partition, cell, other: bool, extra=()) -> 
 
 
 @lru_cache(maxsize=None)
-def pieri_d(nu: Partition) -> PieriTable:
-    """The d coefficients of nu by their closed product formula.
+def pieri_d(nu: Partition) -> tuple:
+    """The d coefficients of nu by their closed product formula, as one
+    (mu, T_mu / T_nu, d_{mu nu}) triple per cover, in nu.covers() order.
 
-    d_{mu nu} is 1/M times the product, over the cells of nu in the row and
-    the column of the added cell, of the row factor q^a - t^(l+1) or the
-    column factor t^l - q^(a+1) of nu over that of mu (Garsia-Haiman,
-    J. Algebraic Combin. 5 (1996); Macdonald, Symmetric Functions and Hall
-    Polynomials, VI (6.24)).
+    T_mu / T_nu is the monomial of the added cell.  d_{mu nu} is 1/M times
+    the product, over the cells of nu in the row and the column of the added
+    cell, of the row factor q^a - t^(l+1) or the column factor t^l - q^(a+1)
+    of nu over that of mu (Garsia-Haiman, J. Algebraic Combin. 5 (1996);
+    Macdonald, Symmetric Functions and Hall Polynomials, VI (6.24)).
     """
     if not nu.parts:
         raise ValueError("nu must be nonempty")
-    covers = nu.covers()
-    return PieriTable(
-        nu,
-        {mu: _line_product(nu, mu, cell, False, M_FACTORS) for mu, cell in covers},
-        {mu: LaurentPolyQT.monomial(1, cell[0], cell[1]) for mu, cell in covers},
-    )
+    return tuple((mu, LaurentPolyQT.monomial(1, *cell),
+                  _line_product(nu, mu, cell, False, M_FACTORS)) for mu, cell in nu.covers())
 
 
-def pieri_power_sum(table: PieriTable, k: int) -> RatFuncQT:
+def pieri_power_sum(table: tuple, k: int) -> RatFuncQT:
     """Sum of d * T^k over the covers (the left side of the power identities)."""
     total = RatFuncQT.from_laurent(ZERO)
-    for mu, d in table.entries.items():
-        total = total + d * RatFuncQT.from_laurent(table.monomials[mu] ** k)
+    for _, t, d in table:
+        total = total + d * RatFuncQT.from_laurent(t ** k)
     return total
 
 
-def pieri_power_sum_shifted(table: PieriTable, k: int) -> RatFuncQT:
+def pieri_power_sum_shifted(table: tuple, k: int) -> RatFuncQT:
     """Sum of d * (1 - T) * T^k over the covers."""
     total = RatFuncQT.from_laurent(ZERO)
-    for mu, d in table.entries.items():
-        t = table.monomials[mu]
+    for _, t, d in table:
         total = total + d * RatFuncQT.from_laurent((ONE - t) * t ** k)
     return total
 
 
 @lru_cache(maxsize=None)
-def skew_pieri_c(mu: Partition) -> dict:
-    """Skew coefficients c for removing a cell of mu, by their product formula.
+def skew_pieri_c(mu: Partition) -> tuple:
+    """Skew coefficients c for removing a cell of mu, by their product formula,
+    as one (nu, T_mu / T_nu, c_{mu nu}) triple per corner, in mu.cocovers() order.
 
     c_{mu nu} is the product of the other w factor of the same cells, of mu
     over nu; it equals d_{mu nu} w_mu / w_nu (Garsia-Haiman 1996).
     """
     if mu.n < 2:
         raise ValueError("skew coefficients need at least two cells")
-    return {nu: _line_product(nu, mu, cell, True) for nu, cell in mu.cocovers()}
+    return tuple((nu, LaurentPolyQT.monomial(1, *cell), _line_product(nu, mu, cell, True))
+                 for nu, cell in mu.cocovers())
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +161,8 @@ def virtual_F(alpha: tuple, mu: Partition) -> RatFuncQT:
     if mu.parts < conj.parts:
         return virtual_F(alpha, conj).swap_qt()
     total = RatFuncQT.from_laurent(ZERO)
-    for nu, c in skew_pieri_c(mu).items():
-        power = RatFuncQT.from_laurent(cover_monomial(nu, mu) ** alpha[0])
-        total = total + c * power * virtual_F(alpha[1:], nu)
+    for nu, t, c in skew_pieri_c(mu):
+        total = total + c * RatFuncQT.from_laurent(t ** alpha[0]) * virtual_F(alpha[1:], nu)
     return total
 
 
@@ -297,10 +283,7 @@ def closed_forms(which: str, n: int) -> LaurentPolyQT:
             total = total + math.comb(n, k) * qt_int(k)
         return total
     if which == "e2_pn":
-        total = ZERO
-        for k in range(1, n):
-            total = total + math.comb(n - 1, k) * qt_int(k)
-        return total
+        return closed_forms("e1", n - 1)
     if which == "m_minus1":
         return (ONE - (LaurentPolyQT.monomial(1, 1, 1)) ** -1) ** (n - 1)
     raise ValueError(f"unknown closed form {which!r}")

@@ -10,14 +10,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qt_algebra import ONE, LaurentPolyQT
+from .qt_algebra import LaurentPolyQT
 
 
 class CellStats(NamedTuple):
-    a: int        # arm: cells strictly to the right
-    a_prime: int  # coarm: cells strictly to the left
-    l: int        # leg: cells strictly above
-    l_prime: int  # coleg: cells strictly below
+    a: int  # arm: cells strictly to the right
+    l: int  # leg: cells strictly above
 
 
 class PartitionStats(NamedTuple):
@@ -64,17 +62,13 @@ class Partition:
     def cells(self):
         return [(x, y) for y, row in enumerate(self.parts) for x in range(row)]
 
-    def contains_cell(self, cell) -> bool:
-        x, y = cell
-        return 0 <= y < len(self.parts) and 0 <= x < self.parts[y]
-
     def cell_stats(self, cell) -> CellStats:
-        if not self.contains_cell(cell):
-            raise ValueError(f"cell {cell} outside diagram of {self}")
         x, y = cell
+        if not (0 <= y < len(self.parts) and 0 <= x < self.parts[y]):
+            raise ValueError(f"cell {cell} outside diagram of {self}")
         arm = self.parts[y] - 1 - x
         leg = sum(1 for yy in range(y + 1, len(self.parts)) if self.parts[yy] > x)
-        return CellStats(arm, x, leg, y)
+        return CellStats(arm, leg)
 
     def conjugate(self) -> "Partition":
         if not self.parts:
@@ -138,14 +132,9 @@ def partition_stats(mu: Partition) -> PartitionStats:
     pi_factors and w_factors."""
     if not mu.parts:
         raise ValueError("empty partition has no statistics")
-    T = ONE
-    B = LaurentPolyQT()
-    for cell in mu.cells():
-        st = mu.cell_stats(cell)
-        mono = LaurentPolyQT.monomial(1, st.a_prime, st.l_prime)
-        T = T * mono
-        B = B + mono
-    return PartitionStats(T, B)
+    cells = mu.cells()
+    T = LaurentPolyQT.monomial(1, sum(x for x, _ in cells), sum(y for _, y in cells))
+    return PartitionStats(T, LaurentPolyQT(dict.fromkeys(cells, 1)))
 
 
 def pi_factors(mu: Partition) -> list:
@@ -174,7 +163,8 @@ def w_factors(mu: Partition) -> tuple:
 
 
 def cover_monomial(nu: Partition, mu: Partition) -> LaurentPolyQT:
-    """T_mu / T_nu for a cover mu of nu, always the monomial of the added cell."""
+    """T_mu / T_nu for a cover mu of nu, always the monomial of the added cell;
+    a search over the covers, kept as the oracle of the Pieri tables' cells."""
     for bigger, cell in nu.covers():
         if bigger == mu:
             return LaurentPolyQT.monomial(1, cell[0], cell[1])

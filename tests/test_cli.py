@@ -342,6 +342,10 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["cases_run"] == 175
 
+    def test_parsed_defaults_build_the_default_bounds(self):
+        args = build_parser().parse_args(["verify", "--suite", "thm-3-1"])
+        assert cli._bounds(args) == Bounds()
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])

@@ -71,11 +71,10 @@ def _binomial_denominators(r: RatFuncQT) -> bool:
 
 class TestPieri:
     def test_one_cell_solution(self):
-        table = pieri_d(P((1,)))
-        d2 = table.entries[P((2,))]
-        d11 = table.entries[P((1, 1))]
-        assert d2 == RatFuncQT.from_binomials((), (ONE - Q, Q - T))
-        assert d11 == RatFuncQT.from_binomials((), (ONE - T, T - Q))
+        assert pieri_d(P((1,))) == (
+            (P((2,)), Q, RatFuncQT.from_binomials((), (ONE - Q, Q - T))),
+            (P((1, 1)), T, RatFuncQT.from_binomials((), (ONE - T, T - Q))),
+        )
 
     def test_one_cell_k2_overdetermined(self):
         table = pieri_d(P((1,)))
@@ -90,7 +89,7 @@ class TestPieri:
     @pytest.mark.parametrize("nu", [P((2, 1)), P((3,)), P((2, 2))])
     def test_overdetermined_sweep(self, nu):
         table = pieri_d(nu)
-        m = len(table.entries)
+        m = len(table)
         for k in range(-2, m + 2):
             assert pieri_power_sum(table, k) == power_identity_rhs(nu, k)
             assert pieri_power_sum_shifted(table, k) == shifted_power_identity_rhs(nu, k)
@@ -99,19 +98,33 @@ class TestPieri:
     def test_product_matches_vandermonde_solve(self, n):
         for nu in partitions_of(n):
             solved = solved_pieri_d(nu)
-            assert pieri_d(nu).entries == solved
+            assert [(mu, d) for mu, _, d in pieri_d(nu)] == list(solved.items())
             for mu, d in solved.items():
                 w_mu = math.prod(w_factors(mu), start=ONE)
                 c = d * RatFuncQT.from_binomials((), w_factors(nu), w_mu)
-                assert skew_pieri_c(mu)[nu] == c, (mu, nu)
+                assert {p: v for p, _, v in skew_pieri_c(mu)}[nu] == c, (mu, nu)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_triples_carry_the_cover_cell(self, n):
+        # the oracle finds each cell again by a search over the covers of nu
+        for nu in partitions_of(n):
+            table = pieri_d(nu)
+            assert [mu for mu, _, _ in table] == [mu for mu, _ in nu.covers()]
+            for mu, t, _ in table:
+                assert t == cover_monomial(nu, mu), (nu, mu)
+        for mu in partitions_of(n + 1):
+            table = skew_pieri_c(mu)
+            assert [nu for nu, _, _ in table] == [nu for nu, _ in mu.cocovers()]
+            for nu, t, _ in table:
+                assert t == cover_monomial(nu, mu), (nu, mu)
 
     def test_denominators_are_unit_binomials(self):
         for n in range(1, 6):
             for mu in partitions_of(n):
-                values = list(pieri_d(mu).entries.values())
+                values = [d for _, _, d in pieri_d(mu)]
                 values += [power_identity_rhs(mu, k) for k in range(-2, len(mu.covers()) + 2)]
                 if n > 1:
-                    values += skew_pieri_c(mu).values()
+                    values += [c for _, _, c in skew_pieri_c(mu)]
                 for k in (-1, 0, 2):
                     values.append(virtual_F((k,) * (n - 1), mu))
                 assert all(_binomial_denominators(r) for r in values), mu
@@ -119,10 +132,8 @@ class TestPieri:
 
 class TestSkewPieri:
     def test_row_and_column(self):
-        cs = skew_pieri_c(P((2,)))
-        assert cs[P((1,))] == RatFuncQT.from_laurent(ONE + Q)
-        cs = skew_pieri_c(P((1, 1)))
-        assert cs[P((1,))] == RatFuncQT.from_laurent(ONE + T)
+        assert skew_pieri_c(P((2,))) == ((P((1,)), Q, RatFuncQT.from_laurent(ONE + Q)),)
+        assert skew_pieri_c(P((1, 1))) == ((P((1,)), T, RatFuncQT.from_laurent(ONE + T)),)
 
 
 class TestVirtualF:
@@ -165,7 +176,7 @@ def plain_F(alpha: tuple, mu: Partition) -> RatFuncQT:
     if mu.n == 1:
         return RatFuncQT.from_laurent(ONE)
     total = RatFuncQT.from_laurent(0)
-    for nu, c in skew_pieri_c(mu).items():
+    for nu, _, c in skew_pieri_c(mu):
         power = RatFuncQT.from_laurent(cover_monomial(nu, mu) ** alpha[0])
         total = total + c * power * plain_F(alpha[1:], nu)
     return total

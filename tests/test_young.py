@@ -36,17 +36,28 @@ class TestPartitionBasics:
 class TestCellStats:
     def test_figure_example(self):
         # (4,3) in French orientation: top-row third column
-        assert Partition((4, 3)).cell_stats((2, 1)) == CellStats(0, 2, 0, 1)
+        assert Partition((4, 3)).cell_stats((2, 1)) == CellStats(0, 0)
+        assert Partition((4, 3)).cell_stats((1, 0)) == CellStats(2, 1)
 
     def test_single_cell(self):
-        assert Partition((1,)).cell_stats((0, 0)) == CellStats(0, 0, 0, 0)
+        assert Partition((1,)).cell_stats((0, 0)) == CellStats(0, 0)
 
     def test_two_by_two_corner(self):
-        assert Partition((2, 2)).cell_stats((0, 0)) == CellStats(1, 0, 1, 0)
+        assert Partition((2, 2)).cell_stats((0, 0)) == CellStats(1, 1)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_a_count_of_the_cells(self, n):
+        for mu in partitions_of(n):
+            cells = mu.cells()
+            for x, y in cells:
+                right = sum(1 for cx, cy in cells if cy == y and cx > x)
+                above = sum(1 for cx, cy in cells if cx == x and cy > y)
+                assert mu.cell_stats((x, y)) == CellStats(right, above), (mu, (x, y))
 
     def test_outside_cell(self):
-        with pytest.raises(ValueError):
-            Partition((2, 1)).cell_stats((1, 1))
+        for cell in ((1, 1), (2, 0), (0, 2), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                Partition((2, 1)).cell_stats(cell)
 
 
 def _w(mu):
