@@ -1,10 +1,10 @@
 """Combinatorial models for the t=0, t=1, and q=t=1 specializations.
 
-Ordered set partitions with an inversion statistic and the array-building map
-from matrices cover t=0; permutational matrices, target/tail vectors and the
-psi map cover t=1; parking functions with considerate cars and a discounted
-area statistic refine the t=1 product, and a rotation-style product formula
-covers q=t=1.
+Ordered set partitions, each block an increasing tuple of ints, with an
+inversion statistic and the array-building map from matrices cover t=0;
+permutational matrices, target/tail vectors and the psi map cover t=1;
+parking functions with considerate cars and a discounted area statistic
+refine the t=1 product, and a rotation-style product formula covers q=t=1.
 
 A ParkingFunction carries its parked outcome (who parks where, and which
 cars are considerate), computed once when it is built; car_bars, area and
@@ -41,21 +41,19 @@ class OrderedSetPartition:
     __slots__ = ("blocks", "n")
 
     def __init__(self, blocks):
-        blocks = tuple(frozenset(b) for b in blocks)
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
         if any(not b for b in blocks):
             raise ValueError("blocks must be nonempty")
-        n = sum(len(b) for b in blocks)
-        seen = set()
-        for b in blocks:
-            seen |= b
-        if seen != set(range(1, n + 1)):
+        # n counts every entry, so a repeated one leaves the union short of {1..n}
+        n = sum(map(len, blocks))
+        if set().union(*blocks) != set(range(1, n + 1)):
             raise ValueError("blocks must partition {1..n}")
         self.blocks = blocks
         self.n = n
 
     @classmethod
     def _unchecked(cls, blocks: tuple, n: int) -> "OrderedSetPartition":
-        """The record of blocks, a tuple of frozensets known to partition {1..n}."""
+        """The record of blocks, increasing int tuples known to partition {1..n}."""
         out = object.__new__(cls)
         out.blocks = blocks
         out.n = n
@@ -63,17 +61,10 @@ class OrderedSetPartition:
 
     @classmethod
     def parse(cls, text: str) -> "OrderedSetPartition":
-        return cls([{int(ch) for ch in part} for part in text.strip().split("|")])
+        return cls([[int(ch) for ch in part] for part in text.strip().split("|")])
 
     def minima(self) -> tuple:
-        return tuple(min(b) for b in self.blocks)
-
-    def block_of(self, x: int) -> int:
-        """1-based index of the block containing x."""
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i + 1
-        raise ValueError(f"{x} not in any block")
+        return tuple(b[0] for b in self.blocks)
 
     def __eq__(self, other):
         return isinstance(other, OrderedSetPartition) and self.blocks == other.blocks
@@ -82,7 +73,7 @@ class OrderedSetPartition:
         return hash(self.blocks)
 
     def __str__(self):
-        return "|".join("".join(str(x) for x in sorted(b)) for b in self.blocks)
+        return "|".join("".join(str(x) for x in b) for b in self.blocks)
 
     def __repr__(self):
         return f"OSP<{self}>"
@@ -124,10 +115,11 @@ def osp_enumerate(n: int, minima: set) -> list:
     for order in permutations(sorted(minima)):
         allowed = [[i for i, m in enumerate(order) if m < x] for x in rest]
         for choice in product(*allowed):
-            blocks = [{m} for m in order]
+            # rest is increasing and x joins a block whose minimum is below it
+            blocks = [[m] for m in order]
             for x, i in zip(rest, choice):
-                blocks[i].add(x)
-            out.append(OrderedSetPartition._unchecked(tuple(map(frozenset, blocks)), n))
+                blocks[i].append(x)
+            out.append(OrderedSetPartition._unchecked(tuple(map(tuple, blocks)), n))
     return out
 
 
@@ -136,8 +128,7 @@ def inv_stat(pi: OrderedSetPartition) -> int:
     total = 0
     seen: list = []
     for b in pi.blocks:
-        m = min(b)
-        total += sum(a > m for a in seen)
+        total += sum(a > b[0] for a in seen)
         seen.extend(b)
     return total
 
@@ -191,43 +182,32 @@ def levande_map(U: TeslerMatrix):
                 rows[r].insert(0, i)
     leaders = [rows[r][0] for r in range(len(rows) - 1, -1, -1)]
     block_index = {leader: i for i, leader in enumerate(leaders)}
-    blocks = [{leader} for leader in leaders]
+    blocks = [[leader] for leader in leaders]
     placed = set(leaders)
     for x in range(1, n + 1):
         if x in placed:
             continue
         r = max(r for r in range(len(rows)) if x in rows[r])
-        blocks[block_index[rows[r][0]]].add(x)
+        blocks[block_index[rows[r][0]]].append(x)
     array = tuple(tuple(row) for row in rows)
     return array, OrderedSetPartition(blocks)
 
 
 def _scan(pi: OrderedSetPartition):
     """target_i for each i, and the 0-based hook indices whose entries sum
-    to tail_i: the block minima from the first block right of the nearest
-    larger element on the left, through i's block."""
-    blocks = [sorted(b) for b in pi.blocks]
-    target = []
-    tails = []
-    for i in range(1, pi.n + 1):
-        bl = pi.block_of(i)
-        tgt = i
-        own = [x for x in blocks[bl - 1] if x > i]
-        if own:
-            tgt = own[0]
-        else:
-            for r in range(bl, len(blocks)):
-                bigger = [x for x in blocks[r] if x > i]
-                if bigger:
-                    tgt = bigger[0]
-                    break
-        target.append(tgt)
-        m_i = 1
-        for r in range(bl - 1, 0, -1):
-            if max(blocks[r - 1]) > i:
-                m_i = r + 1
-                break
-        tails.append(tuple(blocks[r - 1][0] - 1 for r in range(m_i, bl + 1)))
+    to tail_i, read off the word of pi: target_i is the first larger element
+    after i, or i; tail_i takes the block minima from one past the nearest
+    block left of i's whose last element is larger than i, through i's."""
+    blocks = pi.blocks
+    word = [(x, r) for r, b in enumerate(blocks) for x in b]
+    target = [0] * pi.n
+    tails = [()] * pi.n
+    for p, (i, r) in enumerate(word):
+        target[i - 1] = next((x for x, _ in word[p + 1:] if x > i), i)
+        m = r
+        while m and blocks[m - 1][-1] < i:
+            m -= 1
+        tails[i - 1] = tuple(b[0] - 1 for b in blocks[m:r + 1])
     return tuple(target), tuple(tails)
 
 
@@ -433,7 +413,7 @@ def car_bars(pf: ParkingFunction, cars) -> OrderedSetPartition:
                 raise ValueError("bars must sit at ascents")
             block.append(c)
     # pf.car is a permutation of 1..n
-    return OrderedSetPartition._unchecked(tuple(map(frozenset, blocks)), len(pf.car))
+    return OrderedSetPartition._unchecked(tuple(map(tuple, blocks)), len(pf.car))
 
 
 def area(pf: ParkingFunction, cars) -> int:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teslab.plethysm import (
+    SCHUR_DEGREE_BUDGET,
     MonomialSymFn,
     distinct_arrangements,
     e_plethysm,
@@ -16,7 +17,7 @@ from teslab.plethysm import (
     schur_to_monomial,
 )
 from teslab.qt_algebra import M, ONE, Q, T, LaurentPolyQT, qt_int
-from teslab.young import Partition, partition_stats
+from teslab.young import Partition, partition_stats, partitions_of
 
 
 def lp(d):
@@ -219,6 +220,16 @@ class TestSchur:
     def test_degree_cap(self):
         with pytest.raises(ValueError, match="capped"):
             schur_to_monomial(Partition((9,)))
+
+    def test_budget_is_inclusive(self):
+        # h_8 is the sum of every m_mu of degree 8, each once
+        assert SCHUR_DEGREE_BUDGET == 8
+        row = schur_to_monomial(Partition((8,)))
+        assert row == MonomialSymFn({mu.parts: 1 for mu in partitions_of(8)})
+        assert schur_to_monomial(Partition((1,) * 8)) == MonomialSymFn({(1,) * 8: 1})
+        for parts in [(9,), (5, 4), (1,) * 9]:
+            with pytest.raises(ValueError, match="capped at degree 8, got s:.* of degree 9"):
+                schur_to_monomial(Partition(parts))
 
 
 class TestMonomialSymFn:

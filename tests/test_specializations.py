@@ -48,13 +48,16 @@ def scan_cpf(n, cars):
 
 
 def loop_target_tail(alpha, pi):
-    """target_tail as one loop over i, with each tail summed in place."""
+    """target_tail as one loop over i, with i's block found by a search and
+    each tail summed in place."""
     n = len(alpha)
     blocks = [sorted(b) for b in pi.blocks]
     target = []
     tail = []
     for i in range(1, n + 1):
-        bl = pi.block_of(i)
+        for bl, b in enumerate(blocks, start=1):
+            if i in b:
+                break
         tgt = i
         own = [x for x in blocks[bl - 1] if x > i]
         if own:
@@ -148,6 +151,24 @@ class TestOrderedSetPartitions:
         assert str(pi) == "23|4|1"
         assert pi.minima() == (2, 4, 1)
 
+    def test_blocks_are_increasing_tuples(self):
+        pi = OrderedSetPartition([{4, 2}, [5, 1, 3]])
+        assert pi.blocks == ((2, 4), (1, 3, 5))
+        assert pi == OSP("42|513")
+        assert str(pi) == "24|135"
+
+    @pytest.mark.parametrize("blocks", [[[1, 1], [2]], [[1], [2, 1]], [[2], [2]], [[1], []],
+                                        [[1], [3]]],
+                             ids=["repeat", "repeat-across-blocks", "repeated-block",
+                                  "empty-block", "gap"])
+    def test_constructor_refuses_a_non_partition(self, blocks):
+        with pytest.raises(ValueError):
+            OrderedSetPartition(blocks)
+
+    def test_parse_refuses_a_repeated_element(self):
+        with pytest.raises(ValueError, match="partition"):
+            OSP("11|2")
+
     def test_known_membership(self):
         assert OSP("7|236|45|1") in osp_enumerate(7, {1, 2, 4, 7})
 
@@ -175,7 +196,7 @@ class TestOrderedSetPartitions:
                 for field in OrderedSetPartition.__slots__:
                     assert getattr(pi, field) == getattr(checked, field)
                     assert type(getattr(pi, field)) is type(getattr(checked, field))
-                assert all(type(b) is frozenset for b in pi.blocks)
+                assert all(type(b) is tuple for b in pi.blocks)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_inv_matches_the_loop_over_block_pairs(self, n):
@@ -303,7 +324,7 @@ class TestTargetTail:
         with pytest.raises(ValueError, match="minima mismatch"):
             target_tail((1, 1, 0, 0), OSP("3|12|4"))
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_loop_on_every_partition(self, n):
         # three seeded hook vectors in [-2, 2] per partition, nonzero exactly
         # at its block minima
@@ -511,7 +532,7 @@ class TestCountedStatistics:
                 for field in OrderedSetPartition.__slots__:
                     assert getattr(pi, field) == getattr(checked, field)
                     assert type(getattr(pi, field)) is type(getattr(checked, field))
-                assert all(type(b) is frozenset for b in pi.blocks)
+                assert all(type(b) is tuple for b in pi.blocks)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_parking_sums_match_the_polynomial_sum(self, n):
