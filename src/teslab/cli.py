@@ -13,9 +13,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .macdonald import hilb_delta, hilb_delta_prime, tes_via_theorem
+from .macdonald import cheaper_route, hilb_delta_prime, tes_via_theorem
 from .plethysm import MonomialSymFn
 from .qt_algebra import LaurentPolyQT
 from .specializations import tes_11, tes_t0, tes_t1
@@ -116,17 +116,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_hilb(args) -> int:
+    """Print the value of the route cheaper_route picks; at n <= 5, check it
+    against the other route first (exit 1 when they differ)."""
     f = MonomialSymFn.parse(args.f)
     n = args.n
     target = "e" if args.target == "en" else "p"
-    if args.prime:
-        by_route = partial(hilb_delta_prime, f, target, n)
-    elif target == "p":
-        raise ValueError("the p-target is exposed for the primed operator only")
-    else:
-        by_route = partial(hilb_delta, f, n)
-    value = by_route("eigen")
-    if n <= 5 and by_route("tesler") != value:
+    if not args.prime:
+        if target == "p":
+            raise ValueError("the p-target is exposed for the primed operator only")
+        # Delta_f e_n is Delta'_g e_n for g = f(x_1, ..., x_{n-1}, 1), as in hilb_delta
+        f = f.at_last_one(n)
+    route = cheaper_route(f, target, n)
+    value = hilb_delta_prime(f, target, n, route)
+    other = "tesler" if route == "eigen" else "eigen"
+    if n <= 5 and hilb_delta_prime(f, target, n, other) != value:
         print("route cross-check failed", file=sys.stderr)
         return VERIFY_FAILURE
     _emit(_poly_payload(value, args.format == "json"), args)

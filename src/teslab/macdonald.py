@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm
+from .plethysm import MonomialSymFn, arrangement_count, distinct_arrangements, e_plethysm
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes
-from .young import Partition, partition_stats, partitions_of, pi_factors, w_cell_factors, w_factors
+from .young import (Partition, partition_count, partition_stats, partitions_of, pi_factors,
+                    w_cell_factors, w_factors)
 
 M_FACTORS = (
     LaurentPolyQT({(0, 0): 1, (1, 0): -1}),  # 1 - q
@@ -240,6 +241,56 @@ def _eigen_sum(f: MonomialSymFn, target: str, n: int) -> LaurentPolyQT:
     return _conjugate_sum(n, partial(term, f), term_sigma).to_laurent()
 
 
+# The cost rule of cheaper_route and TESLER_ROUTE_BUDGET, in estimated cold
+# seconds on one core of a 2-core host: a least-squares fit to the logs of
+# 156 Tesler-route and 188 eigen-route times of hilb_delta_prime and
+# hilb_delta at n = 5-10 (the fit table is in CHANGES.md).  With a the
+# arrangements of a monomial rho of f in n - 1 slots, s = |rho| + 1 the mass
+# of its hook vectors (|rho| for the p-target), m the largest |part| of rho
+# and d the largest |rho| of f, the Tesler route costs the sum over rho of
+#     e^-8.79 * a^0.256 * e^(s * (0.142 n - 0.320) + 0.252 m)
+# (the walks of one monomial's arrangements share most of their states, so
+# a enters to a small power) and the eigen route
+#     e^-10.5 * p(n)^2.70 * e^(0.0876 d),
+# p(n) the number of partitions of n.  Both are counts: no tes walk runs.
+
+
+def _tesler_cost(f: MonomialSymFn, target: str, n: int) -> float:
+    head = target == "e"
+    total = 0.0
+    for rho in f.coeffs:
+        count = arrangement_count(rho, n - 1)
+        if count:
+            sizes = [abs(v) for v in rho]
+            mass = head + sum(sizes)
+            total += count ** 0.256 * math.exp(
+                mass * (0.142 * n - 0.320) + 0.252 * max(sizes, default=0) - 8.79)
+    return total
+
+
+def _eigen_cost(f: MonomialSymFn, n: int) -> float:
+    degree = max((sum(map(abs, rho)) for rho in f.coeffs), default=0)
+    return partition_count(n) ** 2.70 * math.exp(0.0876 * degree - 10.5)
+
+
+def cheaper_route(f: MonomialSymFn, target: str, n: int) -> str:
+    """The route of hilb_delta_prime(f, target, n) with the lower estimated
+    cost, "tesler" or "eigen", by the cost rule above; the routes agree, so
+    the choice changes only the time."""
+    _check_cap(n)
+    return "tesler" if _tesler_cost(f, target, n) <= _eigen_cost(f, n) else "eigen"
+
+
+# The most estimated seconds the Tesler route of hilb_delta_prime may cost,
+# checked before its first tes: the one-minute rule of PARTITION_SIZE_BUDGET
+# on the cost rule's scale.  Cold, one run each, estimated against taken:
+# m:4,4,4 at n = 8 42 s and 48 s, m:6,6 at n = 8 61 s and 73 s, m:12 at
+# n = 8 209 s and 116 s.  The rule adds up f's monomials, whose walks share
+# states, so it runs 2-2.5 times high on Schur functions: s:3,3,2 at n = 9
+# (66 s against 36 s) is refused too, where the eigen route takes 1.3 s.
+TESLER_ROUTE_BUDGET = 60.0
+
+
 def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
                      route: str = "eigen") -> LaurentPolyQT:
     """Hilbert series of the primed delta operator applied to e_n or p_n, two routes.
@@ -248,6 +299,9 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
     'eigen' sums f[B - 1] against the zero-hook virtual series; route
     'tesler' expands f in n-1 variables and replaces each monomial x^alpha
     by tes((1, alpha)) for e_n and by tes(alpha) for p_n.  The two must agree.
+    cheaper_route picks the faster one for f.  Route 'tesler' raises
+    ValueError, before any tes runs, when its estimated cost is over
+    TESLER_ROUTE_BUDGET.
     """
     if target not in ("e", "p"):
         raise ValueError("target must be 'p' or 'e'")
@@ -256,6 +310,10 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
     _check_cap(n)
     if route == "eigen":
         return _eigen_sum(f, target, n)
+    cost = _tesler_cost(f, target, n)
+    if cost > TESLER_ROUTE_BUDGET:
+        raise ValueError(f"the Tesler route at n={n} has an estimated cost of {cost:,.0f} s, "
+                         f"over its budget of {TESLER_ROUTE_BUDGET:,.0f} s")
     head = (1,) if target == "e" else ()
     total = ZERO
     for rho, coeff in f.coeffs.items():

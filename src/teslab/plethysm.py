@@ -10,6 +10,7 @@ computed in integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .qt_algebra import ONE, ZERO, LaurentPolyQT
@@ -64,6 +65,22 @@ def distinct_arrangements(rho, slots: int) -> list:
         vec[j], vec[i] = vec[i], vec[j]
         vec[j + 1:] = vec[:j:-1]
         out.append(tuple(vec))
+
+
+def arrangement_count(rho, slots: int) -> int:
+    """len(distinct_arrangements(rho, slots)) without listing them: the
+    multinomial slots! / ((slots - len(rho))! prod m_v!) over the
+    multiplicities m_v of the distinct parts v of rho, which is sorted, as a
+    Laurent partition is.  Each m_v! is divided out one factor per part of
+    v's run, and every quotient on the way is itself a multinomial, so each
+    division is exact."""
+    if len(rho) > slots:
+        return 0
+    count, run = math.factorial(slots) // math.factorial(slots - len(rho)), 1
+    for a, b in zip(rho, rho[1:]):
+        run = run + 1 if a == b else 1
+        count //= run
+    return count
 
 
 def m_eval(rho, alphabet: LaurentPolyQT) -> LaurentPolyQT:
@@ -135,10 +152,6 @@ class MonomialSymFn:
 
     def __eq__(self, other):
         return isinstance(other, MonomialSymFn) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = " + ".join(f"({c})*m[{','.join(map(str, r))}]" for r, c in sorted(self.coeffs.items()))
-        return f"MonomialSymFn<{body or '0'}>"
 
     def swap_qt(self) -> "MonomialSymFn":
         """f^sigma: q and t exchanged in every coefficient, the basis untouched."""

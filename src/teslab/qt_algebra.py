@@ -577,9 +577,6 @@ class RatFuncQT:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RatFuncQT":
-        return (-self) + other
-
     def __mul__(self, other) -> "RatFuncQT":
         other = _coerce(other)
         if other is NotImplemented:

@@ -358,19 +358,10 @@ class ParkingFunction:
         values = text.split(",") if "," in text else list(text)
         return cls(int(v) for v in values)
 
-    def __eq__(self, other):
-        return isinstance(other, ParkingFunction) and self.prefs == other.prefs
-
-    def __hash__(self):
-        return hash(self.prefs)
-
     def __str__(self):
         if len(self.prefs) <= 9:
             return "".join(str(v) for v in self.prefs)
         return ",".join(str(v) for v in self.prefs)
-
-    def __repr__(self):
-        return f"ParkingFunction<{self}>"
 
 
 @lru_cache(maxsize=None)

@@ -115,6 +115,13 @@ def partitions_of(n: int) -> list[Partition]:
     return [Partition(p) for p in _partition_tuples(n, n)]
 
 
+def partition_count(n: int) -> int:
+    """The number of partitions of n, off the memoized tuples partitions_of reads."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return len(_partition_tuples(n, n))
+
+
 @lru_cache(maxsize=None)
 def _partition_tuples(n: int, max_part: int):
     if n == 0:

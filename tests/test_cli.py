@@ -293,6 +293,41 @@ class TestHilbCommand:
             assert f"n={n} is over the partition-size budget of {PARTITION_SIZE_BUDGET}" in err
             assert virtual_F.cache_info().misses == misses
 
+    @pytest.mark.parametrize("n, routes", [(5, ["tesler", "eigen"]), (6, ["tesler"])])
+    def test_prints_the_chosen_route_and_cross_checks_at_n5(self, capsys, monkeypatch, n, routes):
+        ran = []
+
+        def record(f, target, n, route):
+            ran.append(route)
+            return LaurentPolyQT.const(7)
+
+        monkeypatch.setattr(cli, "hilb_delta_prime", record)
+        code, out, _ = run_cli(capsys, "hilb", "--f", "e:2", "--n", str(n))
+        assert code == 0 and out == "7\n"
+        assert ran == routes
+
+    @pytest.mark.parametrize("wrong", ["eigen", "tesler"])
+    def test_route_cross_check_failure_exits_1(self, capsys, monkeypatch, wrong):
+        right = cli.hilb_delta_prime
+
+        def one_route_wrong(f, target, n, route):
+            value = right(f, target, n, route)
+            return value + 1 if route == wrong else value
+
+        monkeypatch.setattr(cli, "hilb_delta_prime", one_route_wrong)
+        code, out, err = run_cli(capsys, "hilb", "--f", "s:2,1", "--n", "4")
+        assert code == 1 and out == ""
+        assert err == "route cross-check failed\n"
+
+    def test_over_the_tesler_route_budget_exits_2_at_once(self, capsys):
+        # the eigen route gives the value in about 0.1 s; the n <= 5
+        # cross-check is refused before its first tes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hilb", "--f", "m:20,20", "--n", "5")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "the Tesler route at n=5" in err and "over its budget" in err
+
     def test_m_minus1(self, capsys):
         code, out, _ = run_cli(capsys, "hilb", "--f", "m:-1", "--n", "4")
         assert code == 0

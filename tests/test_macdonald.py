@@ -8,6 +8,8 @@ import pytest
 from teslab import macdonald
 from teslab.macdonald import (
     _eigen_coeff,
+    _tesler_cost,
+    cheaper_route,
     closed_forms,
     hilb_delta,
     hilb_delta_prime,
@@ -303,6 +305,77 @@ class TestDelta:
         f = MonomialSymFn.parse(text)
         for n in range(1, 6):
             assert hilb_delta(f, n, "eigen") == hilb_delta(f, n, "tesler"), (text, n)
+
+
+OTHER_ROUTE = {"eigen": "tesler", "tesler": "eigen"}
+
+
+class TestCheaperRoute:
+    """cheaper_route picks a route from counts; both routes give one value."""
+
+    @pytest.fixture
+    def no_route_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(macdonald, "tes", refuse)
+        monkeypatch.setattr(macdonald, "_eigen_sum", refuse)
+
+    @pytest.mark.parametrize("text, n, route", [
+        ("e:2", 8, "tesler"),       # 5 ms against 98 ms
+        ("s:3,3,2", 10, "eigen"),   # 1.9 s against 83 s
+        ("m:20,20", 5, "eigen"),    # 0.1 s against more than 100 s
+    ])
+    def test_pinned_choices(self, no_route_runs, text, n, route):
+        assert cheaper_route(MonomialSymFn.parse(text), "e", n) == route
+
+    def test_delta_forms_take_the_tesler_route(self, no_route_runs):
+        for text in ("e:1", "m:-1", "e:2", "s:2,1"):
+            for n in range(5, 9):
+                g = MonomialSymFn.parse(text).at_last_one(n)
+                assert cheaper_route(g, "e", n) == "tesler", (text, n)
+
+    def test_checks_the_partition_size_budget(self, no_route_runs):
+        with pytest.raises(ValueError, match="over the partition-size budget"):
+            cheaper_route(MonomialSymFn.parse("e:1"), "e", macdonald.PARTITION_SIZE_BUDGET + 1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            cheaper_route(MonomialSymFn.parse("e:1"), "e", 0)
+
+    # the f of the cor-4-4 and cor-4-5 suites: Delta_{e_1} and Delta_{m_-1} on
+    # e_n, Delta'_{e_2} and Delta'_{e_1} on p_n
+    SUITE_CASES = [("e:1", "e", True), ("m:-1", "e", True), ("e:2", "p", False), ("e:1", "p", False)]
+
+    @pytest.mark.parametrize("text, target, delta", SUITE_CASES)
+    def test_chosen_route_equals_the_other(self, text, target, delta):
+        for n in range(1, 7):
+            f = MonomialSymFn.parse(text)
+            g = f.at_last_one(n) if delta else f
+            route = cheaper_route(g, target, n)
+            value = hilb_delta_prime(g, target, n, route)
+            assert value == hilb_delta_prime(g, target, n, OTHER_ROUTE[route]), (text, n)
+
+
+class TestTeslerRouteBudget:
+    def test_is_inclusive(self, monkeypatch):
+        f = MonomialSymFn.parse("e:2")
+        cost = _tesler_cost(f, "e", 6)
+        monkeypatch.setattr(macdonald, "TESLER_ROUTE_BUDGET", cost)
+        assert hilb_delta_prime(f, "e", 6, "tesler") == hilb_delta_prime(f, "e", 6)
+        monkeypatch.setattr(macdonald, "TESLER_ROUTE_BUDGET", math.nextafter(cost, 0))
+        with pytest.raises(ValueError, match="over its budget"):
+            hilb_delta_prime(f, "e", 6, "tesler")
+
+    def test_refuses_before_the_first_tes(self, monkeypatch):
+        def refuse(alpha):
+            raise AssertionError("tes ran before the budget check")
+
+        monkeypatch.setattr(macdonald, "tes", refuse)
+        f = MonomialSymFn.parse("m:20,20")
+        assert _tesler_cost(f, "e", 5) > macdonald.TESLER_ROUTE_BUDGET
+        with pytest.raises(ValueError, match="the Tesler route at n=5 .* over its budget"):
+            hilb_delta_prime(f, "e", 5, "tesler")
+        with pytest.raises(ValueError, match="over its budget"):
+            hilb_delta(MonomialSymFn.parse("m:20,20,1"), 5, "tesler")
 
 
 def direct_delta_sum(f: MonomialSymFn, n: int) -> LaurentPolyQT:

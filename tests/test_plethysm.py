@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from teslab.plethysm import (
     SCHUR_DEGREE_BUDGET,
     MonomialSymFn,
+    arrangement_count,
     distinct_arrangements,
     e_plethysm,
     m_eval,
@@ -311,6 +312,11 @@ class TestDistinctArrangements:
             multiplicities = Counter(tuple(rho) + (0,) * (slots - len(rho))).values()
             multinomial = factorial(slots) // prod(map(factorial, multiplicities))
             assert len(distinct_arrangements(rho, slots)) == multinomial
+
+    @pytest.mark.parametrize("rho", ARRANGED_RHOS)
+    def test_count_is_the_length_of_the_list(self, rho):
+        for slots in range(11):
+            assert arrangement_count(rho, slots) == len(distinct_arrangements(rho, slots))
 
     @pytest.mark.parametrize("rho", ARRANGED_RHOS)
     def test_order_is_strictly_increasing(self, rho):

@@ -7,6 +7,7 @@ from teslab.young import (
     CellStats,
     Partition,
     cover_monomial,
+    partition_count,
     partition_stats,
     partitions_of,
     pi_factors,
@@ -31,6 +32,12 @@ class TestPartitionBasics:
         assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
         assert [p.parts for p in partitions_of(0)] == [()]
         assert len(partitions_of(5)) == 7
+
+    def test_partition_count(self):
+        for n in range(14):
+            assert partition_count(n) == len(partitions_of(n))
+        with pytest.raises(ValueError):
+            partition_count(-1)
 
 
 class TestCellStats:
