@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 
 from .plethysm import MonomialSymFn, arrangement_count, distinct_arrangements, e_plethysm
 from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
-from .tesler import tes
+from .tesler import tes_sums
 from .young import (Partition, partition_count, partition_stats, partitions_of, pi_factors,
                     w_cell_factors, w_factors)
 
@@ -242,15 +242,15 @@ def _eigen_sum(f: MonomialSymFn, target: str, n: int) -> LaurentPolyQT:
 
 
 # The cost rule of cheaper_route and TESLER_ROUTE_BUDGET, in estimated cold
-# seconds on one core of a 2-core host: a least-squares fit to the logs of
-# 156 Tesler-route and 188 eigen-route times of hilb_delta_prime and
-# hilb_delta at n = 5-10 (the fit table is in CHANGES.md).  With a the
+# seconds on one core of a 2-core host: least-squares fits to the logs of
+# 176 Tesler-route and 188 eigen-route times of hilb_delta_prime and
+# hilb_delta at n = 5-10 (the fit tables are in CHANGES.md).  With a the
 # arrangements of a monomial rho of f in n - 1 slots, s = |rho| + 1 the mass
 # of its hook vectors (|rho| for the p-target), m the largest |part| of rho
 # and d the largest |rho| of f, the Tesler route costs the sum over rho of
-#     e^-8.79 * a^0.256 * e^(s * (0.142 n - 0.320) + 0.252 m)
-# (the walks of one monomial's arrangements share most of their states, so
-# a enters to a small power) and the eigen route
+#     e^-9.29 * a^-0.0488 * e^(s * (0.157 n - 0.355) + 0.240 m)
+# (tes_sums walks every arrangement at one packing, so a state they share is
+# packed once, and a enters to a power near 0) and the eigen route
 #     e^-10.5 * p(n)^2.70 * e^(0.0876 d),
 # p(n) the number of partitions of n.  Both are counts: no tes walk runs.
 
@@ -263,8 +263,8 @@ def _tesler_cost(f: MonomialSymFn, target: str, n: int) -> float:
         if count:
             sizes = [abs(v) for v in rho]
             mass = head + sum(sizes)
-            total += count ** 0.256 * math.exp(
-                mass * (0.142 * n - 0.320) + 0.252 * max(sizes, default=0) - 8.79)
+            total += count ** -0.0488 * math.exp(
+                mass * (0.157 * n - 0.355) + 0.240 * max(sizes, default=0) - 9.29)
     return total
 
 
@@ -284,10 +284,12 @@ def cheaper_route(f: MonomialSymFn, target: str, n: int) -> str:
 # The most estimated seconds the Tesler route of hilb_delta_prime may cost,
 # checked before its first tes: the one-minute rule of PARTITION_SIZE_BUDGET
 # on the cost rule's scale.  Cold, one run each, estimated against taken:
-# m:4,4,4 at n = 8 42 s and 48 s, m:6,6 at n = 8 61 s and 73 s, m:12 at
-# n = 8 209 s and 116 s.  The rule adds up f's monomials, whose walks share
-# states, so it runs 2-2.5 times high on Schur functions: s:3,3,2 at n = 9
-# (66 s against 36 s) is refused too, where the eigen route takes 1.3 s.
+# m:4,4,4 at n = 8 25 s and 27 s, m:6,6 at n = 8 41 s and 54 s, m:10 at
+# n = 9 104 s and 61 s, m:12 at n = 8 183 s and 78 s; s:3,3,2 at n = 9
+# 18 s and 13 s, s:4,4 at n = 9 30 s and 15 s, s:2,2,2,2 at n = 10 31 s
+# and 20 s.  The rule adds up f's monomials, whose walks share states, so
+# it runs up to 2 times high on Schur functions: s:3,3,2 at n = 10 (69 s
+# against 34 s) is refused too, where the eigen route takes 2 s.
 TESLER_ROUTE_BUDGET = 60.0
 
 
@@ -298,10 +300,11 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
     The p_n variant carries the same scale as hilb_tilde(..., 'p').  Route
     'eigen' sums f[B - 1] against the zero-hook virtual series; route
     'tesler' expands f in n-1 variables and replaces each monomial x^alpha
-    by tes((1, alpha)) for e_n and by tes(alpha) for p_n.  The two must agree.
-    cheaper_route picks the faster one for f.  Route 'tesler' raises
-    ValueError, before any tes runs, when its estimated cost is over
-    TESLER_ROUTE_BUDGET.
+    by tes((1, alpha)) for e_n and by tes(alpha) for p_n: one tes_sums call
+    with one group per monomial of f, each group's sum times the
+    monomial's coefficient.  The two must agree.  cheaper_route picks the
+    faster one for f.  Route 'tesler' raises ValueError, before any tes
+    runs, when its estimated cost is over TESLER_ROUTE_BUDGET.
     """
     if target not in ("e", "p"):
         raise ValueError("target must be 'p' or 'e'")
@@ -315,10 +318,11 @@ def hilb_delta_prime(f: MonomialSymFn, target: str, n: int,
         raise ValueError(f"the Tesler route at n={n} has an estimated cost of {cost:,.0f} s, "
                          f"over its budget of {TESLER_ROUTE_BUDGET:,.0f} s")
     head = (1,) if target == "e" else ()
+    sums = tes_sums([[head + alpha for alpha in distinct_arrangements(rho, n - 1)]
+                     for rho in f.coeffs])
     total = ZERO
-    for rho, coeff in f.coeffs.items():
-        for alpha in distinct_arrangements(rho, n - 1):
-            total = total + coeff * tes(head + alpha)
+    for coeff, value in zip(f.coeffs.values(), sums):
+        total = total + coeff * value
     return total
 
 

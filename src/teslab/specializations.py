@@ -87,10 +87,10 @@ OSP_BUDGET = 100_000
 
 def osp_count(n: int, minima: set) -> int:
     """The number of ordered set partitions osp_enumerate(n, minima) builds,
-    without building them: 0 unless 1 is a minimum, else |S|! orders of the
-    minima S, times, for each other x, the number of minima below x (the
-    blocks x may join)."""
-    count = math.factorial(len(minima)) if 1 in minima else 0
+    without building them: 0 unless 1 is a minimum or n = 0, else |S|!
+    orders of the minima S, times, for each other x, the number of minima
+    below x (the blocks x may join)."""
+    count = math.factorial(len(minima)) if 1 in minima or not n else 0
     for x in range(2, n + 1):
         if x not in minima:
             count *= sum(m < x for m in minima)
@@ -99,12 +99,13 @@ def osp_count(n: int, minima: set) -> int:
 
 def osp_enumerate(n: int, minima: set) -> list:
     """All ordered set partitions of {1..n} whose block minima are exactly
-    the given set; empty unless 1 is a minimum.  Raises ValueError, before
-    building any, when there would be more than OSP_BUDGET of them."""
+    the given set; empty unless 1 is a minimum, or n = 0 (the one empty
+    partition).  Raises ValueError, before building any, when there would be
+    more than OSP_BUDGET of them."""
     minima = set(minima)
     if not minima <= set(range(1, n + 1)):
         raise ValueError("minima must lie in {1..n}")
-    if 1 not in minima:
+    if n and 1 not in minima:
         return []
     count = osp_count(n, minima)
     if count > OSP_BUDGET:

@@ -53,6 +53,14 @@ the bytes of the sum K/8 at a time; it converts only the slots that are
 not empty, then maps e1^i e2^j to the sum over x of
 C(i, x) q^(j+x) t^(j+i-x), for the terms with x >= y only, and mirrors them.
 
+tes_sums sums tes over groups of vectors, as hilb's Tesler route sums it
+over the arrangements of each monomial.  The packing is a ring
+homomorphism for any (K, W), so it bounds every vector first and walks all
+of them at one (K, W): K from the largest group's summed L1, W from the
+union of the windows.  A state that many vectors reach is then packed once,
+not once per (K, W), each group's packed values are shift-added, and each
+group sum is decoded once.  tes is its one-vector case.
+
 A state, the hook vector of the rows still to fill, is one int code: entry
 j is base-2^16 digit j, stored as x_j + 2^15, so the first entry is
 (code & 0xFFFF) - 2^15, the rows below are code >> 16 and the length is the
@@ -289,30 +297,82 @@ PACKED_BITS_BUDGET = 1 << 22
 def tes(alpha) -> LaurentPolyQT:
     """The Tesler function: the weight sum over all matrices with hooks alpha.
 
-    By the first-row recursion on state codes and ints packed in the
-    e-basis (see the module docstring), memoized on the state, so
-    sub-vectors are shared within one call and across calls; a single hook
-    a is qt_int(a) itself.  Raises ValueError when the positive or the
-    negative hooks sum to 2^15 or more in absolute value: a state would no
-    longer fit its code; and, after the bound pass, when the packed length
-    K * W * (I + 1) is over PACKED_BITS_BUDGET.  Values are immutable and
-    safe to share.
+    The one-vector case of tes_sums: by the first-row recursion on state
+    codes and ints packed in the e-basis (see the module docstring),
+    memoized on the state, so sub-vectors are shared within one call and
+    across calls.  A single hook a is qt_int(a) itself, and () is 1, the
+    weight of the one empty matrix.  Raises ValueError as tes_sums does.
+    Values are immutable and safe to share.
     """
-    alpha = tuple(alpha)
-    mass = max(sum(x for x in alpha if x > 0), -sum(x for x in alpha if x < 0))
-    if mass >= _HALF:
-        raise ValueError(f"tes needs the positive and the negative hooks to sum below {_HALF}")
-    if len(alpha) == 1:
-        return qt_int(alpha[0])
-    code = _encode(alpha)
-    l1, lo, hi, top, _ = _bound(code) if code else _ZERO_BOUND
+    return tes_sums(((alpha,),))[0]
+
+
+def tes_sums(groups) -> list:
+    """The sum of tes over each group of hook vectors, one value per group.
+
+    Every vector of two or more entries is bounded once by _bound, and all
+    of them are walked at one (K, W): K from the largest group's summed L1
+    bound, which bounds the coefficients of that group's sum, and W from
+    the union of every e2-window.  Each group's packed values are
+    shift-added, and the sum is decoded once.  Vectors of length 0 and 1 are
+    not packed: () is 1 and (a,) is qt_int(a).  An empty group sums to 0.
+    Raises ValueError, before any packed walk, when the positive or the
+    negative hooks of a vector sum to 2^15 or more in absolute value (a
+    state would no longer fit its code), and when the shared packed length
+    K * W * (I + 1), I the largest e1-exponent, is over PACKED_BITS_BUDGET.
+    """
+    plan = []
+    l1 = top = live = 0
+    lo, hi = math.inf, -math.inf
+    for group in groups:
+        unpacked, codes, total = ZERO, [], 0
+        for alpha in group:
+            alpha = tuple(alpha)
+            mass = max(sum(x for x in alpha if x > 0), -sum(x for x in alpha if x < 0))
+            if mass >= _HALF:
+                raise ValueError(f"tes needs the positive and the negative hooks to sum "
+                                 f"below {_HALF}")
+            if len(alpha) < 2:
+                value = qt_int(alpha[0]) if alpha else ONE
+                unpacked = unpacked + value if unpacked else value
+                continue
+            code = _encode(alpha)
+            cl1, clo, chi, ctop, _ = _bound(code)
+            if cl1:
+                codes.append(code)
+                total += cl1
+                live, last = live + 1, alpha
+                if clo < lo:
+                    lo = clo
+                if chi > hi:
+                    hi = chi
+                if ctop > top:
+                    top = ctop
+        plan.append((unpacked, codes))
+        if total > l1:
+            l1 = total
     if not l1:
-        return ZERO
+        return [unpacked for unpacked, _ in plan]
     k, w = _slot_sizes(l1, lo, hi)
     if k * w * (top + 1) > PACKED_BITS_BUDGET:
-        raise ValueError(f"tes{alpha} would pack up to K*W*(I+1) = {k * w * (top + 1):,} bits "
+        what = f"tes{last}" if live == 1 else f"tes over {live:,} hook vectors"
+        raise ValueError(f"{what} would pack up to K*W*(I+1) = {k * w * (top + 1):,} bits "
                          f"per value, over the budget of {PACKED_BITS_BUDGET:,}")
-    return _from_e(_unpack(*_tes_cached(code, k, w), k, w, lo))
+    out = []
+    for unpacked, codes in plan:
+        n = e = 0
+        for code in codes:
+            cn, ce = _tes_cached(code, k, w)
+            if not n:
+                n, e = cn, ce
+            elif ce >= e:
+                n += cn << k * (ce - e)
+            else:
+                n = (n << k * (e - ce)) + cn
+                e = ce
+        value = _from_e(_unpack(n, e, k, w, lo))
+        out.append(value + unpacked if unpacked else value)
+    return out
 
 
 # a state code: entry j is base-2^_DIGIT digit j, stored as x_j + _HALF

@@ -337,6 +337,14 @@ class TestHilbCommand:
         code, out, _ = run_cli(capsys, "hilb", "--f", "e:0", "--n", "5", "--prime")
         assert code == 0 and out.strip() == "1"
 
+    @pytest.mark.parametrize("target", ["en", "pn"])
+    def test_prime_constant_at_n1(self, capsys, target):
+        # n = 1 cross-checks both routes: the p-target's one hook vector is (),
+        # whose one empty matrix weighs 1
+        code, out, err = run_cli(capsys, "hilb", "--f", "e:0", "--n", "1", "--prime",
+                                 "--target", target)
+        assert code == 0 and out == "1\n" and err == ""
+
     def test_prime_p_target(self, capsys):
         # scaled p-target of the primed operator at m_{-1}: the single
         # surviving hook vector gives tes((-1, 0)) = 1/(q^2 t^2)

@@ -29,7 +29,9 @@ from teslab.tesler import (
     enumerate_tesler,
     parse_hooks,
     tes,
+    tes_sums,
 )
+from teslab.specializations import tes_t0, tes_t1
 
 MIXED_SIGN_4X4 = TeslerMatrix([
     [0, 1, 0, 2],
@@ -294,6 +296,12 @@ class TestTes:
     def test_leading_zero_vanishes(self):
         assert tes((0, 1)).is_zero()
         assert tes((0, -2, 1)).is_zero()
+
+    def test_empty_hook_vector_is_one(self):
+        # the one empty matrix weighs 1, the empty product; the t = 0 product,
+        # the one empty ordered set partition at t = 1 and the eigen route agree
+        for route in (tes, tes_via_theorem, tes_t0, tes_t1):
+            assert route(()) == ONE, route.__name__
 
     def test_matches_weight_sum(self):
         rng = random.Random(17)
@@ -836,3 +844,78 @@ class TestDecode:
             poly = _qt_of(terms)
             assert poly == poly.swap_qt() and _e_of(poly) == terms
             assert _from_e(_unpack(*_pack(LaurentPolyQT._raw(terms), k, w), k, w, lo)) == poly
+
+
+def _summed_tes(group):
+    """The oracle of tes_sums: tes of each vector, added up."""
+    return sum((tes(alpha) for alpha in group), ZERO)
+
+
+class TestTesSums:
+    def test_matches_summed_tes_seeded(self):
+        # groups of 0-8 vectors of lengths 1-6 in [-2, 2], walked at one (K, W)
+        rng = random.Random(101)
+        for _ in range(20):
+            groups = [[tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 6)))
+                       for _ in range(rng.randint(0, 8))] for _ in range(rng.randint(1, 5))]
+            assert tes_sums(groups) == [_summed_tes(g) for g in groups], groups
+
+    def test_empty_and_dead_groups(self):
+        # a leading zero kills a vector before its walk: no live vector, no packing
+        dead = [(0, 1, 1), (0, -2), (0,), (0, 0, 0)]
+        assert all(not _bound(_encode(alpha))[0] for alpha in dead if len(alpha) > 1)
+        groups = [[], dead, [(2, -1), (1, 1, 1), (0, 3), (1,), ()], [(1, 1)], dead + [(1, 1)]]
+        out = tes_sums(groups)
+        assert out == [_summed_tes(g) for g in groups]
+        assert out[0].is_zero() and out[1].is_zero()
+        assert tes_sums([[], dead]) == [ZERO, ZERO]
+        assert tes_sums([]) == []
+
+    @pytest.mark.parametrize("later", [(1, 1), (-1, 2, 1), (3, -1)])
+    def test_a_group_that_cancels_to_zero(self, monkeypatch, later):
+        # no small sum of Tesler functions of short vectors is 0, so one vector is
+        # made to pack as the negation of another: the group's packed sum
+        # reaches 0, and a value after it, at a lower or a higher offset,
+        # comes through exactly
+        first, twin = (2, -1, 1), (1, 2, 1)
+        real = tesler._tes_cached
+
+        def negated(code, k, w):
+            if code == _encode(twin):
+                n, e = real(_encode(first), k, w)
+                return -n, e
+            return real(code, k, w)
+
+        monkeypatch.setattr(tesler, "_tes_cached", negated)
+        assert tes_sums([[first, twin], [first, twin, later], [later, first, twin]]) == [
+            ZERO, tes(later), tes(later)]
+
+    def test_mixed_lengths(self):
+        group = [(), (3,), (1, 1), (2, -1, 1), (1, 0, 1, 1), (1, 1, 1, 1, 1), (-1, 2, 0, 1, -1, 1)]
+        assert tes_sums([group, group[::-1], group[2:4]]) == [
+            _summed_tes(group), _summed_tes(group), _summed_tes(group[2:4])]
+
+    def test_many_copies_need_more_bits_than_any_member(self):
+        # 300 copies of one vector: every coefficient of the sum is 300 times
+        # the member's, past the 2^(K-1) that the member's own bound gives, so
+        # K must come from the group's summed bound, not the largest single one
+        alpha = (-2, -2, -1, 0)
+        code = _encode(alpha)
+        l1, lo, hi, _, _ = _bound(code)
+        k, w = _slot_sizes(l1, lo, hi)
+        terms = _unpack(*_tes_cached(code, k, w), k, w, lo)
+        assert 300 * max(map(abs, terms.values())) >= 1 << (k - 1)
+        assert tes_sums([[alpha] * 300, [alpha]]) == [tes(alpha) * 300, tes(alpha)]
+
+    def test_mass_and_budget_refused_before_any_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a packed walk ran")
+
+        monkeypatch.setattr(tesler, "_tes_cached", refuse)
+        with pytest.raises(ValueError, match="sum below 32768"):
+            tes_sums([[(1, 1)], [(20000, 20000)]])
+        monkeypatch.setattr(tesler, "PACKED_BITS_BUDGET", 0)
+        with pytest.raises(ValueError, match=r"tes over 2 hook vectors would pack up to K\*W"):
+            tes_sums([[(1, 1)], [(1, 2)]])
+        with pytest.raises(ValueError, match=r"tes\(1, 1\) would pack"):
+            tes_sums([[(1, 1), (3,)]])
