@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .plethysm import MonomialSymFn, arrangement_count, distinct_arrangements, e_plethysm
-from .qt_algebra import M, ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
+from .plethysm import MonomialSymFn, arrangement_count, distinct_arrangements
+from .qt_algebra import ONE, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from .tesler import tes_sums
 from .young import (Partition, partition_count, partition_stats, partitions_of, pi_factors,
                     w_cell_factors, w_factors)
@@ -51,28 +51,6 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
     if n > PARTITION_SIZE_BUDGET:
         raise ValueError(f"n={n} is over the partition-size budget of {PARTITION_SIZE_BUDGET}")
-
-
-def _bracket_side(alphabet: LaurentPolyQT, k: int, j: int) -> RatFuncQT:
-    """Lemma 3.3's bracket side: (-1)^(k-1) e_j[alphabet] / M for k > 0, and for
-    k < 0 (-1)^k q^-1 t^-1 bar(e_(-k)[alphabet] / M) = (-1)^k bar(e_(-k)[alphabet]) / M."""
-    if k > 0:
-        return RatFuncQT.from_binomials((), M_FACTORS, e_plethysm(j, alphabet) * (-1) ** (k - 1))
-    return RatFuncQT.from_binomials((), M_FACTORS, e_plethysm(-k, alphabet).bar() * (-1) ** -k)
-
-
-def power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
-    """The bracket side of the power identities built on M*B(nu) - 1."""
-    if k == 0:
-        return RatFuncQT.from_binomials((), M_FACTORS)
-    return _bracket_side(M * partition_stats(nu).B - ONE, k, k - 1)
-
-
-def shifted_power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
-    """The bracket side of the shifted identities built on M*B(nu)."""
-    if k == 0:
-        return RatFuncQT.from_laurent(ZERO)
-    return _bracket_side(M * partition_stats(nu).B, k, k)
 
 
 def _line_product(nu: Partition, mu: Partition, cell, other: bool, extra=()) -> RatFuncQT:
@@ -109,22 +87,6 @@ def pieri_d(nu: Partition) -> tuple:
         raise ValueError("nu must be nonempty")
     return tuple((mu, LaurentPolyQT.monomial(1, *cell),
                   _line_product(nu, mu, cell, False, M_FACTORS)) for mu, cell in nu.covers())
-
-
-def pieri_power_sum(table: tuple, k: int) -> RatFuncQT:
-    """Sum of d * T^k over the covers (the left side of the power identities)."""
-    total = RatFuncQT.from_laurent(ZERO)
-    for _, t, d in table:
-        total = total + d * RatFuncQT.from_laurent(t ** k)
-    return total
-
-
-def pieri_power_sum_shifted(table: tuple, k: int) -> RatFuncQT:
-    """Sum of d * (1 - T) * T^k over the covers."""
-    total = RatFuncQT.from_laurent(ZERO)
-    for _, t, d in table:
-        total = total + d * RatFuncQT.from_laurent((ONE - t) * t ** k)
-    return total
 
 
 @lru_cache(maxsize=None)

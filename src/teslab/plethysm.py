@@ -17,8 +17,9 @@ from .qt_algebra import ONE, ZERO, LaurentPolyQT
 from .young import Partition, partitions_of
 
 
-def e_plethysm(k: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
-    """Elementary bracket e_k[S], the z^k coefficient of prod (1 + x z)^c over S.
+def e_plethysms(k: int, alphabet: LaurentPolyQT) -> list:
+    """The elementary brackets e_0[S], ..., e_k[S]: the z^0..z^k coefficients
+    of prod (1 + x z)^c over the terms c*x of S.
 
     The truncated series es[0..k] is multiplied by 1 + x z once per unit of a
     positive multiplicity c and divided by it once per unit of a negative one;
@@ -35,7 +36,12 @@ def e_plethysm(k: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
             else:
                 for j in range(1, k + 1):
                     es[j] = es[j] - es[j - 1].shift(eq, et)
-    return es[k]
+    return es
+
+
+def e_plethysm(k: int, alphabet: LaurentPolyQT) -> LaurentPolyQT:
+    """Elementary bracket e_k[S], the last entry of e_plethysms(k, S)."""
+    return e_plethysms(k, alphabet)[-1]
 
 
 def distinct_arrangements(rho, slots: int) -> list:

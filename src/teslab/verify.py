@@ -4,7 +4,9 @@ Each suite builds a list of labelled cases, runs them in order, and returns
 a machine-readable Report.  _equal_case builds every case: it computes two
 or more routes to one value (a polynomial, a number, or a dict or multiset
 keyed by ordered set partitions or matrices) and compares each with the
-first, so every failure record is {inputs, lhs, rhs}.  A suite over hook
+first, so every failure record is {inputs, lhs, rhs}; lemma-3-3 compares
+each identity's two sides cleared to one denominator per partition, so its
+lhs and rhs are those two numerators.  A suite over hook
 vectors is its vectors plus its routes: _vectors lists every vector of
 lengths 1..n_max over a set of entries, and _alpha_cases builds one equal
 case per vector from routes that are one-argument functions of it, with
@@ -22,26 +24,24 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, groupby, product
-from math import comb
+from math import comb, prod
 
 from .macdonald import (
+    M_FACTORS,
     _check_cap,
     closed_forms,
     hilb_delta,
     hilb_delta_prime,
     hilb_tilde,
-    shifted_power_identity_rhs,
-    power_identity_rhs,
     pieri_d,
-    pieri_power_sum,
-    pieri_power_sum_shifted,
     tes_via_theorem,
     virtual_F,
 )
-from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm, m_eval
-from .qt_algebra import M, Q, ZERO, LaurentPolyQT, RatFuncQT, q_factorial, q_int_product, qt_int
+from .plethysm import MonomialSymFn, distinct_arrangements, e_plethysm, e_plethysms, m_eval
+from .qt_algebra import (M, ONE, Q, ZERO, LaurentPolyQT, RatFuncQT, q_factorial, q_int_product,
+                         qt_int)
 from .specializations import (
     area,
     car_bars,
@@ -59,7 +59,7 @@ from .specializations import (
     wt_alpha,
 )
 from .tesler import enumerate_tesler, tes
-from .young import partition_stats, partitions_of
+from .young import Partition, partition_stats, partitions_of
 
 
 @dataclass
@@ -258,22 +258,77 @@ def suite_cor_3_2(bounds: Bounds) -> Report:
     return _run("cor-3-2", cases)
 
 
+@lru_cache(maxsize=1)
+def _power_parts(nu: Partition) -> tuple:
+    """What Lemma 3.3's identities at nu share across k, over one denominator.
+
+    With d_i = n_i / prod(F_i) the d of the i-th cover, D the union of the
+    F_i with multiplicity, 1/M = m / prod(E) and C = D & E, every side of the
+    identities has the denominator L = D | E, so an identity holds iff its
+    numerators over L agree (Knuth, TAOCP vol. 2, 4.5.1):
+        sum_i N_i T_i^k (1 - T_i for the shifted one) == b_k * m prod(D - C),
+    N_i = n_i prod(D - F_i) prod(E - C), b_k the bracket's signed e_j.  Returns
+    (one ((a, b), N_i, N_i (1 - T_i)) per cover, T_i = q^a t^b; m prod(D - C);
+    e_0..e_(m+1) of M B(nu) - 1 and of M B(nu), e_(m+1) the largest a case
+    reads).  The suite runs nu by nu, so one entry serves.
+    """
+    table = pieri_d(nu)
+    inverse_m = RatFuncQT.from_binomials((), M_FACTORS)
+    over_m = Counter(inverse_m.factors)
+    over_d = Counter()
+    for _, _, d in table:
+        over_d |= Counter(d.factors)
+    common = over_d & over_m
+    outside = prod((over_m - common).elements(), start=ONE)
+    covers = []
+    for _, t, d in table:
+        (a, b), = t.terms
+        n = d.num * prod((over_d - Counter(d.factors)).elements(), start=ONE) * outside
+        covers.append(((a, b), n, n - n.shift(a, b)))
+    scale = inverse_m.num * prod((over_d - common).elements(), start=ONE)
+    mb = M * partition_stats(nu).B
+    top = len(table) + 1
+    return covers, scale, e_plethysms(top, mb - ONE), e_plethysms(top, mb)
+
+
+def _cleared_sum(nu: Partition, k: int, shifted: bool) -> LaurentPolyQT:
+    """sum_i N_i T_i^k, times 1 - T_i when shifted: the Pieri side over L."""
+    total = ZERO
+    for (a, b), n, n_shifted in _power_parts(nu)[0]:
+        total = total + (n_shifted if shifted else n).shift(k * a, k * b)
+    return total
+
+
+def _cleared_bracket(nu: Partition, k: int, shifted: bool) -> LaurentPolyQT:
+    """The bracket side over L: b_k times m prod(D - C).  b_k is
+    (-1)^(k-1) e_j[alphabet] for k > 0 (j = k - 1 on M B - 1, k on M B),
+    (-1)^k bar(e_(-k)[alphabet]) for k < 0, and 1 (0 when shifted) at k = 0."""
+    _, scale, power, plain = _power_parts(nu)
+    es = plain if shifted else power
+    if k > 0:
+        bracket = es[k if shifted else k - 1] * (-1) ** (k - 1)
+    elif k < 0:
+        bracket = es[-k].bar() * (-1) ** -k
+    else:
+        bracket = ZERO if shifted else ONE
+    return bracket * scale
+
+
 def suite_lemma_3_3(bounds: Bounds) -> Report:
     # pieri_d is a closed product, not solved from these identities, so every
-    # k (including 0..m-1) is an independent check.
+    # k (including 0..m-1) is an independent check.  Each case compares the
+    # two numerators over _power_parts' common denominator, so a failure's
+    # lhs and rhs are those numerators.
     cases = []
     for n in range(1, bounds.cap(6) + 1):
         for nu in partitions_of(n):
             m = len(nu.covers())
             for k in range(-2, m + 2):
-                cases.append(_equal_case(
-                    {"nu": str(nu), "k": k, "identity": "power"},
-                    (lambda nu=nu, k=k: pieri_power_sum(pieri_d(nu), k)),
-                    (lambda nu=nu, k=k: power_identity_rhs(nu, k))))
-                cases.append(_equal_case(
-                    {"nu": str(nu), "k": k, "identity": "shifted"},
-                    (lambda nu=nu, k=k: pieri_power_sum_shifted(pieri_d(nu), k)),
-                    (lambda nu=nu, k=k: shifted_power_identity_rhs(nu, k))))
+                for identity, shifted in (("power", False), ("shifted", True)):
+                    cases.append(_equal_case(
+                        {"nu": str(nu), "k": k, "identity": identity},
+                        partial(_cleared_sum, nu, k, shifted),
+                        partial(_cleared_bracket, nu, k, shifted)))
     for k in range(1, 9):
         sign = 1 if (k - 1) % 2 == 0 else -1
         cases.append(_equal_case(
@@ -505,10 +560,11 @@ SUITE_NAMES = tuple(SUITES)
 # The largest n_max of each suite whose work grows with n, checked before
 # any case is built.  Each is the largest value timed to finish within a
 # minute on one core of a 2-core host (cor-5-1 at 8 takes 24 s, at 9 over
-# 60 s; prop-6-3 at 6 takes 1.3 s, at 7 39 s), and none is below its
-# suite's default.  thm-3-1 and cor-3-2 do no more work above their defaults.
+# 60 s; prop-6-3 at 6 takes 1.3 s, at 7 39 s; lemma-3-3 at 20 takes 37-44 s,
+# at 21 63 s), and none is below its suite's default.  thm-3-1 and cor-3-2
+# do no more work above their defaults.
 N_MAX_BUDGETS = {
-    "lemma-3-3": 16,
+    "lemma-3-3": 20,
     "thm-4-1": 7,
     "cor-4-4": 10,
     "cor-4-5": 10,

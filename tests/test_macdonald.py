@@ -1,12 +1,14 @@
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
-from teslab import macdonald, tesler
+from teslab import macdonald, tesler, verify
 from teslab.macdonald import (
+    M_FACTORS,
     _eigen_coeff,
     _tesler_cost,
     cheaper_route,
@@ -14,21 +16,58 @@ from teslab.macdonald import (
     hilb_delta,
     hilb_delta_prime,
     hilb_tilde,
-    shifted_power_identity_rhs,
-    power_identity_rhs,
     pieri_d,
-    pieri_power_sum,
-    pieri_power_sum_shifted,
     skew_pieri_c,
     tes_via_theorem,
     virtual_F,
 )
-from teslab.plethysm import MonomialSymFn
-from teslab.qt_algebra import ONE, Q, T, LaurentPolyQT, RatFuncQT, qt_int
+from teslab.plethysm import MonomialSymFn, e_plethysm
+from teslab.qt_algebra import M, ONE, Q, T, ZERO, LaurentPolyQT, RatFuncQT, qt_int
 from teslab.tesler import tes
 from teslab.young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
 
 P = Partition
+
+
+# The two sides of Lemma 3.3's power identities as RatFuncQT sums, one per k:
+# the slow definition that verify's cleared numerators are checked against.
+
+def pieri_power_sum(table: tuple, k: int) -> RatFuncQT:
+    """Sum of d * T^k over the covers (the left side of the power identities)."""
+    total = RatFuncQT.from_laurent(ZERO)
+    for _, t, d in table:
+        total = total + d * RatFuncQT.from_laurent(t ** k)
+    return total
+
+
+def pieri_power_sum_shifted(table: tuple, k: int) -> RatFuncQT:
+    """Sum of d * (1 - T) * T^k over the covers."""
+    total = RatFuncQT.from_laurent(ZERO)
+    for _, t, d in table:
+        total = total + d * RatFuncQT.from_laurent((ONE - t) * t ** k)
+    return total
+
+
+def _bracket_side(alphabet: LaurentPolyQT, k: int, j: int) -> RatFuncQT:
+    """Lemma 3.3's bracket side: (-1)^(k-1) e_j[alphabet] / M for k > 0, and for
+    k < 0 (-1)^k q^-1 t^-1 bar(e_(-k)[alphabet] / M) = (-1)^k bar(e_(-k)[alphabet]) / M."""
+    if k > 0:
+        return RatFuncQT.from_binomials((), M_FACTORS, e_plethysm(j, alphabet) * (-1) ** (k - 1))
+    return RatFuncQT.from_binomials((), M_FACTORS, e_plethysm(-k, alphabet).bar() * (-1) ** -k)
+
+
+def power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
+    """The bracket side of the power identities built on M*B(nu) - 1."""
+    if k == 0:
+        return RatFuncQT.from_binomials((), M_FACTORS)
+    return _bracket_side(M * partition_stats(nu).B - ONE, k, k - 1)
+
+
+def shifted_power_identity_rhs(nu: Partition, k: int) -> RatFuncQT:
+    """The bracket side of the shifted identities built on M*B(nu)."""
+    if k == 0:
+        return RatFuncQT.from_laurent(ZERO)
+    return _bracket_side(M * partition_stats(nu).B, k, k)
 
 
 def _leibniz_det(matrix: list) -> RatFuncQT:
@@ -130,6 +169,43 @@ class TestPieri:
                 for k in (-1, 0, 2):
                     values.append(virtual_F((k,) * (n - 1), mu))
                 assert all(_binomial_denominators(r) for r in values), mu
+
+
+class TestClearedPowerIdentities:
+    """verify's lemma-3-3 compares numerators over one denominator per nu:
+    the least common multiple of M and the denominators of nu's d's."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cleared_sides_match_the_per_k_sums(self, n):
+        for nu in partitions_of(n):
+            table = pieri_d(nu)
+            lcm = Counter(RatFuncQT.from_binomials((), M_FACTORS).factors)
+            for _, _, d in table:
+                lcm |= Counter(d.factors)
+            denominator = list(lcm.elements())
+            for k in range(-2, len(table) + 2):
+                for shifted, lhs, rhs in ((False, pieri_power_sum, power_identity_rhs),
+                                          (True, pieri_power_sum_shifted,
+                                           shifted_power_identity_rhs)):
+                    cleared = verify._cleared_sum(nu, k, shifted)
+                    assert RatFuncQT.from_binomials((), denominator, cleared) == lhs(table, k)
+                    cleared = verify._cleared_bracket(nu, k, shifted)
+                    assert RatFuncQT.from_binomials((), denominator, cleared) == rhs(nu, k)
+
+    def test_a_wrong_d_fails_the_suite(self, monkeypatch):
+        def scaled(nu):
+            (mu, t, d), *rest = pieri_d(nu)
+            return ((mu, t, d * Q), *rest)
+
+        verify._power_parts.cache_clear()
+        monkeypatch.setattr(verify, "pieri_d", scaled)
+        try:
+            report = verify.run_suite("lemma-3-3")
+        finally:
+            verify._power_parts.cache_clear()
+        assert report.cases_run == 388
+        # every Pieri case fails; only the 8 qt-binomial cases pass
+        assert len(report.failures) == 380
 
 
 class TestSkewPieri:

@@ -14,6 +14,7 @@ from teslab.plethysm import (
     arrangement_count,
     distinct_arrangements,
     e_plethysm,
+    e_plethysms,
     m_eval,
     schur_to_monomial,
 )
@@ -166,6 +167,20 @@ class TestElementaryPlethysm:
                 for i in range(k + 1):
                     split = split + e_plethysm(i, a) * e_plethysm(k - i, b)
                 assert direct == split
+
+    def test_one_pass_gives_every_lower_bracket(self):
+        # e_plethysms(k, S)[j] is e_j[S] for every j <= k, negative
+        # multiplicities included, whose updates run the other way
+        rng = random.Random(33)
+        for _ in range(30):
+            alphabet = lp({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-3, 3)
+                           for _ in range(rng.randint(0, 4))})
+            k = rng.randint(0, 6)
+            es = e_plethysms(k, alphabet)
+            assert len(es) == k + 1
+            assert es == [e_plethysm(j, alphabet) for j in range(k + 1)]
+        with pytest.raises(ValueError, match="elementary index"):
+            e_plethysms(-1, M)
 
     def test_sign_rule_on_single_monomials(self):
         # e_k[-m] = (-1)^k h_k[m] for a single monomial m
