@@ -206,14 +206,16 @@ def _eigen_sum(f: MonomialSymFn, target: str, n: int) -> LaurentPolyQT:
 # The cost rule of cheaper_route and TESLER_ROUTE_BUDGET, in estimated cold
 # seconds on one core of a 2-core host: least-squares fits to the logs of
 # 176 Tesler-route and 188 eigen-route times of hilb_delta_prime and
-# hilb_delta at n = 5-10 (the fit tables are in CHANGES.md).  With a the
-# arrangements of a monomial rho of f in n - 1 slots, s = |rho| + 1 the mass
-# of its hook vectors (|rho| for the p-target), m the largest |part| of rho
-# and d the largest |rho| of f, the Tesler route costs the sum over rho of
+# hilb_delta at n = 5-10, the eigen side re-timed after its coefficients
+# stopped trying divisions that cannot succeed (the fit tables are in
+# CHANGES.md).  With a the arrangements of a monomial rho of f in n - 1
+# slots, s = |rho| + 1 the mass of its hook vectors (|rho| for the
+# p-target), m the largest |part| of rho and d the largest |rho| of f, the
+# Tesler route costs the sum over rho of
 #     e^-9.29 * a^-0.0488 * e^(s * (0.157 n - 0.355) + 0.240 m)
 # (tes_sums walks every arrangement at one packing, so a state they share is
 # packed once, and a enters to a power near 0) and the eigen route
-#     e^-10.5 * p(n)^2.70 * e^(0.0876 d),
+#     e^-11.3 * p(n)^2.80 * e^(0.0897 d),
 # p(n) the number of partitions of n.  Both are counts: no tes walk runs.
 
 
@@ -232,7 +234,7 @@ def _tesler_cost(f: MonomialSymFn, target: str, n: int) -> float:
 
 def _eigen_cost(f: MonomialSymFn, n: int) -> float:
     degree = max((sum(map(abs, rho)) for rho in f.coeffs), default=0)
-    return partition_count(n) ** 2.70 * math.exp(0.0876 * degree - 10.5)
+    return partition_count(n) ** 2.80 * math.exp(0.0897 * degree - 11.3)
 
 
 def cheaper_route(f: MonomialSymFn, target: str, n: int) -> str:

@@ -36,7 +36,16 @@ Knuth (TAOCP vol. 2, 4.5.1):
 - a factor that fails once is not tried again: the numerator only loses
   factors, so its other copies cannot divide either;
 - from_binomials cancels equal binomials and divides a denominator binomial
-  into a numerator binomial before anything is expanded.
+  into a numerator binomial before anything is expanded;
+- a binomial divided by a binomial is a closed form in exact_div: the
+  geometric sum when the dividend's direction is k >= 1 times the
+  divisor's and the signs agree, else no quotient, with no line walk;
+- from_binomials keeps a prime denominator binomial that divides no
+  numerator binomial untried when the scale is a monomial: a prime divides
+  a product only through one of its factors;
+- a product with a monomial c x^m shifts the numerator and keeps the
+  factors, with no trial: a binomial of content 1 divides c x^m num only if
+  it divides num (Gauss's lemma).
 """
 
 from __future__ import annotations
@@ -324,7 +333,8 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     to divide.  One pass over the terms of a finds the unique quotient or
     shows there is none.  Two cheap tests show it sooner: for s = 1, b
     vanishes at q = t = 1, so a must; and a line with a single point cannot
-    be divisible.
+    be divisible.  A two-term a needs no walk: _binomial_quotient divides
+    it in closed form.
 
     A term's line is one integer: its cross product e1 v0 - e0 v1 with v,
     times n = v0 (v1 when v0 = 0), plus its coset e0 mod n (e1 mod n).  The
@@ -340,13 +350,15 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
         return ZERO
     (A, ca), (B, cb) = b.terms.items()
     s = -ca * cb
-    if s > 0 and sum(a.terms.values()):
-        # b = +-(x^A - x^B) vanishes at q = t = 1, so a multiple of it does too
-        return None
     v0, v1 = A[0] - B[0], A[1] - B[1]
     if v0 < 0 or (not v0 and v1 < 0):
         B, cb = A, ca
         v0, v1 = -v0, -v1
+    if len(a.terms) == 2:
+        return _binomial_quotient(a, B, cb, v0, v1, s)
+    if s > 0 and sum(a.terms.values()):
+        # b = +-(x^A - x^B) vanishes at q = t = 1, so a multiple of it does too
+        return None
     # a term's line: its cross product with v, and its coset along v
     n = v0 or v1
     lines: dict = {}
@@ -392,6 +404,37 @@ def exact_div(a: LaurentPolyQT, b: LaurentPolyQT):
     return LaurentPolyQT._raw(quot)
 
 
+def _binomial_quotient(a: LaurentPolyQT, B: Mono, cb: int, v0: int, v1: int, s: int):
+    """exact_div of a two-term a by c_B x^B (1 - s x^v), in closed form.
+
+    With a's terms named so that w = R - P points the way v does,
+    a = c_P x^P (1 - s' x^w) for s' = -c_R / c_P.  The quotient is a Laurent
+    polynomial exactly when w = k v for an integer k >= 1 and s' = s^k (so
+    |c_R| = |c_P|): it is then c_P c_B x^(P - B) times the geometric sum of
+    (s x^v)^j over j < k, as 1 - (s z)^k = (1 - s z)(1 + s z + ... ).
+    """
+    (P, cp), (R, cr) = a.terms.items()
+    w0, w1 = R[0] - P[0], R[1] - P[1]
+    if w0 < 0 or (not w0 and w1 < 0):
+        P, cp, cr = R, cr, cp
+        w0, w1 = -w0, -w1
+    if w0 * v1 != w1 * v0:
+        return None
+    # parallel and pointing the same way, so k >= 1 when it divides
+    k, rest = divmod(w0, v0) if v0 else divmod(w1, v1)
+    if rest or cr != -cp * s ** k:
+        return None
+    c = cp * cb
+    p0, p1 = P[0] - B[0], P[1] - B[1]
+    quot = {}
+    for _ in range(k):
+        quot[(p0, p1)] = c
+        p0 += v0
+        p1 += v1
+        c *= s
+    return LaurentPolyQT._raw(quot)
+
+
 class _Factor(LaurentPolyQT):
     """A canonical binomial x^a + c x^b, one object per value (see _factor).
 
@@ -424,7 +467,14 @@ def _factor(a: Mono, b: Mono, c: int) -> _Factor:
 def _split_canonical(p: LaurentPolyQT):
     """Write a +-1 binomial p as sign * x^mins * canonical, where canonical has
     min exponents (0,0) and a positive graded-lex leading coefficient."""
-    ((a0, a1), ca), ((b0, b1), cb) = p.terms.items()
+    return _split_terms(*p.terms.items())
+
+
+@lru_cache(maxsize=None)
+def _split_terms(first: tuple, second: tuple):
+    # _split_canonical on a binomial's two (exponent, coefficient) items, so
+    # an arm/leg binomial met again is split once
+    ((a0, a1), ca), ((b0, b1), cb) = first, second
     m0, m1 = min(a0, b0), min(a1, b1)
     a, b = (a0 - m0, a1 - m1), (b0 - m0, b1 - m1)
     if _grlex(a) < _grlex(b):
@@ -489,12 +539,15 @@ class RatFuncQT:
         Each binomial's sign and monomial move into scale.  Equal top and
         bottom binomials cancel, each remaining bottom binomial divides into
         one top binomial where it fits, and only then are the tops expanded;
-        the bottom binomials left are tried on the numerator in order.  A
-        zero bottom binomial raises ZeroDivisionError, and any other
-        non-binomial, integer content and monomials included, ValueError.
+        the bottom binomials left are tried on the numerator in order, but
+        for a monomial scale a prime one is kept untried: it divides no top
+        left, so it cannot divide their product.  A zero bottom binomial
+        raises ZeroDivisionError, and any other non-binomial, integer
+        content and monomials included, ValueError.
         """
         num, tops = _canonicalize(scale, top, 1)
         num, bottoms = _canonicalize(num, bottom, -1)
+        unit = len(num.terms) == 1
         if tops:
             over, under = Counter(tops), Counter(bottoms)
             common = over & under
@@ -512,6 +565,11 @@ class RatFuncQT:
         if num.is_zero():
             return cls._raw(ZERO, ())
         kept = []
+        if unit:
+            # a prime divides the monomial scale times the tops left only
+            # through one of the tops, and it divides none of them
+            kept = [f for f in bottoms if _is_prime(f)]
+            bottoms = [f for f in bottoms if not _is_prime(f)]
         num = _divide_out(num, bottoms, kept)
         return cls._raw(num, _sorted(kept))
 
@@ -583,6 +641,13 @@ class RatFuncQT:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return RatFuncQT._raw(ZERO, ())
+        # a binomial of content 1 divides c x^m num only if it divides num, so
+        # a reduced fraction times a monomial stays reduced, with no trial
+        for x, y in ((self, other), (other, self)):
+            if not y.factors and len(y.num.terms) == 1:
+                ((e0, e1), c), = y.num.terms.items()
+                num = x.num.shift(e0, e1)
+                return RatFuncQT._raw(num if c == 1 else num * c, x.factors)
         # a prime factor cannot divide its own numerator, so it is tried on
         # the other's; the rest are tried on the product
         kept, trial, nums = [], [], []

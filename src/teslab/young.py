@@ -63,21 +63,16 @@ class Partition:
         return [(x, y) for y, row in enumerate(self.parts) for x in range(row)]
 
     def cell_stats(self, cell) -> CellStats:
+        """The arm and leg of a cell: the cells to its right in its row, and
+        above it in its column, read off the row and the (cached) column
+        lengths."""
         x, y = cell
         if not (0 <= y < len(self.parts) and 0 <= x < self.parts[y]):
             raise ValueError(f"cell {cell} outside diagram of {self}")
-        arm = self.parts[y] - 1 - x
-        leg = sum(1 for yy in range(y + 1, len(self.parts)) if self.parts[yy] > x)
-        return CellStats(arm, leg)
+        return CellStats(self.parts[y] - 1 - x, _columns(self.parts)[x] - 1 - y)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for x in range(p):
-                cols[x] += 1
-        return Partition(cols)
+        return Partition(_columns(self.parts))
 
     def covers(self):
         """Partitions obtained by adding one cell, with the added cell.
@@ -123,6 +118,12 @@ def partition_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _columns(parts: tuple) -> tuple:
+    """The column lengths of the diagram with these row lengths."""
+    return tuple(sum(1 for p in parts if p > x) for x in range(parts[0] if parts else 0))
+
+
+@lru_cache(maxsize=None)
 def _partition_tuples(n: int, max_part: int):
     if n == 0:
         return ((),)
@@ -149,6 +150,7 @@ def pi_factors(mu: Partition) -> list:
     return [LaurentPolyQT({(0, 0): 1, cell: -1}) for cell in mu.cells() if cell != (0, 0)]
 
 
+@lru_cache(maxsize=None)
 def w_cell_factors(st: CellStats):
     """The two w factors of one cell: q^a - t^(l+1) and t^l - q^(a+1)."""
     return (

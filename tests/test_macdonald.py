@@ -22,7 +22,7 @@ from teslab.macdonald import (
     virtual_F,
 )
 from teslab.plethysm import MonomialSymFn, e_plethysm
-from teslab.qt_algebra import M, ONE, Q, T, ZERO, LaurentPolyQT, RatFuncQT, qt_int
+from teslab.qt_algebra import M, ONE, Q, T, ZERO, LaurentPolyQT, RatFuncQT, exact_div, qt_int
 from teslab.tesler import tes
 from teslab.young import Partition, cover_monomial, partition_stats, partitions_of, w_factors
 
@@ -208,10 +208,69 @@ class TestClearedPowerIdentities:
         assert len(report.failures) == 380
 
 
+def _w_pair(mu: Partition, cell) -> tuple:
+    """The row and column w factors q^a - t^(l+1) and t^l - q^(a+1) of a cell,
+    its arm a and leg l counted off the diagram."""
+    x, y = cell
+    cells = mu.cells()
+    a = sum(1 for cx, cy in cells if cy == y and cx > x)
+    l = sum(1 for cx, cy in cells if cx == x and cy > y)
+    return Q ** a - T ** (l + 1), T ** l - Q ** (a + 1)
+
+
+def _line_binomials(nu: Partition, mu: Partition, cell, other: bool):
+    """The top and bottom binomials of d_{mu nu} (other False, with M's two
+    factors below) or of c_{mu nu} (other True), from the product formula."""
+    x0, y0 = cell
+    top, bottom = [], [] if other else list(M_FACTORS)
+    for c, k in [((x, y0), 0) for x in range(x0)] + [((x0, y), 1) for y in range(y0)]:
+        small, big = _w_pair(nu, c), _w_pair(mu, c)
+        i = 1 - k if other else k
+        top.append((big if other else small)[i])
+        bottom.append((small if other else big)[i])
+    return top, bottom
+
+
+def _coefficients(n: int):
+    """(label, value, scale, top, bottom) for every d and c of the partitions
+    of n and the eigen coefficients of both targets."""
+    for nu in partitions_of(n):
+        for mu, cell in nu.covers():
+            d = {m: v for m, _, v in pieri_d(nu)}[mu]
+            yield ("d", nu, mu), d, ONE, *_line_binomials(nu, mu, cell, False)
+        if n > 1:
+            for small, cell in nu.cocovers():
+                c = {m: v for m, _, v in skew_pieri_c(nu)}[small]
+                yield ("c", nu, small), c, ONE, *_line_binomials(small, nu, cell, True)
+        pi = [ONE - Q ** x * T ** y for x, y in nu.cells() if (x, y) != (0, 0)]
+        w = [f for cell in nu.cells() for f in _w_pair(nu, cell)]
+        for target, scale in (("p", ONE), ("e", partition_stats(nu).B)):
+            yield ("eigen", nu, target), _eigen_coeff(nu, target), scale, pi + list(M_FACTORS), w
+
+
+class TestReducedCoefficients:
+    """Every Pieri, skew and eigen coefficient is reduced and has the value of
+    its product formula, whatever trial divisions were skipped on the way."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reduced_with_the_value_of_the_formula(self, n):
+        for label, r, scale, top, bottom in _coefficients(n):
+            assert all(exact_div(r.num, f) is None for f in r.factors), label
+            # cross-multiplied: scale * prod(top) over prod(bottom), no cancellation
+            lhs = r.num * math.prod(bottom, start=ONE)
+            assert lhs == scale * math.prod(top, start=ONE) * math.prod(r.factors, start=ONE), label
+
+
 class TestSkewPieri:
     def test_row_and_column(self):
         assert skew_pieri_c(P((2,))) == ((P((1,)), Q, RatFuncQT.from_laurent(ONE + Q)),)
         assert skew_pieri_c(P((1, 1))) == ((P((1,)), T, RatFuncQT.from_laurent(ONE + T)),)
+
+    def test_too_small_partitions(self):
+        with pytest.raises(ValueError, match="at least two cells"):
+            skew_pieri_c(P((1,)))
+        with pytest.raises(ValueError, match="nonempty"):
+            pieri_d(P(()))
 
 
 class TestVirtualF:
@@ -301,6 +360,11 @@ class TestHilbTilde:
     def test_zero_hooks_e(self):
         for n in range(1, 5):
             assert hilb_tilde((0,) * (n - 1), "e").to_laurent() == ONE
+
+    @pytest.mark.parametrize("alpha", [(), (1,), (1, 0)])
+    def test_unknown_target(self, alpha):
+        with pytest.raises(ValueError, match="target must be"):
+            hilb_tilde(alpha, "h")
 
 
 class TestTheoremRoute:

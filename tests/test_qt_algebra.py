@@ -278,6 +278,39 @@ class TestRatFunc:
         assert (db * rb) * RatFuncQT.from_binomials((), (a,), M) == rb
 
 
+class TestMixedOperands:
+    """A LaurentPolyQT operator hands a RatFuncQT operand to RatFuncQT's
+    reflected one, and both refuse any other type."""
+
+    def test_laurent_with_a_fraction(self):
+        r = RatFuncQT.from_binomials((), (ONE - Q,), T)
+        for got, want in ((Q + r, r + Q), (Q * r, r * Q)):
+            assert isinstance(got, RatFuncQT) and got == want
+        assert Q == RatFuncQT.from_laurent(Q) and RatFuncQT.from_laurent(Q) == Q
+        assert Q * 0 is ZERO and (Q * 0).is_zero()
+
+    @pytest.mark.parametrize("x", [Q + T, RatFuncQT.from_binomials((), (ONE - Q,), T)])
+    def test_other_types_are_refused(self, x):
+        other = object()
+        assert (x == other) is False and (x != "q + t") is True
+        for op in (lambda: x + other, lambda: x - other, lambda: x * other,
+                   lambda: other + x, lambda: other * x):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_a_fraction_is_not_hashable(self):
+        with pytest.raises(TypeError, match="not hashable"):
+            hash(RatFuncQT.from_laurent(Q))
+
+    def test_specialize_needs_a_binding(self):
+        with pytest.raises(ValueError, match="at least one binding"):
+            (Q + T).specialize()
+
+    def test_str_of_a_fraction(self):
+        assert str(RatFuncQT.from_laurent(ONE + Q)) == "1 + q"
+        assert str(RatFuncQT.from_binomials((), (ONE - Q,), T)) == "(-t) / (-1 + q)"
+
+
 class TestRfToLaurent:
     def test_qt_int_quotient(self):
         assert RatFuncQT.from_binomials((), (Q - T,), Q ** 2 - T ** 2).to_laurent() == Q + T
@@ -343,6 +376,84 @@ class TestExactDiv:
             b = lp({A: rng.choice([1, -1]), B: rng.choice([1, -1])})
             assert exact_div(a * b, b) == a
 
+    # a two-term dividend is divided in closed form: the geometric sum when its
+    # direction is k times the divisor's and s^|k| matches, else None
+    @pytest.mark.parametrize("a, b, quotient", [
+        (ONE - Q ** 6, ONE - Q ** 2, ONE + Q ** 2 + Q ** 4),
+        (ONE + Q ** 3, ONE + Q, ONE - Q + Q ** 2),
+        (ONE - Q ** 4, ONE + Q ** 2, ONE - Q ** 2),
+        (Q ** 2 - T ** 4, Q - T ** 2, Q + T ** 2),
+        (Q ** -6 - ONE, Q ** -2 - ONE, Q ** -4 + Q ** -2 + ONE),
+        (T ** 2 - Q ** 2 * T ** -2, T - Q * T ** -1, T + Q * T ** -1),
+    ])
+    def test_binomial_by_a_binomial_of_a_coarser_direction(self, a, b, quotient):
+        for sign in (1, -1):
+            assert exact_div(a * sign, b) == quotient * sign
+            assert exact_div(a, b * sign) == quotient * sign
+            assert _line_walk_div(a * sign, b) == quotient * sign
+
+    @pytest.mark.parametrize("a, b", [
+        (ONE - Q ** 3, ONE - Q ** 2),  # 3/2 is not an integer
+        (ONE - Q ** 2, ONE - T),  # not parallel
+        (Q - T, ONE - Q * T),  # not parallel
+        (ONE + Q ** 2, ONE - Q),  # the sign: (+1)^2 is not -1
+        (ONE - Q ** 2, ONE + Q * T),
+        (ONE + Q ** 4, ONE + Q ** 2),  # (-1)^2 is not -1
+        (ONE - Q ** 3, ONE + Q),  # (-1)^3 is not 1
+        (ONE - 2 * Q ** 2, ONE - Q),  # unequal coefficients
+    ])
+    def test_binomial_misses(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        assert exact_div(a, b) is None
+        assert _line_walk_div(a, b) is None
+        assert _sympy_quotient(a, b, sympy) is None
+
+    def test_seeded_binomial_pairs_match_the_line_walk(self):
+        # b = c x^B (1 - s x^v) and a = d x^E (1 - s' x^(k v)), negative
+        # exponents and k in +-1..+-6, about half with s' = s^|k|; the other
+        # half draws s' or a's direction at random
+        rng = random.Random(34)
+        hits = misses = 0
+        for _ in range(4000):
+            v = (0, 0)
+            while v == (0, 0):
+                v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            s, c, d = rng.choice((1, -1)), rng.choice((1, -1)), rng.choice((1, -2, 1, 3))
+            k = rng.choice((1, -1)) * rng.randint(1, 6)
+            B, E = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2)]
+            b = lp({B: c, (B[0] + v[0], B[1] + v[1]): -c * s})
+            w = (k * v[0], k * v[1])
+            if rng.random() < 0.2:
+                w = (rng.randint(-6, 6), rng.randint(-6, 6))
+            s_a = s ** abs(k) if rng.random() < 0.5 else rng.choice((1, -1))
+            if w == (0, 0):
+                continue
+            a = lp({E: d, (E[0] + w[0], E[1] + w[1]): -d * s_a})
+            got = exact_div(a, b)
+            assert got == _line_walk_div(a, b), (a, b)
+            if got is None:
+                misses += 1
+            else:
+                hits += 1
+                assert got * b == a
+        assert hits > 1000 and misses > 1000
+
+    def test_seeded_binomial_misses_leave_a_remainder(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(35)
+        misses = 0
+        for _ in range(150):
+            b = lp({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice((1, -1)),
+                    (rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice((1, -1))})
+            a = lp({(rng.randint(-6, 6), rng.randint(-6, 6)): rng.choice((1, -1)),
+                    (rng.randint(-6, 6), rng.randint(-6, 6)): rng.choice((1, -1))})
+            if len(a.terms) != 2 or len(b.terms) != 2:
+                continue
+            got = exact_div(a, b)
+            assert got == _sympy_quotient(a, b, sympy), (a, b)
+            misses += got is None
+        assert misses > 50
+
     @given(small_polys, unit_binomials, st.sampled_from([1, -1]),
            st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            st.integers(-3, 3), max_size=2).map(LaurentPolyQT))
@@ -364,23 +475,28 @@ class TestExactDiv:
         if num.is_zero():
             assert got == ZERO
             return
-        q, t = sympy.symbols("q t")
+        assert got == _sympy_quotient(num, b, sympy)
 
-        def mins(p):
-            return min(e for e, _ in p.terms), min(e for _, e in p.terms)
 
-        def shifted(p):
-            m0, m1 = mins(p)
-            return sum(c * q ** (e0 - m0) * t ** (e1 - m1) for (e0, e1), c in p.terms.items())
+def _sympy_quotient(num: LaurentPolyQT, b: LaurentPolyQT, sympy):
+    """num / b by sympy, or None when the remainder is not 0 or the quotient
+    is not over Z: both sides are shifted to polynomials and divided over QQ,
+    where one divisor is a Groebner basis, so remainder 0 <=> b divides num."""
+    q, t = sympy.symbols("q t")
 
-        quot, rem = sympy.div(shifted(num), shifted(b), q, t, domain="QQ")
-        coeffs = sympy.Poly(quot, q, t).terms()
-        if rem != 0 or any(not c.is_integer for _, c in coeffs):
-            assert got is None
-            return
-        (n0, n1), (b0, b1) = mins(num), mins(b)
-        expected = LaurentPolyQT({(e0 + n0 - b0, e1 + n1 - b1): int(c) for (e0, e1), c in coeffs})
-        assert got == expected
+    def mins(p):
+        return min(e for e, _ in p.terms), min(e for _, e in p.terms)
+
+    def shifted(p):
+        m0, m1 = mins(p)
+        return sum(c * q ** (e0 - m0) * t ** (e1 - m1) for (e0, e1), c in p.terms.items())
+
+    quot, rem = sympy.div(shifted(num), shifted(b), q, t, domain="QQ")
+    coeffs = sympy.Poly(quot, q, t).terms()
+    if rem != 0 or any(not c.is_integer for _, c in coeffs):
+        return None
+    (n0, n1), (b0, b1) = mins(num), mins(b)
+    return LaurentPolyQT({(e0 + n0 - b0, e1 + n1 - b1): int(c) for (e0, e1), c in coeffs})
 
 
 def _line_walk_div(a: LaurentPolyQT, b: LaurentPolyQT):
@@ -594,6 +710,42 @@ class TestCancellationRules:
         # the three signs and the one division by q - 1 leave (1 + q) / ((q - 1)(q^2 - 1))
         assert r.num == ONE + Q and r.factors == (Q - ONE, Q * Q - ONE)
         assert RatFuncQT.from_binomials((), (ONE - Q,), ZERO).factors == ()
+
+    def test_a_composite_bottom_is_still_tried(self):
+        # 1 - q^2 divides neither top alone, but it divides their product
+        r = RatFuncQT.from_binomials([ONE - Q, ONE + Q], [ONE - Q * Q])
+        assert r.num == ONE and r.factors == ()
+
+    def test_a_prime_bottom_is_tried_on_a_scale_that_is_not_a_monomial(self):
+        # 1 - q divides no top, but it divides the scale 1 - q^2
+        r = RatFuncQT.from_binomials([ONE - T], [ONE - Q], ONE - Q * Q)
+        assert r.num == (ONE + Q) * (ONE - T) and r.factors == ()
+
+    def test_a_prime_bottom_that_divides_no_top_is_kept_untried(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return exact_div(a, b)
+
+        monkeypatch.setattr(qa, "exact_div", counted)
+        r = RatFuncQT.from_binomials([ONE - Q * Q, Q - T], [ONE - Q, ONE - T, ONE - Q], -Q)
+        # each bottom is tried on the tops left, never on their product
+        assert all(len(a.terms) == 2 for a, _ in calls)
+        assert r.num == -Q * (ONE + Q) * (Q - T) and r.factors == qa._sorted(
+            [qa._split_canonical(ONE - T)[2], qa._split_canonical(ONE - Q)[2]])
+
+    @pytest.mark.parametrize("c, e0, e1", [(1, 2, -1), (1, 0, 0), (-1, -3, 2), (3, 1, 1)])
+    def test_a_monomial_factor_needs_no_trial(self, monkeypatch, c, e0, e1):
+        x = RatFuncQT.from_binomials([ONE + Q], [ONE - Q, Q - T, ONE - Q * T * T], ONE + T)
+        mono = LaurentPolyQT.monomial(c, e0, e1)
+        calls = []
+        monkeypatch.setattr(qa, "exact_div", lambda a, b: calls.append(b))
+        for got in (x * RatFuncQT.from_laurent(mono), RatFuncQT.from_laurent(mono) * x,
+                    x * mono, mono * x):
+            assert got.factors == x.factors
+            assert got.num == x.num.shift(e0, e1) * c
+        assert calls == []
 
     def test_every_division_goes_through_the_module_exact_div(self, monkeypatch):
         # the benchmark tracer counts divisions by rebinding qt_algebra.exact_div

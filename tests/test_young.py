@@ -28,6 +28,19 @@ class TestPartitionBasics:
         assert p.parts == (2, 2, 1)
         assert str(p) == "2,2,1"
 
+    def test_empty_partition(self):
+        empty = Partition.parse("  ")
+        assert empty == Partition(()) and empty.n == 0
+        assert empty.conjugate() == empty
+        assert repr(Partition.parse("3,1")) == "Partition((3, 1))"
+
+    def test_conjugate_transposes_the_cells(self):
+        for n in range(8):
+            for mu in partitions_of(n):
+                conj = mu.conjugate()
+                assert sorted(conj.cells()) == sorted((y, x) for x, y in mu.cells())
+                assert conj.conjugate() == mu
+
     def test_partitions_of(self):
         assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
         assert [p.parts for p in partitions_of(0)] == [()]
@@ -36,8 +49,9 @@ class TestPartitionBasics:
     def test_partition_count(self):
         for n in range(14):
             assert partition_count(n) == len(partitions_of(n))
-        with pytest.raises(ValueError):
-            partition_count(-1)
+        for count in (partition_count, partitions_of):
+            with pytest.raises(ValueError, match="nonnegative"):
+                count(-1)
 
 
 class TestCellStats:
@@ -131,6 +145,11 @@ class TestCovers:
     def test_cocovers(self):
         assert [m.parts for m, _ in Partition((2, 1)).cocovers()] == [(1, 1), (2,)]
         assert Partition(()).cocovers() == []
+
+    def test_cover_monomial_of_a_non_cover(self):
+        for mu in (Partition((3, 2)), Partition((2, 1)), Partition((1,))):
+            with pytest.raises(ValueError, match="does not cover"):
+                cover_monomial(Partition((2, 1)), mu)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_mutually_inverse(self, n):
