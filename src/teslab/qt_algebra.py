@@ -16,9 +16,9 @@ product of a term's exponent with A - B together with its coset modulo
 A - B (needed when A - B is not primitive, as for 1 - q^6).
 
 Each canonical factor is one object per value, made by a lru_cache: it
-carries its hash, its sort key in a denominator and its primality, so the
-multiset and ordering work on denominators computes none of them again.  It
-still equals, and hashes like, the plain LaurentPolyQT with its terms.
+carries its hash and its primality, so the multiset work on denominators
+computes neither again.  It still equals, and hashes like, the plain
+LaurentPolyQT with its terms.
 
 Every RatFuncQT is reduced: no factor it keeps divides its numerator.  A
 canonical factor whose direction A - B has coprime entries is irreducible
@@ -438,13 +438,13 @@ def _binomial_quotient(a: LaurentPolyQT, B: Mono, cb: int, v0: int, v1: int, s: 
 class _Factor(LaurentPolyQT):
     """A canonical binomial x^a + c x^b, one object per value (see _factor).
 
-    Its hash, its sort key in a denominator and its primality are computed
-    once.  Equality stays equality of terms, and the hash is the plain
-    LaurentPolyQT hash, so a Counter merges a factor with an equal plain
-    polynomial, or with the object an earlier _factor cache made.
+    Its hash and its primality are computed once.  Equality stays equality
+    of terms, and the hash is the plain LaurentPolyQT hash, so a Counter
+    merges a factor with an equal plain polynomial, or with the object an
+    earlier _factor cache made.
     """
 
-    __slots__ = ("hash", "order", "prime")
+    __slots__ = ("hash", "prime")
 
     def __hash__(self):
         return self.hash
@@ -455,8 +455,6 @@ def _factor(a: Mono, b: Mono, c: int) -> _Factor:
     """The canonical binomial x^a + c x^b, a leading in graded lex."""
     f = _Factor._raw({a: 1, b: c})
     f.hash = LaurentPolyQT.__hash__(f)
-    # the order of a denominator's factors, so equal multisets are equal tuples
-    f.order = tuple(sorted(f.terms.items()))
     # a direction with coprime entries makes the binomial irreducible with
     # content 1 (a monomial change of variables takes it to u - 1 or u + 1),
     # so prime
@@ -464,16 +462,12 @@ def _factor(a: Mono, b: Mono, c: int) -> _Factor:
     return f
 
 
-def _split_canonical(p: LaurentPolyQT):
-    """Write a +-1 binomial p as sign * x^mins * canonical, where canonical has
-    min exponents (0,0) and a positive graded-lex leading coefficient."""
-    return _split_terms(*p.terms.items())
-
-
 @lru_cache(maxsize=None)
 def _split_terms(first: tuple, second: tuple):
-    # _split_canonical on a binomial's two (exponent, coefficient) items, so
-    # an arm/leg binomial met again is split once
+    """Write the +-1 binomial with these two (exponent, coefficient) items as
+    sign * x^mins * canonical, where canonical has min exponents (0,0) and a
+    positive graded-lex leading coefficient.  Cached on the items, so an
+    arm/leg binomial met again is split once."""
     ((a0, a1), ca), ((b0, b1), cb) = first, second
     m0, m1 = min(a0, b0), min(a1, b1)
     a, b = (a0 - m0, a1 - m1), (b0 - m0, b1 - m1)
@@ -496,7 +490,7 @@ def _canonicalize(num: LaurentPolyQT, factors, side: int):
         if not _is_unit_binomial(f):
             where = "denominator" if side < 0 else "numerator"
             raise ValueError(f"{where} factor {f} is not +-x^A +- x^B")
-        s, (m0, m1), prim = _split_canonical(f)
+        s, (m0, m1), prim = _split_terms(*f.terms.items())
         sign *= s
         s0 += m0
         s1 += m1
@@ -513,7 +507,7 @@ def _is_prime(f: _Factor) -> bool:
 class RatFuncQT:
     """Exact rational function in q and t.
 
-    Stored as num / prod(factors) where factors is a sorted tuple of canonical
+    Stored as num / prod(factors) where factors is a tuple of canonical
     +-1 binomials, none of which divides num.  Equality is decided by
     cross-multiplication, so a missed cancellation can never change a
     result.  Build one with from_laurent or from_binomials.
@@ -523,7 +517,7 @@ class RatFuncQT:
 
     @classmethod
     def _raw(cls, num: LaurentPolyQT, factors: tuple) -> "RatFuncQT":
-        # internal fast path: factors must already be canonical and sorted
+        # internal fast path: factors must already be canonical
         out = object.__new__(cls)
         out.num, out.factors = num, factors
         return out
@@ -571,7 +565,7 @@ class RatFuncQT:
             kept = [f for f in bottoms if _is_prime(f)]
             bottoms = [f for f in bottoms if not _is_prime(f)]
         num = _divide_out(num, bottoms, kept)
-        return cls._raw(num, _sorted(kept))
+        return cls._raw(num, tuple(kept))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -625,7 +619,7 @@ class RatFuncQT:
             else:
                 trial += [f] * count
         num = _divide_out(num, trial, kept)
-        return RatFuncQT._raw(num, _sorted(kept))
+        return RatFuncQT._raw(num, tuple(kept))
 
     __radd__ = __add__
 
@@ -657,7 +651,7 @@ class RatFuncQT:
                 (primes if _is_prime(f) else trial).append(f)
             nums.append(_divide_out(across.num, primes, kept))
         num = _divide_out(nums[0] * nums[1], trial, kept)
-        return RatFuncQT._raw(num, _sorted(kept))
+        return RatFuncQT._raw(num, tuple(kept))
 
     __rmul__ = __mul__
 
@@ -671,10 +665,10 @@ class RatFuncQT:
         num = self.num.swap_qt()
         prims = []
         for f in self.factors:
-            sign, _, prim = _split_canonical(f.swap_qt())
+            sign, _, prim = _split_terms(*f.swap_qt().terms.items())
             num = num * sign
             prims.append(prim)
-        return RatFuncQT._raw(num, _sorted(prims))
+        return RatFuncQT._raw(num, tuple(prims))
 
     def __str__(self) -> str:
         if self.is_laurent():
@@ -714,7 +708,3 @@ def _divide_out(num: LaurentPolyQT, factors, kept: list) -> LaurentPolyQT:
             failed.add(f)
         kept.append(f)
     return num
-
-
-def _sorted(factors) -> tuple:
-    return tuple(sorted(factors, key=lambda f: f.order))

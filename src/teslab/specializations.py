@@ -15,7 +15,7 @@ osp_enumerate counts its partitions and refuses more than OSP_BUDGET before
 building any, and the CLI turns both refusals into exit 2.  Generated
 records, here, in osp_enumerate and in car_bars (the parked order is a
 permutation of 1..n), are valid by construction and skip the validation
-that __init__ and parse give user input.  Which hook entries sum to each
+that the constructors give user input.  Which hook entries sum to each
 tail of an ordered set partition depends on the partition alone, so tes_t1
 and tail_vectors read the tails of every partition with given minima from
 one cached scan, and sum each distinct index tuple once per hook vector.
@@ -61,7 +61,12 @@ class OrderedSetPartition:
 
     @classmethod
     def parse(cls, text: str) -> "OrderedSetPartition":
-        return cls([[int(ch) for ch in part] for part in text.strip().split("|")])
+        """The partition that str writes as text: one digit per element up to
+        n = 9, so more than nine characters of blocks mean the comma form."""
+        blocks = text.strip().split("|")
+        if sum(map(len, blocks)) > 9:
+            return cls([[int(x) for x in b.split(",")] for b in blocks])
+        return cls([[int(ch) for ch in b] for b in blocks])
 
     def minima(self) -> tuple:
         return tuple(b[0] for b in self.blocks)
@@ -73,7 +78,9 @@ class OrderedSetPartition:
         return hash(self.blocks)
 
     def __str__(self):
-        return "|".join("".join(str(x) for x in b) for b in self.blocks)
+        # past n = 9 an element may have two digits, so commas separate them
+        sep = "" if self.n <= 9 else ","
+        return "|".join(sep.join(map(str, b)) for b in self.blocks)
 
     def __repr__(self):
         return f"OSP<{self}>"
@@ -166,11 +173,11 @@ def levande_map(U: TeslerMatrix):
     Stage 2 reads row leaders bottom to top as block minima and attaches each
     leftover element through the bottom-most row containing it.
     """
-    hooks = U.hooks()
-    if any(h not in (0, 1) for h in hooks):
+    # 0/1 hooks leave no negative entry: a row's hook is its sum less the
+    # entries above its diagonal, so the first nonpositive row would have a
+    # negative one
+    if any(h not in (0, 1) for h in U.hooks()):
         raise ValueError("map needs hook sums in {0,1}")
-    if any(v < 0 for row in U.rows for v in row):
-        raise ValueError("map needs a nonnegative matrix")
     n = U.n
     rows: list = []
     for j in range(n, 0, -1):
@@ -352,12 +359,6 @@ class ParkingFunction:
         self.spot = tuple(spot)
         self.considerate = frozenset(i for i, j in enumerate(spot, start=1)
                                      if j not in desired)
-
-    @classmethod
-    def parse(cls, text: str) -> "ParkingFunction":
-        text = text.strip()
-        values = text.split(",") if "," in text else list(text)
-        return cls(int(v) for v in values)
 
     def __str__(self):
         if len(self.prefs) <= 9:

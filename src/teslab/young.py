@@ -36,13 +36,6 @@ class Partition:
             raise ValueError("partition parts must be weakly decreasing")
         self.parts = parts
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(int(p) for p in text.split(","))
-
     @property
     def n(self) -> int:
         return sum(self.parts)

@@ -8,14 +8,16 @@ from types import SimpleNamespace
 
 import pytest
 
+from cold import clear_teslab_caches
 from teslab import cli, macdonald, specializations, verify
 from teslab.cli import build_parser, main
 from teslab.macdonald import PARTITION_SIZE_BUDGET, virtual_F
-from teslab.qt_algebra import LaurentPolyQT
+from teslab.qt_algebra import ONE, Q, LaurentPolyQT, RatFuncQT
 from teslab.specializations import OrderedSetPartition
 from teslab.tesler import (COUNT_ROWS_BUDGET, HOOKS_LENGTH_BUDGET, PACKED_BITS_BUDGET,
                            count_tesler, enumerate_tesler, parse_hooks, tes)
 from teslab.verify import ENTRY_RANGE_BUDGET, N_MAX_BUDGETS, Bounds, run_suite
+from teslab.young import partitions_of
 
 
 def _blocks_reversed(U):
@@ -393,6 +395,18 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+        # argparse refuses it before run_suite, which refuses it too
+        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+            run_suite("nope")
+
+    @pytest.mark.parametrize("value, note", [(RatFuncQT.from_laurent(Q ** -1), "not in Z[q,t]"),
+                                             (RatFuncQT.from_binomials((), [ONE - Q]), "not Laurent")],
+                             ids=["laurent", "fraction"])
+    def test_f_observations_note_each_violation(self, monkeypatch, value, note):
+        monkeypatch.setattr(verify, "virtual_F", lambda alpha, mu: value)
+        notes = verify._f_observations([(1, 1), (1, 1)])
+        assert notes["f_instances"] == 3 and notes["f_poly_when_entries_nonneg"] == 0
+        assert notes["violations"] == [f"F(1, 1)_{mu} {note}" for mu in partitions_of(3)]
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "prop-6-2", "--entry-range", "2..-2"],
@@ -611,8 +625,7 @@ class TestParserReuse:
     def _session(self, capsys, monkeypatch, tmp_path, rebuild):
         # every session starts cold and reads a fixed clock, so that verify's
         # stats and times do not tell the two apart
-        for fn in verify._lru_caches().values():
-            fn.cache_clear()
+        clear_teslab_caches()
         monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         session = "rebuilt" if rebuild else "shared"
         results = []

@@ -259,6 +259,16 @@ class TestMonomialSymFn:
         with pytest.raises(ValueError):
             MonomialSymFn.parse("q+t")
 
+    def test_parse_refusals_and_the_empty_schur(self):
+        with pytest.raises(ValueError, match="single nonnegative index"):
+            MonomialSymFn.parse("e:1,2")
+        assert MonomialSymFn.parse("s:") == MonomialSymFn({(): 1})
+
+    @pytest.mark.parametrize("rho, match", [((2, 0), "nonzero"), ((-1, 2), "weakly decreasing")])
+    def test_refuses_an_invalid_laurent_partition(self, rho, match):
+        with pytest.raises(ValueError, match=match):
+            MonomialSymFn({rho: 1})
+
     def test_constant_bracket(self):
         f = MonomialSymFn({(): 1})
         assert f.eval_bracket(b_of((2, 1))) == ONE

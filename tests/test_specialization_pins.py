@@ -17,7 +17,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from teslab import specializations
+from cold import clear_teslab_caches
 from teslab.qt_algebra import LaurentPolyQT
 from teslab.specializations import tes_11, tes_t0, tes_t1
 from teslab.verify import _inv_sum, _parking_sums, _tail_products
@@ -63,9 +63,7 @@ def digests() -> dict:
 
 
 def test_specialization_values_are_pinned():
-    # cold: the parking functions and the tail scans are cached per n
-    specializations.parking_functions.cache_clear()
-    specializations._osp_tails.cache_clear()
+    clear_teslab_caches()
     assert digests() == json.loads(PINS.read_text())
 
 

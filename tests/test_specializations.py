@@ -165,6 +165,17 @@ class TestOrderedSetPartitions:
         with pytest.raises(ValueError):
             OrderedSetPartition(blocks)
 
+    @pytest.mark.parametrize("blocks, text", [
+        ([[1, 10], [2, 3, 4, 5, 6, 7, 8, 9]], "1,10|2,3,4,5,6,7,8,9"),
+        ([[2], [1], [3], [4], [5], [6], [7], [8], [9], [10]], "2|1|3|4|5|6|7|8|9|10"),
+        ([[11, 2], [1], [10, 3, 4, 5, 6, 7, 8, 9]], "2,11|1|3,4,5,6,7,8,9,10"),
+    ], ids=["n10", "n10-singletons", "n11"])
+    def test_print_parse_past_nine(self, blocks, text):
+        # two-digit elements: commas separate a block's elements
+        pi = OrderedSetPartition(blocks)
+        assert str(pi) == text
+        assert OSP(text) == pi
+
     def test_parse_refuses_a_repeated_element(self):
         with pytest.raises(ValueError, match="partition"):
             OSP("11|2")
@@ -203,6 +214,10 @@ class TestOrderedSetPartitions:
         for rest in subsets(range(2, n + 1)):
             for pi in osp_enumerate(n, {1, *rest}):
                 assert inv_stat(pi) == loop_inv_stat(pi)
+
+    def test_enumerate_refuses_minima_outside_1_to_n(self):
+        with pytest.raises(ValueError, match="minima must lie in"):
+            osp_enumerate(3, {1, 4})
 
     @pytest.mark.parametrize("n", range(8))
     def test_count_is_the_length_of_the_enumeration(self, n):
@@ -283,6 +298,12 @@ class TestLevande:
         with pytest.raises(ValueError):
             levande_map(TeslerMatrix([[2, 0], [0, 2]]))
 
+    def test_zero_one_hooks_leave_no_negative_entry(self):
+        # why levande_map checks the hooks alone
+        for alpha in product((0, 1), repeat=5):
+            for U in enumerate_tesler(alpha):
+                assert min(min(row) for row in U.rows) >= 0, U
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_fiber_sums(self, n):
         for alpha in product((0, 1), repeat=n):
@@ -323,6 +344,10 @@ class TestTargetTail:
     def test_minima_mismatch(self):
         with pytest.raises(ValueError, match="minima mismatch"):
             target_tail((1, 1, 0, 0), OSP("3|12|4"))
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="sizes differ"):
+            target_tail((1, 0, 1), OSP("3|12|4"))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_loop_on_every_partition(self, n):
@@ -415,8 +440,10 @@ class TestParking:
         assert {4, 7} <= report.considerate
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a parking function"):
             ParkingFunction((3, 1, 3))
+        with pytest.raises(ValueError, match="preferences must lie in 1..n"):
+            ParkingFunction((3, 1))
 
     def test_car_spot_inverse(self):
         for prefs in product((1, 2, 3, 4), repeat=4):
@@ -438,13 +465,18 @@ class TestParking:
                 assert getattr(pf, field) == getattr(checked, field)
                 assert type(getattr(pf, field)) is type(getattr(checked, field))
 
-    def test_parse_print(self):
-        pf = ParkingFunction.parse("5121142")
+    def test_str(self):
+        pf = ParkingFunction([5, 1, 2, 1, 1, 4, 2])
         assert str(pf) == "5121142"
-        assert ParkingFunction.parse("1,1,2").prefs == (1, 1, 2)
+        # past 9 cars a preference may have two digits, so commas separate them
+        assert str(ParkingFunction([10] + [1] * 9)) == "10,1,1,1,1,1,1,1,1,1"
 
 
 class TestCPF:
+    def test_refuses_a_car_outside_2_to_n(self):
+        with pytest.raises(ValueError, match="decorated cars must lie in 2..n"):
+            cpf(3, {1})
+
     def test_small_decorated_set(self):
         got = {str(d) for d in cpf(3, {2})}
         assert got == {"111", "113", "221"}
@@ -556,6 +588,8 @@ class TestQT11:
         assert tes_11((1, 1, 1)) == 16
         assert tes_11((2, 0, 3, 1)) == 308
         assert tes_11((5,)) == 5
+        with pytest.raises(ValueError, match="nonempty"):
+            tes_11(())
 
     def test_wt_alpha_example(self):
         assert wt_alpha((2, -1, 0, 3), ParkingFunction((2, 1, 2, 1))) == 4

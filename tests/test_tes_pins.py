@@ -5,9 +5,9 @@ Run as a script from the root of a checkout,
     PYTHONPATH=src python tests/test_tes_pins.py
 
 to write the digests of the current code to tes_pins.json beside this file.
-The test clears tes's caches and recomputes every value, so any change to a
-coefficient of tes on these inputs fails it, whether it comes from the walk,
-the packing or the row weights' polynomial products.
+The test clears every teslab cache and recomputes every value, so any change
+to a coefficient of tes on these inputs fails it, whether it comes from the
+walk, the packing or the row weights' polynomial products.
 """
 
 import hashlib
@@ -16,15 +16,10 @@ import random
 import sys
 from pathlib import Path
 
-from teslab import tesler
+from cold import clear_teslab_caches
 from teslab.tesler import tes
 
 PINS = Path(__file__).with_name("tes_pins.json")
-
-# every cache between a hook vector and its value, row weights included
-CACHES = (tesler._e_m_power, tesler._e_int, tesler._spread, tesler.qt_int, tesler._row_weight,
-          tesler._row_groups, tesler._bound, tesler._packed_weight, tesler._packed_rows,
-          tesler._tes_cached)
 
 
 def _vectors() -> list:
@@ -45,8 +40,7 @@ def digests() -> dict:
 
 
 def test_tes_values_are_pinned():
-    for cache in CACHES:
-        cache.cache_clear()
+    clear_teslab_caches()
     assert digests() == json.loads(PINS.read_text())
 
 

@@ -54,6 +54,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="not upper triangular"):
             TeslerMatrix([[1, 0], [1, 1]])
 
+    @pytest.mark.parametrize("rows, match", [([[1, 0]], "not square"),
+                                             ([], "at least one row")])
+    def test_shape(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            TeslerMatrix(rows)
+
+    def test_no_negative_m_power(self):
+        # a validated matrix has a nonzero entry in every row, so weight
+        # never asks for one
+        with pytest.raises(ValueError, match="negative M power"):
+            tesler._m_power(-1)
+
     def test_identity_valid(self):
         assert TeslerMatrix([[1, 0], [0, 1]]).hooks() == (1, 1)
 

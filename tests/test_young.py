@@ -23,16 +23,16 @@ class TestPartitionBasics:
             Partition((2, 0))
         assert Partition(()).parts == ()
 
-    def test_parse_print_roundtrip(self):
-        p = Partition.parse("2,2,1")
+    def test_parts_and_str(self):
+        p = Partition([2, 2, 1])
         assert p.parts == (2, 2, 1)
         assert str(p) == "2,2,1"
 
     def test_empty_partition(self):
-        empty = Partition.parse("  ")
-        assert empty == Partition(()) and empty.n == 0
+        empty = Partition()
+        assert empty == Partition(()) and empty.n == 0 and str(empty) == ""
         assert empty.conjugate() == empty
-        assert repr(Partition.parse("3,1")) == "Partition((3, 1))"
+        assert repr(Partition([3, 1])) == "Partition((3, 1))"
 
     def test_conjugate_transposes_the_cells(self):
         for n in range(8):
